@@ -1,11 +1,9 @@
 //! Streaming-ingest timings — incremental `DatasetView::ingest_shard`
-//! vs a full rebuild, and streaming-merge peak residency vs the
-//! reorder-window size.
+//! vs a full rebuild.
 //!
 //! Like the campaign and storage benches, deliberately not Criterion:
-//! one full ingest pass or one windowed campaign run is the right
-//! granularity, and the results land in `BENCH_ingest.json` at the
-//! repo root as a tracked baseline.
+//! one full ingest pass is the right granularity, and the results land
+//! in `BENCH_ingest.json` at the repo root as a tracked baseline.
 //!
 //! Usage:
 //!
@@ -18,16 +16,13 @@
 //! arriving shard?": all plan-order shards are spliced into one empty
 //! view and the total is divided by the shard count. The rebuild
 //! column is the alternative it replaces — `DatasetView::new` over the
-//! fully merged dataset. The window sweep runs the streaming campaign
-//! merge at several reorder-window sizes and records the engine's own
-//! `MergeStats`, pinning the residency-vs-window contract (peak
-//! resident shards never exceed the window).
+//! fully merged dataset.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::campaign::{Campaign, CampaignConfig};
+use wheels_core::campaign::Campaign;
 use wheels_core::records::Dataset;
 use wheels_experiments::world::Scale;
 
@@ -43,22 +38,12 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     best
 }
 
-const WINDOWS: [Option<usize>; 4] = [Some(1), Some(4), Some(8), None];
-
-struct WindowPoint {
-    window: Option<usize>,
-    secs: f64,
-    peak_resident: usize,
-    spilled: usize,
-}
-
 struct ScaleResult {
     name: &'static str,
     shards: usize,
     tput_samples: usize,
     rebuild_secs: f64,
     ingest_total_secs: f64,
-    windows: Vec<WindowPoint>,
 }
 
 fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
@@ -88,38 +73,6 @@ fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usiz
         view.dataset().tput.len() as f64
     });
 
-    // Streaming-merge residency: the engine reports how many completed
-    // shards were ever parked in the reorder window at once.
-    let mut windows = Vec::new();
-    for window in WINDOWS {
-        let cfg = CampaignConfig {
-            threads: Some(4),
-            merge_window: window,
-            ..scale.config()
-        };
-        let t0 = Instant::now();
-        let (ds, stats) = campaign.run_with_stats(&cfg);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(ds.tput.len(), tput_samples, "windowed merge changed output");
-        if let Some(w) = window {
-            assert!(
-                stats.peak_resident <= w,
-                "peak residency {} exceeds merge window {w}",
-                stats.peak_resident
-            );
-        }
-        eprintln!(
-            "  window {:?}: {:.3}s, peak resident {}, spilled {}",
-            window, secs, stats.peak_resident, stats.spilled
-        );
-        windows.push(WindowPoint {
-            window,
-            secs,
-            peak_resident: stats.peak_resident,
-            spilled: stats.spilled,
-        });
-    }
-
     eprintln!(
         "  {} shards / {} tput samples: rebuild {:.4}s | ingest {:.4}s total, {:.1} us/shard",
         shards.len(),
@@ -135,40 +88,16 @@ fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usiz
         tput_samples,
         rebuild_secs,
         ingest_total_secs,
-        windows,
     }
 }
 
 fn json_scale(r: &ScaleResult) -> String {
     let per_shard_us = r.ingest_total_secs / r.shards as f64 * 1e6;
-    let windows: Vec<String> = r
-        .windows
-        .iter()
-        .map(|w| {
-            format!(
-                "        {{ \"merge_window\": {}, \"secs\": {:.4}, \
-                 \"peak_resident\": {}, \"spilled\": {} }}",
-                w.window
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| "null".to_string()),
-                w.secs,
-                w.peak_resident,
-                w.spilled
-            )
-        })
-        .collect();
     format!(
         "    {{\n      \"scale\": \"{}\",\n      \"shards\": {},\n      \
          \"tput_samples\": {},\n      \"rebuild_secs\": {:.6},\n      \
-         \"ingest_total_secs\": {:.6},\n      \"ingest_us_per_shard\": {:.1},\n      \
-         \"windows\": [\n{}\n      ]\n    }}",
-        r.name,
-        r.shards,
-        r.tput_samples,
-        r.rebuild_secs,
-        r.ingest_total_secs,
-        per_shard_us,
-        windows.join(",\n")
+         \"ingest_total_secs\": {:.6},\n      \"ingest_us_per_shard\": {:.1}\n    }}",
+        r.name, r.shards, r.tput_samples, r.rebuild_secs, r.ingest_total_secs, per_shard_us,
     )
 }
 
@@ -201,8 +130,7 @@ fn main() {
          \"scales\": [\n{}\n  ]\n}}\n",
         cores,
         "ingest_us_per_shard amortizes one empty-view ingest pass over all plan-order \
-         shards; window points run the 4-thread streaming merge and record the \
-         engine's MergeStats (peak_resident is asserted <= merge_window)",
+         shards; rebuild_secs is DatasetView::new over the merged dataset",
         scales.join(",\n")
     );
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -1,7 +1,9 @@
 //! # wheels-bench
 //!
-//! The benchmark harness. Each Criterion bench target regenerates part of
-//! the paper's evaluation and measures how long the regeneration takes:
+//! The component benchmark harness, in two kinds of bench target.
+//!
+//! The Criterion targets regenerate part of the paper's evaluation and
+//! measure how long the regeneration takes:
 //!
 //! - `paper_tables` — Tables 1–5.
 //! - `coverage_figures` — Figs. 1–2.
@@ -12,9 +14,33 @@
 //!   (channel sampling, CUBIC ticks, session polls, route queries).
 //! - `ablations` — the DESIGN.md design-choice probes (upgrade policy,
 //!   buffer sizing, BBA, CA, local tracking).
+//! - `extensions` — the extension analyses (the paper's future work).
 //!
 //! Each experiment bench prints its regenerated rows once (to stderr) so
 //! `cargo bench` output doubles as a reproduction log.
+//!
+//! The plain-`main` targets time one subsystem end to end and rewrite a
+//! tracked `BENCH_*.json` baseline at the repo root (add `-- --standard`
+//! for the Standard-scale points where a bench has them):
+//!
+//! - `campaign` — campaign wall time across worker-thread counts
+//!   (`BENCH_campaign.json`).
+//! - `analysis` — cold scans vs the indexed view, and full-repro wall
+//!   time across runner thread counts (`BENCH_analysis.json`).
+//! - `storage` — WCD1 binary load vs JSON parse, encoded sizes, and view
+//!   construction (`BENCH_storage.json`).
+//! - `ingest` — incremental shard ingest vs a full view rebuild
+//!   (`BENCH_ingest.json`).
+//! - `lint` — the analyzer, tier 1 alone vs tier 1 + tier 2
+//!   (`BENCH_lint.json`).
+//! - `serve` — `wheels-serve` query latency and ingest lag
+//!   (`BENCH_serve.json`).
+//! - `stress` — `wheels-stress` soak cycle and verification cost
+//!   (`BENCH_stress.json`).
+//!
+//! These are component baselines. The end-to-end performance ledger —
+//! the workloads a change is accepted or rejected on — is the separate
+//! `perf/` runner, declared by `BENCHMARK.json` at the repo root.
 //!
 //! The shared world is built once per bench binary at Quick scale; use the
 //! `repro` binary with `--standard`/`--full` for the higher-fidelity runs

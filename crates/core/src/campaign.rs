@@ -23,11 +23,13 @@
 //! worker pool with its own RNG stream (`campaign/{op}/{segment}`) and its
 //! own test-id range, and the shard datasets **stream** into the merged
 //! result in a fixed plan order: each shard normalizes itself into sorted
-//! runs, and completed shards drain through a bounded reorder window
-//! ([`CampaignConfig::merge_window`]) via an incremental sorted-run merge
-//! ([`Dataset::merge_normalized`]) — no terminal sort, no unbounded
-//! shard buffering, and the result is bit-identical at any thread count
-//! and any window size.
+//! runs, a shard that finishes ahead of the drain front parks until its
+//! turn, and each drains via an incremental sorted-run merge
+//! ([`Dataset::merge_normalized`]) — no terminal sort, and the result is
+//! bit-identical at any thread count. One drain loop serves plain,
+//! checkpointed and resumed runs alike: a checkpointed run journals each
+//! shard before parking it, and a resumed run decodes its replayed
+//! journal frames one at a time as the drain front reaches them.
 //!
 //! Each drive shard cold-starts its [`RanSession`] a [`WARMUP`] window
 //! before its first cycle so the serving state (grant, A3 filter state) at
@@ -37,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use wheels_apps::arcav::{AppConfig, OffloadRun};
 use wheels_apps::gaming::GamingRun;
@@ -100,16 +102,6 @@ pub struct CampaignConfig {
     /// (None = one shard per drive day). Changing this changes the RNG
     /// stream layout, so it is part of the config, not a runtime knob.
     pub shard_cycles: Option<usize>,
-    /// Reorder-window size for the streaming merge: at most this many
-    /// completed shards sit in RAM waiting to drain in plan order
-    /// (None = unbounded). Plain runs bound residency by backpressure
-    /// (a worker more than a window ahead of the drain front waits);
-    /// checkpointed runs never stall — out-of-window shards drop their
-    /// RAM copy and re-read their own journal frame at drain time. Like
-    /// `threads`, this is a pure runtime knob: the output is
-    /// bit-identical at any window size, so it is not part of the
-    /// checkpoint [`Fingerprint`].
-    pub merge_window: Option<usize>,
     /// Measurement-disruption injection (default: disabled). Fault
     /// schedules are drawn from dedicated `campaign/faults/{op}/{segment}`
     /// streams, so enabling them never perturbs the simulation streams
@@ -128,24 +120,9 @@ impl Default for CampaignConfig {
             cycle_stride_s: 0,
             threads: None,
             shard_cycles: None,
-            merge_window: None,
             faults: FaultConfig::default(),
         }
     }
-}
-
-/// Telemetry from one streaming campaign merge
-/// ([`Campaign::run_with_stats`]): how tight the reorder window held.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Largest number of completed shards resident in RAM at once while
-    /// waiting to drain — never exceeds the effective merge window.
-    pub peak_resident: usize,
-    /// Completed shards whose RAM copy was dropped because they landed
-    /// outside the reorder window; they were re-read from their own
-    /// checkpoint-journal frame at drain time (journalled runs only —
-    /// plain runs bound residency by backpressure instead).
-    pub spilled: usize,
 }
 
 /// Live counters a checkpointed run bumps as it goes — the campaign's
@@ -156,12 +133,10 @@ pub struct MergeStats {
 /// checks the audit-conservation invariant over the final totals.
 #[derive(Debug, Default)]
 pub struct CampaignMetrics {
-    /// Shards freshly simulated and journalled by this run.
+    /// Shards freshly simulated (and journalled) by this run.
     pub shards_completed: wheels_metrics::Counter,
     /// Shards replayed from the journal on `--resume`.
     pub shards_replayed: wheels_metrics::Counter,
-    /// Shards whose RAM copy spilled to their own journal frame.
-    pub shards_spilled: wheels_metrics::Counter,
     /// Audit rows with [`TestStatus::Completed`].
     pub tests_completed: wheels_metrics::Counter,
     /// Audit rows with [`TestStatus::Partial`].
@@ -212,7 +187,6 @@ impl CampaignMetrics {
         serde::Value::Object(vec![
             ("shards_completed".to_string(), u(&self.shards_completed)),
             ("shards_replayed".to_string(), u(&self.shards_replayed)),
-            ("shards_spilled".to_string(), u(&self.shards_spilled)),
             ("tests_completed".to_string(), u(&self.tests_completed)),
             ("tests_partial".to_string(), u(&self.tests_partial)),
             ("tests_lost".to_string(), u(&self.tests_lost)),
@@ -266,54 +240,10 @@ struct ShardJob {
     segment: Option<Segment>,
 }
 
-/// What one shard hands back for order-independent merging.
-struct ShardOut {
-    op: Operator,
-    ds: Dataset,
-    /// Cells this shard's session was served by, unioned per operator in
-    /// the finalize step (Table 1's unique-cell counts must not double
-    /// count a cell seen by two shards).
-    cells: BTreeSet<CellId>,
-}
-
-impl ShardOut {
-    /// The journal-frame form: the cell set flattens to a sorted `Vec`
-    /// (its `BTreeSet` iteration order), which the vendored serde can
-    /// encode.
-    fn into_records(self) -> ShardRecords {
-        ShardRecords {
-            operator: self.op,
-            dataset: self.ds,
-            cells: self.cells.into_iter().collect(),
-        }
-    }
-
-    /// Rehydrate a replayed journal frame.
-    fn from_records(rec: ShardRecords) -> ShardOut {
-        ShardOut {
-            op: rec.operator,
-            ds: rec.dataset,
-            cells: rec.cells.into_iter().collect(),
-        }
-    }
-}
-
-/// One completed shard waiting in the reorder window of a journalled
-/// run: in-window shards stay resident; out-of-window shards drop their
-/// RAM copy — the journal frame they were just appended to *is* the
-/// spill — and carry only the frame's byte span for the drain-time
-/// re-read. Frames replayed by `--resume` start out spilled by
-/// construction.
-enum Done {
-    Resident(Box<ShardOut>),
-    Spilled(FrameSpan),
-}
-
 /// The streaming append-target of a campaign run: shard outputs drain
 /// into it one at a time, in plan order, each folding in via the linear
-/// run merge ([`Dataset::merge_normalized`]) — so the engine never holds
-/// more than the reorder window of completed shards and never pays the
-/// old terminal O(n log n) `normalize` sort.
+/// run merge ([`Dataset::merge_normalized`]) — so the engine never pays
+/// the old terminal O(n log n) `normalize` sort.
 struct Merger<'o> {
     ops: &'o [Operator],
     out: Dataset,
@@ -332,11 +262,11 @@ impl<'o> Merger<'o> {
     }
 
     /// Fold the next shard (plan order) into the accumulator.
-    fn drain(&mut self, shard: ShardOut) {
-        if let Some(i) = self.ops.iter().position(|o| *o == shard.op) {
+    fn drain(&mut self, shard: ShardRecords) {
+        if let Some(i) = self.ops.iter().position(|o| *o == shard.operator) {
             self.cells[i].extend(shard.cells.iter().copied());
         }
-        let mut ds = shard.ds;
+        let mut ds = shard.dataset;
         if !ds.is_normalized() {
             // Shards normalize before handing off, but a journal written
             // by an older build may still carry unsorted shard tables.
@@ -527,17 +457,18 @@ impl Campaign {
     }
 
     /// Run the full campaign: execute the shard plan on a worker pool and
-    /// stream the results through the reorder window in plan order.
-    /// Bit-identical at any thread count and any merge window.
+    /// stream the results into the merged dataset in plan order.
+    /// Bit-identical at any thread count.
     pub fn run(&self, cfg: &CampaignConfig) -> Dataset {
-        self.run_with_stats(cfg).0
-    }
-
-    /// [`Campaign::run`] plus the streaming-merge telemetry — the bench
-    /// harness asserts the `merge_window` residency bound through this.
-    pub fn run_with_stats(&self, cfg: &CampaignConfig) -> (Dataset, MergeStats) {
         let jobs = self.plan(cfg);
-        self.run_jobs(&jobs, cfg, &Operator::ALL)
+        self.run_jobs(
+            &jobs,
+            cfg,
+            None,
+            BTreeMap::new(),
+            &CampaignMetrics::default(),
+        )
+        .expect("a run without a journal has no journal to fail")
     }
 
     /// Simulate every shard in the plan sequentially and hand back the
@@ -548,7 +479,7 @@ impl Campaign {
     pub fn shard_records(&self, cfg: &CampaignConfig) -> Vec<ShardRecords> {
         self.plan(cfg)
             .iter()
-            .map(|job| self.run_shard(job, cfg).into_records())
+            .map(|job| self.run_shard(job, cfg))
             .collect()
     }
 
@@ -587,21 +518,10 @@ impl Campaign {
         dir: &Path,
         resume: bool,
     ) -> Result<Dataset, CheckpointError> {
-        Ok(self.run_checkpointed_with_stats(cfg, dir, resume)?.0)
-    }
-
-    /// [`Campaign::run_checkpointed`] plus the streaming-merge telemetry
-    /// (peak resident shard count, journal spill count).
-    pub fn run_checkpointed_with_stats(
-        &self,
-        cfg: &CampaignConfig,
-        dir: &Path,
-        resume: bool,
-    ) -> Result<(Dataset, MergeStats), CheckpointError> {
         self.run_checkpointed_observed(cfg, dir, resume, &CampaignMetrics::default())
     }
 
-    /// [`Campaign::run_checkpointed_with_stats`] with live
+    /// [`Campaign::run_checkpointed`] with live
     /// [`CampaignMetrics`] attached: the run bumps shard, journal, and
     /// audit-ledger counters as it goes. Counters never feed back into
     /// the simulation, so observed and unobserved runs are
@@ -612,7 +532,7 @@ impl Campaign {
         dir: &Path,
         resume: bool,
         metrics: &CampaignMetrics,
-    ) -> Result<(Dataset, MergeStats), CheckpointError> {
+    ) -> Result<Dataset, CheckpointError> {
         let fp = self.fingerprint(cfg);
         let jobs = self.plan(cfg);
         let (journal, completed) = if resume {
@@ -632,7 +552,7 @@ impl Campaign {
                 )));
             }
         }
-        self.run_jobs_journalled(&jobs, cfg, journal, completed, metrics)
+        self.run_jobs(&jobs, cfg, Some(journal), completed, metrics)
     }
 
     /// Run the campaign for one operator (sequentially, same shard plan —
@@ -668,165 +588,74 @@ impl Campaign {
     }
 
     /// Execute jobs on a pool of `cfg.threads` workers (default: one per
-    /// core), draining completed shards into the streaming [`Merger`] in
-    /// plan order through a bounded reorder window. Workers pull jobs
-    /// from a shared counter but *wait* before simulating a job more
-    /// than `merge_window` shards ahead of the drain front —
-    /// backpressure, not buffering, bounds residency when there is no
-    /// journal to spill to. The claimant of the drain-front job itself
-    /// never waits, so the pool always makes progress; and because the
-    /// drain order is the plan order no matter which worker ran what,
-    /// the output is byte-identical at any thread count and any window.
+    /// core), draining finished shards into the streaming [`Merger`] in
+    /// plan order. Workers pull jobs from a shared counter; a freshly
+    /// simulated shard parks until the drain front reaches it, and a
+    /// frame in `replayed` (indexed by `--resume`) is decoded only then,
+    /// so a resume holds one replayed shard at a time. Because the drain
+    /// order is the plan order no matter which worker ran what, the
+    /// output is byte-identical at any thread count.
+    ///
+    /// With a `journal`, every fresh shard is appended (under a lock —
+    /// appends must not interleave) *before* it counts as done, so a kill
+    /// at any moment loses at most the shards still in flight. The first
+    /// journal error stops the pool at the next job boundary and
+    /// surfaces as an error rather than silently degrading to an
+    /// uncheckpointed run. Without one, nothing is encoded or written.
     fn run_jobs(
         &self,
         jobs: &[ShardJob],
         cfg: &CampaignConfig,
-        ops: &[Operator],
-    ) -> (Dataset, MergeStats) {
-        struct Reorder<'o> {
-            merger: Merger<'o>,
-            parked: BTreeMap<usize, ShardOut>,
-            next_drain: usize,
-            peak_resident: usize,
-        }
-        let threads = Self::worker_threads(cfg, jobs.len());
-        let window = cfg.merge_window.unwrap_or(usize::MAX).max(1);
-        let next_job = AtomicUsize::new(0);
-        let state = Mutex::new(Reorder {
-            merger: Merger::new(ops),
-            parked: BTreeMap::new(),
-            next_drain: 0,
-            peak_resident: 0,
-        });
-        let in_window = Condvar::new();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next_job.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    {
-                        let mut st = state.lock().expect("reorder state mutex poisoned");
-                        while i >= st.next_drain.saturating_add(window) {
-                            st = in_window.wait(st).expect("reorder state mutex poisoned");
-                        }
-                    }
-                    let out = self.run_shard(&jobs[i], cfg);
-                    let mut st = state.lock().expect("reorder state mutex poisoned");
-                    st.parked.insert(i, out);
-                    st.peak_resident = st.peak_resident.max(st.parked.len());
-                    loop {
-                        let front = st.next_drain;
-                        let Some(done) = st.parked.remove(&front) else {
-                            break;
-                        };
-                        st.merger.drain(done);
-                        st.next_drain += 1;
-                    }
-                    drop(st);
-                    in_window.notify_all();
-                });
-            }
-        });
-        let st = state.into_inner().expect("reorder state mutex poisoned");
-        debug_assert_eq!(st.next_drain, jobs.len(), "every shard drained");
-        (
-            st.merger.finish(),
-            MergeStats {
-                peak_resident: st.peak_resident,
-                spilled: 0,
-            },
-        )
-    }
-
-    /// [`Campaign::run_jobs`] with a checkpoint journal attached: every
-    /// freshly-run shard is appended to the journal (serialized under a
-    /// lock — appends must not interleave) *before* its result counts as
-    /// done, so a kill at any moment loses at most the shards still in
-    /// flight. Journalled runs never stall on the reorder window:
-    /// instead of backpressure, an out-of-window shard drops its RAM
-    /// copy — its own just-synced journal frame is the spill — and is
-    /// re-read at drain time; frames replayed by `--resume` enter the
-    /// same way. A journal failure stops the pool at the next job
-    /// boundary and surfaces as an error rather than silently degrading
-    /// to an uncheckpointed run.
-    fn run_jobs_journalled(
-        &self,
-        jobs: &[ShardJob],
-        cfg: &CampaignConfig,
-        mut journal: Journal,
-        completed: BTreeMap<usize, FrameSpan>,
+        journal: Option<Journal>,
+        replayed: BTreeMap<usize, FrameSpan>,
         metrics: &CampaignMetrics,
-    ) -> Result<(Dataset, MergeStats), CheckpointError> {
-        journal.attach_metrics(std::sync::Arc::clone(&metrics.journal));
-        // lint: allow(lossy-cast, shard count is far below u64::MAX — usize widens exactly)
-        metrics.shards_replayed.add(completed.len() as u64);
+    ) -> Result<Dataset, CheckpointError> {
         struct Reorder<'o> {
             merger: Merger<'o>,
-            parked: BTreeMap<usize, Done>,
+            parked: BTreeMap<usize, ShardRecords>,
             next_drain: usize,
-            resident: usize,
-            peak_resident: usize,
-            spilled: usize,
+            failed: Option<CheckpointError>,
         }
-        let threads = Self::worker_threads(cfg, jobs.len());
-        let window = cfg.merge_window.unwrap_or(usize::MAX).max(1);
-        let reader = journal.reader();
-        // Drain every contiguous done shard at the front of the window:
-        // resident shards fold straight in, spilled ones re-read their
-        // journal frame (re-verifying the operator the plan expects).
+        // lint: allow(lossy-cast, shard count is far below u64::MAX — usize widens exactly)
+        metrics.shards_replayed.add(replayed.len() as u64);
+        let reader = journal.as_ref().map(Journal::reader);
+        let journal = journal.map(|mut j| {
+            j.attach_metrics(std::sync::Arc::clone(&metrics.journal));
+            Mutex::new(j)
+        });
+        // Fold every contiguous done shard at the drain front: parked
+        // shards straight in, replayed ones decoded from their journal
+        // frame (re-verifying the operator the plan expects).
         let drain = |st: &mut Reorder| -> Result<(), CheckpointError> {
             loop {
-                let front = st.next_drain;
-                let Some(done) = st.parked.remove(&front) else {
-                    break;
-                };
-                let out = match done {
-                    Done::Resident(out) => {
-                        st.resident -= 1;
-                        *out
-                    }
-                    Done::Spilled(span) => {
+                let i = st.next_drain;
+                let shard = match (st.parked.remove(&i), replayed.get(&i), &reader) {
+                    (Some(shard), _, _) => shard,
+                    (None, Some(&span), Some(reader)) => {
                         let rec = reader.read_frame(span)?;
-                        if rec.operator != jobs[st.next_drain].op {
+                        if rec.operator != jobs[i].op {
                             return Err(CheckpointError::Invalid(format!(
-                                "journal frame for shard {} records {}, the plan expects {}",
-                                st.next_drain,
+                                "journal frame for shard {i} records {}, the plan expects {}",
                                 rec.operator.label(),
-                                jobs[st.next_drain].op.label()
+                                jobs[i].op.label()
                             )));
                         }
-                        ShardOut::from_records(rec)
+                        rec
                     }
+                    _ => return Ok(()),
                 };
-                st.merger.drain(out);
+                st.merger.drain(shard);
                 st.next_drain += 1;
             }
-            Ok(())
         };
-        let mut init = Reorder {
+        let threads = Self::worker_threads(cfg, jobs.len());
+        let next_job = AtomicUsize::new(0);
+        let state = Mutex::new(Reorder {
             merger: Merger::new(&Operator::ALL),
             parked: BTreeMap::new(),
             next_drain: 0,
-            resident: 0,
-            peak_resident: 0,
-            spilled: 0,
-        };
-        for (i, span) in completed {
-            init.parked.insert(i, Done::Spilled(span));
-        }
-        drain(&mut init)?;
-        let state = Mutex::new(init);
-        let next_job = AtomicUsize::new(0);
-        let journal = Mutex::new(journal);
-        let failed: Mutex<Option<CheckpointError>> = Mutex::new(None);
-        let fail = |e: CheckpointError| {
-            let mut slot = failed.lock().expect("journal failure mutex poisoned");
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        };
+            failed: None,
+        });
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
@@ -834,73 +663,51 @@ impl Campaign {
                     if i >= jobs.len() {
                         break;
                     }
-                    {
-                        let st = state.lock().expect("reorder state mutex poisoned");
-                        if i < st.next_drain || st.parked.contains_key(&i) {
-                            continue; // replayed from the journal
-                        }
+                    if replayed.contains_key(&i) {
+                        continue;
                     }
-                    if failed
+                    let failed = state
                         .lock()
-                        .expect("journal failure mutex poisoned")
-                        .is_some()
-                    {
+                        .expect("reorder state mutex poisoned")
+                        .failed
+                        .is_some();
+                    if failed {
                         break; // the journal is broken; stop burning work
                     }
-                    let rec = self.run_shard(&jobs[i], cfg).into_records();
-                    let appended = journal
-                        .lock()
-                        .expect("journal mutex poisoned")
-                        .append(i, &rec);
-                    let span = match appended {
-                        Ok(span) => span,
-                        Err(e) => {
-                            fail(e);
+                    let shard = self.run_shard(&jobs[i], cfg);
+                    if let Some(j) = &journal {
+                        let appended = j.lock().expect("journal mutex poisoned").append(i, &shard);
+                        if let Err(e) = appended {
+                            let mut st = state.lock().expect("reorder state mutex poisoned");
+                            st.failed.get_or_insert(e);
                             break;
                         }
-                    };
-                    metrics.shards_completed.inc();
-                    metrics.count_audits(&rec.dataset.audits);
-                    let mut st = state.lock().expect("reorder state mutex poisoned");
-                    if i < st.next_drain.saturating_add(window) {
-                        let parked = &mut st.parked;
-                        // lint: allow(bounded-ingest, this is the reorder window itself — residency is capped at merge_window and everything past it spills to the journal branch below)
-                        parked.insert(i, Done::Resident(ShardOut::from_records(rec).into()));
-                        st.resident += 1;
-                        st.peak_resident = st.peak_resident.max(st.resident);
-                    } else {
-                        st.parked.insert(i, Done::Spilled(span));
-                        st.spilled += 1;
-                        metrics.shards_spilled.inc();
                     }
+                    metrics.shards_completed.inc();
+                    metrics.count_audits(&shard.dataset.audits);
+                    let mut st = state.lock().expect("reorder state mutex poisoned");
+                    st.parked.insert(i, shard);
                     if let Err(e) = drain(&mut st) {
-                        drop(st);
-                        fail(e);
+                        st.failed.get_or_insert(e);
                         break;
                     }
                 });
             }
         });
-        if let Some(e) = failed.into_inner().expect("journal failure mutex poisoned") {
+        let mut st = state.into_inner().expect("reorder state mutex poisoned");
+        if let Some(e) = st.failed.take() {
             return Err(e);
         }
-        let mut st = state.into_inner().expect("reorder state mutex poisoned");
-        // A fully-replayed resume never deposits anything from a worker,
-        // so the tail of the window drains here.
+        // Replayed frames behind the last fresh shard (all of them, on a
+        // complete journal) drain here.
         drain(&mut st)?;
         debug_assert_eq!(st.next_drain, jobs.len(), "every shard drained");
-        Ok((
-            st.merger.finish(),
-            MergeStats {
-                peak_resident: st.peak_resident,
-                spilled: st.spilled,
-            },
-        ))
+        Ok(st.merger.finish())
     }
 
     /// Run one shard: the operator's static baselines (segment = None) or
     /// one trace segment of drive cycles.
-    fn run_shard(&self, job: &ShardJob, cfg: &CampaignConfig) -> ShardOut {
+    fn run_shard(&self, job: &ShardJob, cfg: &CampaignConfig) -> ShardRecords {
         let op = job.op;
         let dep = self.deployment(op);
         // lint: allow(lossy-cast, operator index is 0..3, exact in u32)
@@ -966,10 +773,13 @@ impl Campaign {
         // classic mergesort identity), which is what keeps the streaming
         // engine byte-identical to the buffering one.
         runner.ds.normalize();
-        ShardOut {
-            op,
-            ds: runner.ds,
-            cells: runner.session.unique_cells().collect(),
+        // The session's cell set is unordered; the frame carries it
+        // ascending so its encoding is order-stable.
+        let cells: BTreeSet<CellId> = runner.session.unique_cells().collect();
+        ShardRecords {
+            operator: op,
+            dataset: runner.ds,
+            cells: cells.into_iter().collect(),
         }
     }
 }
@@ -1795,40 +1605,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_window_is_a_pure_runtime_knob() {
-        let c = Campaign::standard(7);
-        let base = CampaignConfig {
-            max_cycles: Some(2),
-            include_apps: false,
-            include_static: false,
-            cycle_stride_s: 40_000,
-            shard_cycles: Some(1),
-            ..CampaignConfig::default()
-        };
-        let baseline = c.run(&base);
-        assert!(baseline.is_normalized(), "streamed output is canonical");
-        for (threads, window) in [(1, 1), (4, 1), (4, 2), (2, 3)] {
-            let cfg = CampaignConfig {
-                threads: Some(threads),
-                merge_window: Some(window),
-                ..base.clone()
-            };
-            let (ds, stats) = c.run_with_stats(&cfg);
-            assert_eq!(
-                serde_json::to_string(&ds).unwrap(),
-                serde_json::to_string(&baseline).unwrap(),
-                "threads {threads} window {window}"
-            );
-            assert!(
-                stats.peak_resident <= window,
-                "threads {threads} window {window}: peak resident {}",
-                stats.peak_resident
-            );
-            assert_eq!(stats.spilled, 0, "plain runs never spill");
-        }
-    }
-
-    #[test]
     fn checkpointed_run_matches_plain_run_and_resumes_complete_journals() {
         let c = Campaign::standard(7);
         let cfg = CampaignConfig {
@@ -1844,6 +1620,7 @@ mod tests {
             .join("campaign_roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let baseline = c.run(&cfg);
+        assert!(baseline.is_normalized(), "streamed output is canonical");
         let fresh = c.run_checkpointed(&cfg, &dir, false).unwrap();
         assert_eq!(
             serde_json::to_string(&fresh).unwrap(),
@@ -1886,7 +1663,7 @@ mod tests {
         let jobs = c.plan(&cfg).len() as u64;
 
         let fresh = CampaignMetrics::default();
-        let (ds, _) = c
+        let ds = c
             .run_checkpointed_observed(&cfg, &dir, false, &fresh)
             .unwrap();
         assert_eq!(fresh.shards_completed.get(), jobs);

@@ -573,8 +573,8 @@ impl Journal {
 
     /// [`Journal::resume_indexed`], then decode every indexed frame — a
     /// convenience for tests and small tools that want the shards in
-    /// hand. The campaign engine itself resumes via the index and drains
-    /// frames one at a time through its reorder window.
+    /// hand. The campaign engine itself resumes via the index and decodes
+    /// each frame only when its merge reaches it.
     pub fn resume(
         dir: &Path,
         fp: &Fingerprint,
@@ -583,7 +583,6 @@ impl Journal {
         let reader = journal.reader();
         let mut completed = BTreeMap::new();
         for (job, span) in spans {
-            // lint: allow(bounded-ingest, deliberate full materialization for tests and small tools; the engine resumes via resume_indexed and drains through the reorder window)
             completed.insert(job, reader.read_frame(span)?);
         }
         Ok((journal, completed))
@@ -607,9 +606,8 @@ impl Journal {
 
     /// Append one completed shard frame and sync it to disk. A kill
     /// anywhere inside this write leaves a torn tail that the next
-    /// resume truncates. Returns the frame's byte span, so a caller that
-    /// drops the in-RAM shard can re-read it later — the journal doubles
-    /// as the reorder window's spill.
+    /// resume truncates. Returns the frame's byte span, which
+    /// [`JournalReader::read_frame`] decodes.
     pub fn append(
         &mut self,
         job: usize,
@@ -636,8 +634,9 @@ impl Journal {
 }
 
 /// A cloneable read-only view of a journal file: decodes single frames
-/// by span, re-verifying the checksum on every read. This is what the
-/// campaign's reorder window drains spilled shards through.
+/// by span, re-verifying the checksum on every read. A resumed campaign
+/// decodes its replayed shards through this, one at a time, as its
+/// merge reaches them.
 #[derive(Debug, Clone)]
 pub struct JournalReader {
     path: PathBuf,

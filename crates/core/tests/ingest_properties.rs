@@ -306,28 +306,3 @@ proptest! {
         prop_assert_eq!(&exported.runtime_min, &want.runtime_min);
     }
 }
-
-/// The reorder window is a pure runtime knob even with faults and apps
-/// in play: any (threads, merge_window) pair produces the reference
-/// bytes, and residency never exceeds the window.
-#[test]
-fn merge_window_is_runtime_knob_under_faults() {
-    let campaign = Campaign::standard(7);
-    let base = cfg(true);
-    let want = serde_json::to_string(scenario(true).full.dataset()).expect("serializes");
-    for (threads, window) in [(1, Some(1)), (4, Some(1)), (2, Some(3)), (4, None)] {
-        let mut c = base.clone();
-        c.threads = Some(threads);
-        c.merge_window = window;
-        let (ds, stats) = campaign.run_with_stats(&c);
-        let got = serde_json::to_string(&ds).expect("serializes");
-        assert_eq!(got, want, "threads={threads} window={window:?}");
-        if let Some(w) = window {
-            assert!(
-                stats.peak_resident <= w,
-                "window {w} held {} shards resident",
-                stats.peak_resident
-            );
-        }
-    }
-}

@@ -7,8 +7,7 @@
 //! plus the Table 1 accounting) as a single document.
 //!
 //! ```text
-//! dataset [--quick|--standard|--full] [--seed N] [--threads N]
-//!         [--merge-window N] [--faults]
+//! dataset [--quick|--standard|--full] [--seed N] [--threads N] [--faults]
 //!         [--checkpoint DIR | --resume DIR] [--format json|bin] [output]
 //! ```
 //!
@@ -64,7 +63,6 @@ fn main() {
     };
     let tuning = Tuning {
         threads: args.threads,
-        merge_window: args.merge_window,
     };
     let world = match (&args.checkpoint, &args.resume) {
         (Some(dir), _) => {
@@ -73,7 +71,12 @@ fn main() {
         (_, Some(dir)) => {
             World::build_checkpointed(args.scale, args.seed, tuning, faults, Path::new(dir), true)
         }
-        _ => Ok(World::build_tuned(args.scale, args.seed, tuning, faults)),
+        _ => Ok(World::build_with_faults(
+            args.scale,
+            args.seed,
+            args.threads,
+            faults,
+        )),
     }
     .unwrap_or_else(|e| {
         eprintln!("{e}");

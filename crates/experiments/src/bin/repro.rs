@@ -1,8 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick|--standard|--full] [--seed N] [--threads N]
-//!       [--merge-window N] [--faults]
+//! repro [--quick|--standard|--full] [--seed N] [--threads N] [--faults]
 //!       [--checkpoint DIR | --resume DIR] [--load FILE] [ids...]
 //! repro --list
 //! ```
@@ -26,10 +25,7 @@
 //! With no ids, every experiment runs. Experiments execute on a worker
 //! pool (`--threads N`, default = host cores) with output buffered per
 //! experiment and printed in registry order, so stdout is byte-identical
-//! at any thread count. `--merge-window N` bounds the campaign merge to
-//! at most N resident completed shards (the rest spill through the
-//! checkpoint journal) — like `--threads`, it never changes any output,
-//! only peak memory. Run in release mode; `--full` is the paper's
+//! at any thread count. Run in release mode; `--full` is the paper's
 //! continuous protocol and takes minutes.
 
 use std::io::Write;
@@ -101,7 +97,6 @@ fn main() {
     } else {
         let tuning = Tuning {
             threads: args.threads,
-            merge_window: args.merge_window,
         };
         match (&args.checkpoint, &args.resume) {
             (Some(dir), _) => World::build_checkpointed(
@@ -120,7 +115,12 @@ fn main() {
                 std::path::Path::new(dir),
                 true,
             ),
-            _ => Ok(World::build_tuned(args.scale, args.seed, tuning, faults)),
+            _ => Ok(World::build_with_faults(
+                args.scale,
+                args.seed,
+                args.threads,
+                faults,
+            )),
         }
     }
     .unwrap_or_else(|e| {

@@ -26,15 +26,6 @@ pub struct Args {
     /// Worker-pool cap (`--threads N`, default = host cores). Never
     /// changes any output, only wall time.
     pub threads: Option<usize>,
-    /// Streaming-merge reorder window (`--merge-window N`, default =
-    /// unbounded): at most N completed shards are held resident waiting
-    /// for plan order; the rest spill to the checkpoint journal. Without
-    /// `--checkpoint`/`--resume` the combination is still well-defined:
-    /// the build spills through a temporary journal that is removed
-    /// after the merge (falling back to in-memory backpressure if the
-    /// temp journal cannot be created). Never changes any output, only
-    /// peak memory.
-    pub merge_window: Option<usize>,
     /// Enable the demo disruption mix (`--faults`): injected server
     /// outages, app crashes, logger gaps and clock-drift bursts, with
     /// retry/salvage accounting in the quality report.
@@ -74,7 +65,6 @@ pub fn parse_args(
         scale: default_scale,
         seed: 2022,
         threads: None,
-        merge_window: None,
         faults: false,
         checkpoint: None,
         resume: None,
@@ -112,18 +102,6 @@ pub fn parse_args(
                     return Err("--threads needs a positive integer, got 0".to_string());
                 }
                 args.threads = Some(n);
-            }
-            "--merge-window" => {
-                let v = iter
-                    .next()
-                    .ok_or("--merge-window needs a positive shard count")?;
-                let n: usize = v.parse().map_err(|_| {
-                    format!("--merge-window needs a positive shard count, got {v:?}")
-                })?;
-                if n == 0 {
-                    return Err("--merge-window needs a positive shard count, got 0".to_string());
-                }
-                args.merge_window = Some(n);
             }
             "--faults" => args.faults = true,
             "--checkpoint" => {
@@ -232,21 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_window_flag() {
-        assert_eq!(parse(&[]).unwrap().merge_window, None);
-        let a = parse(&["--merge-window", "8"]).unwrap();
-        assert_eq!(a.merge_window, Some(8));
-        assert!(parse(&["--merge-window"]).is_err());
-        assert!(parse(&["--merge-window", "four"]).is_err());
-        let e = parse(&["--merge-window", "0"]).unwrap_err();
-        assert!(e.contains("positive"), "{e}");
-        assert_eq!(
-            parse(&["--merge-window", "2", "--merge-window", "2"]).unwrap_err(),
-            "duplicate flag --merge-window"
-        );
-        // A pure runtime knob, like --threads: fine alongside --load.
-        let a = parse(&["--load", "ds.wcd", "--merge-window", "4"]).unwrap();
-        assert_eq!(a.merge_window, Some(4));
+    fn removed_reorder_window_flag_is_rejected() {
+        // The reorder window is gone; a script still passing it must get
+        // an error, not have the flag (or its value) silently ignored.
+        let e = parse(&["--merge-window", "4"]).unwrap_err();
+        assert_eq!(e, "unknown flag --merge-window");
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //! every experiment shares the same partition indices and memoized Cdfs
 //! (and, being `Sync`, the same view backs the parallel runner).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::campaign::{Campaign, CampaignConfig, MergeStats};
+use wheels_core::campaign::{Campaign, CampaignConfig};
 use wheels_core::checkpoint::{CheckpointError, Fingerprint};
 use wheels_core::disrupt::FaultConfig;
 use wheels_core::records::{Dataset, ShardRecords};
@@ -52,17 +51,11 @@ impl Scale {
     }
 }
 
-/// Runtime knobs that never change any output: the worker-pool cap and
-/// the streaming-merge reorder window. Bundled so the builders don't grow
-/// one positional `Option` per knob.
+/// Runtime knobs that never change any output: the worker-pool cap.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tuning {
     /// Worker-pool cap (`None` = host cores). Affects wall time only.
     pub threads: Option<usize>,
-    /// Streaming-merge reorder window (`None` = unbounded): at most this
-    /// many completed shards are held resident waiting for plan order.
-    /// Affects peak memory only.
-    pub merge_window: Option<usize>,
 }
 
 /// The shared world.
@@ -73,9 +66,6 @@ pub struct World {
     view: DatasetView,
     /// The scale it was built at.
     pub scale: Scale,
-    /// Streaming-merge telemetry from the build (`None` when the world
-    /// was loaded or assembled rather than simulated).
-    pub merge_stats: Option<MergeStats>,
 }
 
 impl World {
@@ -104,58 +94,13 @@ impl World {
         threads: Option<usize>,
         faults: FaultConfig,
     ) -> World {
-        Self::build_tuned(
-            scale,
-            seed,
-            Tuning {
-                threads,
-                ..Tuning::default()
-            },
-            faults,
-        )
-    }
-
-    /// Build a fresh world with the full set of runtime knobs. Neither
-    /// knob changes the dataset: threads move wall time, the merge window
-    /// moves peak memory, and the bytes are identical either way.
-    ///
-    /// `--merge-window` without `--checkpoint` is well-defined: spilling
-    /// an out-of-window shard needs a journal, so the builder provisions
-    /// a **temporary** one (removed after the merge) instead of rejecting
-    /// the combination. If the temp journal cannot be created the build
-    /// falls back to the in-memory backpressure merge — same bytes,
-    /// workers may stall at the window instead of spilling.
-    pub fn build_tuned(scale: Scale, seed: u64, tuning: Tuning, faults: FaultConfig) -> World {
-        let (campaign, cfg) = Self::campaign_for(scale, seed, tuning, faults);
-        let (dataset, stats) = if cfg.merge_window.is_some() {
-            let dir = Self::spill_dir(scale, seed);
-            let spilled = campaign.run_checkpointed_with_stats(&cfg, &dir, false);
-            let _ = std::fs::remove_dir_all(&dir);
-            match spilled {
-                Ok(out) => out,
-                Err(_) => campaign.run_with_stats(&cfg),
-            }
-        } else {
-            campaign.run_with_stats(&cfg)
-        };
+        let (campaign, cfg) = Self::campaign_for(scale, seed, Tuning { threads }, faults);
+        let dataset = campaign.run(&cfg);
         World {
             campaign,
             view: DatasetView::new(dataset),
             scale,
-            merge_stats: Some(stats),
         }
-    }
-
-    /// A collision-free scratch directory for the windowed-merge spill
-    /// journal. Derived from pid + seed + a process-wide counter — no
-    /// wall clock, no randomness.
-    fn spill_dir(scale: Scale, seed: u64) -> PathBuf {
-        static SPILL: AtomicUsize = AtomicUsize::new(0);
-        let n = SPILL.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "wheels-spill-{}-{scale:?}-{seed}-{n}",
-            std::process::id()
-        ))
     }
 
     /// Build a fresh world with crash-safe checkpointing: completed
@@ -173,12 +118,11 @@ impl World {
         resume: bool,
     ) -> Result<World, CheckpointError> {
         let (campaign, cfg) = Self::campaign_for(scale, seed, tuning, faults);
-        let (dataset, stats) = campaign.run_checkpointed_with_stats(&cfg, dir, resume)?;
+        let dataset = campaign.run_checkpointed(&cfg, dir, resume)?;
         Ok(World {
             campaign,
             view: DatasetView::new(dataset),
             scale,
-            merge_stats: Some(stats),
         })
     }
 
@@ -191,7 +135,6 @@ impl World {
             campaign: Campaign::standard(seed),
             view: DatasetView::new(dataset),
             scale,
-            merge_stats: None,
         }
     }
 
@@ -204,7 +147,6 @@ impl World {
             campaign: Campaign::standard(seed),
             view,
             scale,
-            merge_stats: None,
         }
     }
 
@@ -216,9 +158,9 @@ impl World {
     }
 
     /// The checkpoint-journal identity of a `(scale, seed, faults)` run —
-    /// what `wheels-serve` verifies before tailing a journal. Runtime
-    /// knobs (threads, merge window) are deliberately outside the
-    /// identity, exactly as in the checkpoint layer.
+    /// what `wheels-serve` verifies before tailing a journal. The thread
+    /// count is deliberately outside the identity, exactly as in the
+    /// checkpoint layer.
     pub fn fingerprint_for(scale: Scale, seed: u64, faults: FaultConfig) -> Fingerprint {
         let (campaign, cfg) = Self::campaign_for(scale, seed, Tuning::default(), faults);
         campaign.fingerprint(&cfg)
@@ -237,9 +179,6 @@ impl World {
         cfg.faults = faults;
         if tuning.threads.is_some() {
             cfg.threads = tuning.threads;
-        }
-        if tuning.merge_window.is_some() {
-            cfg.merge_window = tuning.merge_window;
         }
         (campaign, cfg)
     }
@@ -290,35 +229,6 @@ mod tests {
         );
         // Static baselines present.
         assert!(ds.tput.iter().any(|s| !s.driving));
-    }
-
-    #[test]
-    fn merge_window_without_checkpoint_spills_through_a_temp_journal() {
-        // Pins the documented `--merge-window`-without-`--checkpoint`
-        // semantics: the build provisions a temp spill journal (rather
-        // than rejecting the combination), honors the residency bound,
-        // reports the merge telemetry, and produces bytes identical to
-        // the unwindowed build.
-        let w = World::build_tuned(
-            Scale::Quick,
-            2022,
-            Tuning {
-                threads: Some(2),
-                merge_window: Some(1),
-            },
-            FaultConfig::default(),
-        );
-        let stats = w.merge_stats.expect("simulated builds report merge stats");
-        assert!(
-            stats.peak_resident <= 1,
-            "window=1 violated: {} shards resident",
-            stats.peak_resident
-        );
-        assert_eq!(
-            serde_json::to_string(w.dataset()).expect("dataset serializes"),
-            serde_json::to_string(World::quick().dataset()).expect("dataset serializes"),
-            "merge window must never change the dataset bytes"
-        );
     }
 
     #[test]

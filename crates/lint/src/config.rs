@@ -49,14 +49,6 @@ pub struct Config {
     /// kernels must scan the contiguous column slices, not walk an
     /// array of structs one row at a time.
     pub columnar_paths: Vec<String>,
-    /// Path prefixes on the campaign-merge/ingest paths: unbounded
-    /// `.push(..)` / `.insert(..)` accumulation of shard records is
-    /// flagged there — the streaming merge guarantees at most
-    /// `merge_window` completed shards resident, and one unbounded
-    /// collection of `ShardRecords` silently restores the
-    /// all-shards-in-memory behavior the reorder window exists to
-    /// prevent.
-    pub ingest_paths: Vec<String>,
     /// Crates excluded from every tier-2 dataflow pass (this tool
     /// itself: its fixtures and string tables would otherwise trip the
     /// very patterns it searches for; the serving layer and the stress
@@ -111,10 +103,6 @@ impl Default for Config {
             disrupt_paths: v(&["crates/core/src/disrupt"]),
             persist_paths: v(&["crates/core/src/checkpoint", "crates/experiments/src/bin"]),
             columnar_paths: v(&["crates/core/src/analysis"]),
-            ingest_paths: v(&[
-                "crates/core/src/campaign.rs",
-                "crates/core/src/checkpoint.rs",
-            ]),
             tier2_exempt_crates: v(&["lint", "serve", "stress"]),
             retry_paths: v(&["crates/serve/src", "crates/stress/src"]),
             taint_sink_paths: v(&[

@@ -11,7 +11,7 @@
 //! environment is registry-free, so no `syn` — a self-contained lexer
 //! and a lightweight recursive-descent parser live in this crate).
 //!
-//! **Tier 1** is the token-pattern rule engine: eleven single-file rules.
+//! **Tier 1** is the token-pattern rule engine: ten single-file rules.
 //!
 //! 1. **nondeterminism** — no `Instant::now` / `SystemTime::now` /
 //!    `thread_rng` / `from_entropy` / `rand::random` / `env::var` in
@@ -37,13 +37,7 @@
 //!    `.iter().map(|s| s.field)` projections: kernels scan the
 //!    contiguous column slices of the columnar dataset, not an array of
 //!    structs one row at a time;
-//! 10. **bounded-ingest** — on the campaign-merge paths, no unbounded
-//!     `.push(..)`/`.insert(..)` accumulation of shard records: the
-//!     streaming merge keeps at most `merge_window` completed shards
-//!     resident and spills the rest through the journal, and one
-//!     unbounded collection silently restores the all-shards-in-memory
-//!     behavior the reorder window exists to prevent;
-//! 11. **bounded-retry** — on the always-on service and soak-harness
+//! 10. **bounded-retry** — on the always-on service and soak-harness
 //!     paths, `loop`/`while` bodies that sleep (retry/poll loops) must
 //!     visibly bound themselves with a stop flag, deadline/timeout, or
 //!     attempt budget — an unbounded sleep loop spins forever against a
@@ -53,19 +47,19 @@
 //! workspace symbol table and approximate call graph, and runs four
 //! cross-file dataflow passes:
 //!
-//! 12. **determinism-taint** — nondeterministic values (clock reads,
+//! 11. **determinism-taint** — nondeterministic values (clock reads,
 //!     entropy, host topology, hash-iteration order) must not *flow*,
 //!     through locals, params, and returns, into record constructors,
 //!     checkpoint/WCD1 encoders, or report printers — the full call
 //!     chain appears in the diagnostic;
-//! 13. **rng-stream-flow** — `split(label)` sites whose label arrives
+//! 12. **rng-stream-flow** — `split(label)` sites whose label arrives
 //!     through value flow (`format!`, locals, params, callee returns)
 //!     obey the `area/rest` scheme, workspace uniqueness, and the
 //!     disrupt-namespace confinement, just like literal labels;
-//! 14. **persistence-ordering** — when a created file is later renamed
+//! 13. **persistence-ordering** — when a created file is later renamed
 //!     into place, an fsync (possibly transitive through a callee) must
 //!     sit between the create and the rename;
-//! 15. **unordered-float-reduction** — non-commutative `f64` reductions
+//! 14. **unordered-float-reduction** — non-commutative `f64` reductions
 //!     must not consume hash-map or channel iteration order in the
 //!     analysis kernels or the campaign merge.
 //!
@@ -74,7 +68,7 @@
 //! emit *raw* findings and this driver applies the allow filter
 //! uniformly, which is what powers `--strict-allows`: the audit diffs
 //! the directives against the raw findings and reports every directive
-//! that no longer suppresses anything as **stale-allow** (rule 16).
+//! that no longer suppresses anything as **stale-allow** (rule 15).
 //!
 //! Run it four ways: `cargo run -p wheels-lint -- --workspace [--json]
 //! [--sarif FILE] [--tier1-only] [--strict-allows]`, the fixture tests
@@ -138,7 +132,6 @@ pub fn lint_sources_opts(files: &[SourceFile], cfg: &Config, opts: Options) -> R
         rules::disrupt_stream_namespace(file, lx, mask, cfg, &mut raw);
         rules::atomic_persistence(file, lx, mask, cfg, &mut raw);
         rules::columnar_kernel(file, lx, mask, cfg, &mut raw);
-        rules::bounded_ingest(file, lx, mask, cfg, &mut raw);
         rules::bounded_retry(file, lx, mask, cfg, &mut raw);
     }
     rules::label_findings(&labels, &mut raw);

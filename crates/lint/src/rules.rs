@@ -27,9 +27,9 @@ pub struct RuleMeta {
     pub about: &'static str,
 }
 
-/// The rule catalogue, in order: tier-1 token rules (0–10), tier-2
-/// dataflow passes (11–14), and the strict-allows audit (15).
-pub const RULES: [RuleMeta; 16] = [
+/// The rule catalogue, in order: tier-1 token rules (0–9), tier-2
+/// dataflow passes (10–13), and the strict-allows audit (14).
+pub const RULES: [RuleMeta; 15] = [
     RuleMeta {
         name: "nondeterminism",
         id: "nondeterminism",
@@ -74,11 +74,6 @@ pub const RULES: [RuleMeta; 16] = [
         name: "columnar-kernel",
         id: "columnar_kernel",
         about: "batched analysis paths gather from column slices, not per-row struct walks",
-    },
-    RuleMeta {
-        name: "bounded-ingest",
-        id: "bounded_ingest",
-        about: "campaign-merge paths keep shard-record residency inside the reorder window",
     },
     RuleMeta {
         name: "bounded-retry",
@@ -779,92 +774,6 @@ pub fn columnar_kernel(
     }
 }
 
-/// Identifiers in a call's argument tokens that mark shard-records
-/// flow: the record bundle types and the functions that produce them.
-const SHARD_ARG_MARKERS: [&str; 6] = [
-    "ShardOut",
-    "ShardRecords",
-    "into_records",
-    "from_records",
-    "run_shard",
-    "read_frame",
-];
-
-/// Rule 10 — bounded-ingest: on the campaign-merge paths
-/// (`ingest_paths`), growing a collection of shard records with
-/// `.push(..)` / `.insert(..)` and no residency bound defeats the
-/// streaming merge — the engine guarantees at most `merge_window`
-/// completed shards resident, and one unbounded accumulation of
-/// `ShardRecords` silently restores the all-shards-in-memory behavior
-/// the reorder window exists to prevent. A call is flagged when the
-/// receiver identifier mentions shards or the argument tokens carry a
-/// shard-records marker ([`SHARD_ARG_MARKERS`]); the bounded park
-/// inside the reorder window itself carries a reasoned allow.
-pub fn bounded_ingest(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .ingest_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
-        return;
-    }
-    const RULE: &str = RULES[9].name;
-    let toks = &lexed.toks;
-    for k in 0..toks.len() {
-        if mask[k] {
-            continue;
-        }
-        let Some(method @ ("push" | "insert")) = toks[k].ident() else {
-            continue;
-        };
-        if k == 0 || !toks[k - 1].is_punct('.') || !toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-        {
-            continue;
-        }
-        let shard_receiver = k >= 2
-            && toks[k - 2]
-                .ident()
-                .is_some_and(|id| id.to_ascii_lowercase().contains("shard"));
-        let shard_argument = {
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            let mut hit = false;
-            while let Some(t) = toks.get(j) {
-                if t.is_punct('(') {
-                    depth += 1;
-                } else if t.is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if t.ident().is_some_and(|id| SHARD_ARG_MARKERS.contains(&id)) {
-                    hit = true;
-                }
-                j += 1;
-            }
-            hit
-        };
-        if !(shard_receiver || shard_argument) {
-            continue;
-        }
-        out.push(finding(
-            RULE,
-            file,
-            lexed,
-            &toks[k],
-            format!(
-                "`.{method}(..)` accumulates shard records on a campaign-merge path with no residency bound — the streaming merge parks at most `merge_window` shards and spills the rest through the journal; bound this collection, or justify with `// lint: allow(bounded-ingest, reason)`"
-            ),
-        ));
-    }
-}
-
 /// Identifier fragments that mark a retry/poll loop as bounded: a stop
 /// flag consulted, a deadline or timeout compared, elapsed time read,
 /// or an attempt/iteration budget counted. Matching is by lowercase
@@ -874,7 +783,7 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
     "stop", "deadline", "elapsed", "timeout", "attempt", "remain", "budget", "tries", "retries",
 ];
 
-/// Rule 11 — bounded-retry: on the always-on service and soak-harness
+/// Rule 10 — bounded-retry: on the always-on service and soak-harness
 /// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
@@ -898,7 +807,7 @@ pub fn bounded_retry(
     {
         return;
     }
-    const RULE: &str = RULES[10].name;
+    const RULE: &str = RULES[9].name;
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {

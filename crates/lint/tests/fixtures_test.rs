@@ -282,38 +282,6 @@ fn columnar_kernel_scoped_to_columnar_paths() {
 }
 
 #[test]
-fn bounded_ingest_fires_with_positions() {
-    // `campaign` lands at crates/core/src/campaign.rs, one of the two
-    // configured ingest-path files.
-    let src = include_str!("fixtures/bounded_ingest_bad.rs");
-    let got = lint_one(fixture("campaign", "core", src));
-    assert_eq!(
-        got,
-        vec![
-            ("bounded-ingest", 4, 17),
-            ("bounded-ingest", 12, 19),
-            ("bounded-ingest", 18, 16),
-        ]
-    );
-}
-
-#[test]
-fn bounded_ingest_silent_on_clean_counterpart() {
-    // The reorder-window park carries the reasoned allow; plan structs
-    // (`ShardJob`) and frame-span bookkeeping are out of scope.
-    let src = include_str!("fixtures/bounded_ingest_ok.rs");
-    assert_eq!(lint_one(fixture("checkpoint", "core", src)), vec![]);
-}
-
-#[test]
-fn bounded_ingest_scoped_to_ingest_paths() {
-    // The same accumulation outside the campaign-merge files (here, a
-    // records helper) is ordinary collection building — no findings.
-    let src = include_str!("fixtures/bounded_ingest_bad.rs");
-    assert_eq!(lint_one(fixture("records", "core", src)), vec![]);
-}
-
-#[test]
 fn bounded_retry_fires_with_positions() {
     // `server` lands at crates/serve/src/server.rs, inside the
     // configured retry paths.

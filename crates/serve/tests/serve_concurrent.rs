@@ -87,8 +87,8 @@ fn live_tail_matches_offline_replay_across_threads_and_faults() {
             let dataset = writer.join().expect("writer thread");
             assert!(!dataset.tput.is_empty());
 
-            util::wait_for_shards(&handle, fp.jobs, Duration::from_secs(120));
             let journal_len = std::fs::metadata(Journal::file_path(&dir)).unwrap().len();
+            util::wait_for_shards(&handle, fp.jobs, journal_len, Duration::from_secs(120));
             assert_eq!(
                 handle.journal_offset(),
                 Some(journal_len),

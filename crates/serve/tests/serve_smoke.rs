@@ -64,7 +64,7 @@ fn served_answers_match_offline_view_and_shutdown_is_clean() {
         },
     )
     .expect("server starts");
-    util::wait_for_shards(&handle, fp.jobs, Duration::from_secs(120));
+    util::wait_for_shards(&handle, fp.jobs, journal_len, Duration::from_secs(120));
     assert_eq!(
         handle.journal_offset(),
         Some(journal_len),

@@ -45,15 +45,19 @@ pub fn tcp_session(addr: SocketAddr, requests: &[&str]) -> Vec<String> {
     responses
 }
 
-/// Block until the server has ingested `want` shards (or panic after
-/// `timeout`).
-pub fn wait_for_shards(handle: &ServerHandle, want: usize, timeout: Duration) {
+/// Block until the server has ingested `want` shards *and* published
+/// its resume cursor at `journal_len` (or panic after `timeout`). The
+/// tail loop bumps the shard count per frame but stores the cursor only
+/// once its poll returns, so waiting on the count alone races the
+/// cursor.
+pub fn wait_for_shards(handle: &ServerHandle, want: usize, journal_len: u64, timeout: Duration) {
     let t0 = Instant::now();
-    while handle.shards_ingested() < want {
+    while handle.shards_ingested() < want || handle.journal_offset() != Some(journal_len) {
         assert!(
             t0.elapsed() < timeout,
-            "ingested {}/{want} shards after {timeout:?}",
-            handle.shards_ingested()
+            "ingested {}/{want} shards, cursor {:?} of {journal_len} bytes after {timeout:?}",
+            handle.shards_ingested(),
+            handle.journal_offset()
         );
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -20,11 +20,10 @@ use crate::options::ChildOptions;
 pub fn run(opts: &ChildOptions) -> i32 {
     let mut cfg = opts.profile.config(opts.seed, opts.faults);
     cfg.threads = opts.threads;
-    cfg.merge_window = opts.merge_window;
     let campaign = Campaign::standard(opts.seed);
     let metrics = CampaignMetrics::default();
     let dataset = match campaign.run_checkpointed_observed(&cfg, &opts.dir, opts.resume, &metrics) {
-        Ok((dataset, _stats)) => dataset,
+        Ok(dataset) => dataset,
         Err(e) => {
             eprintln!("wheels-stress child: campaign failed: {e}");
             return 3;

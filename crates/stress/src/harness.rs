@@ -132,7 +132,6 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
             &ckpt,
             Journal::file_path(&ckpt).exists(),
             plan.threads,
-            plan.merge_window,
             &out,
             None,
         )?;
@@ -170,7 +169,6 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
             frames_at_start,
             kill_at_frames: plan.kill_at_frames,
             threads: plan.threads,
-            merge_window: plan.merge_window,
             outcome,
             frames_after,
             replayed_frames,
@@ -183,7 +181,7 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     }
 
     // 5. The final, undisturbed completion run.
-    let (threads, window) = schedule.final_run();
+    let threads = schedule.threads();
     let final_out = opts.dir.join("final.json");
     let final_metrics = opts.dir.join("final-metrics.json");
     let mut child = spawn_child(
@@ -192,7 +190,6 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
         &ckpt,
         Journal::file_path(&ckpt).exists(),
         threads,
-        window,
         &final_out,
         Some(&final_metrics),
     )?;
@@ -286,14 +283,12 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
 }
 
 /// Spawn one campaign child process.
-#[allow(clippy::too_many_arguments)]
 fn spawn_child(
     exe: &Path,
     opts: &StressOptions,
     ckpt: &Path,
     resume: bool,
     threads: usize,
-    window: Option<usize>,
     out: &Path,
     metrics_out: Option<&Path>,
 ) -> Result<Child, String> {
@@ -315,9 +310,6 @@ fn spawn_child(
     }
     if resume {
         cmd.arg("--resume");
-    }
-    if let Some(w) = window {
-        cmd.arg("--merge-window").arg(w.to_string());
     }
     if let Some(m) = metrics_out {
         cmd.arg("--metrics-out").arg(m);

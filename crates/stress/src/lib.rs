@@ -6,8 +6,8 @@
 //!
 //! One soak run drives a checkpointed campaign **in a supervised child
 //! process**, kills it at randomized (but seeded, hence reproducible)
-//! journal watermarks, resumes it with varied thread counts and merge
-//! windows, and the whole time races a `wheels-serve` instance tailing
+//! journal watermarks, resumes it with varied thread counts, and the
+//! whole time races a `wheels-serve` instance tailing
 //! the same journal under a configurable mixed query load. After every
 //! kill/resume cycle the harness re-checks the core invariants at a
 //! quiesce point:

@@ -8,7 +8,7 @@
 //!               [--clients N] [--report PATH] [--child-exe PATH]
 //!
 //! wheels-stress child --dir DIR [--mini|--quick] [--seed N] [--faults]
-//!               [--resume] [--threads N] [--merge-window N]
+//!               [--resume] [--threads N]
 //!               --out PATH [--metrics-out PATH]
 //! ```
 //!
@@ -83,8 +83,8 @@ pub struct StressOptions {
     /// Demo disruption mix on (`--faults`).
     pub faults: bool,
     /// Chaos-schedule seed (`--stress-seed`, default 1): kill points,
-    /// resume thread counts, merge windows, and the query mix all
-    /// derive from it, so a soak run is reproducible end to end.
+    /// resume thread counts, and the query mix all derive from it, so a
+    /// soak run is reproducible end to end.
     pub stress_seed: u64,
     /// Kill/resume cycles to run (`--cycles`, default 2).
     pub cycles: u32,
@@ -118,8 +118,6 @@ pub struct ChildOptions {
     pub resume: bool,
     /// Worker threads (`--threads`, default: one per core).
     pub threads: Option<usize>,
-    /// Reorder-window size (`--merge-window`, default unbounded).
-    pub merge_window: Option<usize>,
     /// Where to write the final dataset JSON (`--out`, required).
     pub out: PathBuf,
     /// Where to write the campaign-metrics JSON (`--metrics-out`).
@@ -237,7 +235,6 @@ fn parse_child(argv: impl IntoIterator<Item = String>) -> Result<ChildOptions, S
         faults: false,
         resume: false,
         threads: None,
-        merge_window: None,
         out: PathBuf::new(),
         metrics_out: None,
     };
@@ -266,10 +263,6 @@ fn parse_child(argv: impl IntoIterator<Item = String>) -> Result<ChildOptions, S
             "--threads" => {
                 reject_duplicate(&arg, &mut seen)?;
                 opts.threads = Some(parse_num(&arg, it.next())?);
-            }
-            "--merge-window" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.merge_window = Some(parse_num(&arg, it.next())?);
             }
             "--out" => {
                 reject_duplicate(&arg, &mut seen)?;
@@ -333,7 +326,7 @@ mod tests {
     #[test]
     fn child_invocation_parses() {
         let Invocation::Child(c) = parse(args(
-            "child --dir /tmp/s --resume --threads 4 --merge-window 2 \
+            "child --dir /tmp/s --resume --threads 4 \
              --out /tmp/ds.json --metrics-out /tmp/m.json",
         ))
         .expect("child parses") else {
@@ -341,7 +334,13 @@ mod tests {
         };
         assert!(c.resume);
         assert_eq!(c.threads, Some(4));
-        assert_eq!(c.merge_window, Some(2));
+        // The reorder window is gone: a supervisor or script still
+        // passing it gets an error, not a silently ignored flag.
+        let e = parse(args(
+            "child --dir /tmp/s --merge-window 4 --out /tmp/ds.json",
+        ))
+        .expect_err("removed flag is rejected");
+        assert_eq!(e, "unknown child flag --merge-window");
     }
 
     #[test]

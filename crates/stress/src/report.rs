@@ -5,7 +5,7 @@
 //! `wheels-metrics` vocabulary: the merged load-client latency
 //! snapshot, the server's shutdown dump (ingest/query histograms,
 //! connection counters), and the final campaign child's counter dump
-//! (shards completed/replayed/spilled, audit-ledger totals).
+//! (shards completed/replayed, audit-ledger totals).
 
 use serde::Value;
 use wheels_metrics::Snapshot;
@@ -24,8 +24,6 @@ pub struct CycleOutcome {
     pub kill_at_frames: usize,
     /// Worker threads this cycle's child ran with.
     pub threads: usize,
-    /// Merge window this cycle's child ran with.
-    pub merge_window: Option<usize>,
     /// `"killed"` at the watermark, or `"completed"` if the child beat
     /// the kill to the finish line.
     pub outcome: &'static str,
@@ -45,12 +43,11 @@ impl CycleOutcome {
     /// One progress line, printed as the cycle finishes.
     pub fn render(&self) -> String {
         format!(
-            "cycle {}: {} at {} frames (started {}, window {:?}, {} threads) -> {} intact, replay {} frames, {} served answers verified [{} ms run, {} ms verify]",
+            "cycle {}: {} at {} frames (started {}, {} threads) -> {} intact, replay {} frames, {} served answers verified [{} ms run, {} ms verify]",
             self.cycle,
             self.outcome,
             self.kill_at_frames,
             self.frames_at_start,
-            self.merge_window,
             self.threads,
             self.frames_after,
             self.replayed_frames,
@@ -72,13 +69,6 @@ impl CycleOutcome {
                 Value::U64(self.kill_at_frames as u64),
             ),
             ("threads".to_string(), Value::U64(self.threads as u64)),
-            (
-                "merge_window".to_string(),
-                match self.merge_window {
-                    Some(w) => Value::U64(w as u64),
-                    None => Value::Null,
-                },
-            ),
             (
                 "outcome".to_string(),
                 Value::String(self.outcome.to_string()),

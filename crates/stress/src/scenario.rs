@@ -1,22 +1,20 @@
 //! The seeded chaos schedule: where to kill, how to resume.
 //!
 //! Every choice the harness makes — the journal watermark a child dies
-//! at, the thread count and merge window it resumes with — is drawn
-//! from `SimRng` streams derived from `--stress-seed`, so a failing
-//! soak replays exactly with the same seed. The schedule deliberately
-//! varies thread count and window across cycles: the engine's contract
-//! is that neither affects output bytes, so every cycle is also a
-//! byte-identity probe across runtime knobs.
+//! at, the thread count it resumes with — is drawn from `SimRng`
+//! streams derived from `--stress-seed`, so a failing soak replays
+//! exactly with the same seed. The schedule deliberately varies the
+//! thread count across cycles: the engine's contract is that it never
+//! affects output bytes, so every cycle is also a byte-identity probe
+//! across thread counts.
 
 use wheels_sim_core::rng::SimRng;
 
 /// Resume thread counts cycled through by the schedule.
 const THREADS: [usize; 3] = [1, 2, 4];
-/// Resume merge windows cycled through (`None` = unbounded).
-const WINDOWS: [Option<usize>; 3] = [None, Some(1), Some(4)];
 
 /// One cycle's plan: kill the child once the journal holds
-/// `kill_at_frames` intact shard frames; resume with the given knobs.
+/// `kill_at_frames` intact shard frames; resume with the given threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CyclePlan {
     /// Intact shard-frame watermark that triggers the kill (absolute
@@ -24,8 +22,6 @@ pub struct CyclePlan {
     pub kill_at_frames: usize,
     /// Worker threads for the run this cycle spawns.
     pub threads: usize,
-    /// Merge window for the run this cycle spawns.
-    pub merge_window: Option<usize>,
 }
 
 /// The seeded schedule generator.
@@ -60,20 +56,17 @@ impl Schedule {
         let lo = (done + 1) as u64;
         let hi = jobs as u64;
         let kill_at_frames = self.kill.uniform_u64(lo, hi + 1) as usize;
-        let t = self.knobs.uniform_u64(0, THREADS.len() as u64) as usize;
-        let w = self.knobs.uniform_u64(0, WINDOWS.len() as u64) as usize;
         Some(CyclePlan {
             kill_at_frames,
-            threads: THREADS[t],
-            merge_window: WINDOWS[w],
+            threads: self.threads(),
         })
     }
 
-    /// Knobs for the final, undisturbed completion run.
-    pub fn final_run(&mut self) -> (usize, Option<usize>) {
+    /// Draw the worker-thread count for the next child run (each
+    /// cycle's, and the final undisturbed completion run's).
+    pub fn threads(&mut self) -> usize {
         let t = self.knobs.uniform_u64(0, THREADS.len() as u64) as usize;
-        let w = self.knobs.uniform_u64(0, WINDOWS.len() as u64) as usize;
-        (THREADS[t], WINDOWS[w])
+        THREADS[t]
     }
 }
 
@@ -91,7 +84,6 @@ mod tests {
             let p = pa.expect("work remains below the job count");
             assert!(p.kill_at_frames > done && p.kill_at_frames <= 9);
             assert!(THREADS.contains(&p.threads));
-            assert!(WINDOWS.contains(&p.merge_window));
         }
         assert_eq!(a.next_cycle(9, 9), None, "nothing left to interrupt");
     }

@@ -134,67 +134,6 @@ fn torn_header_is_refused_and_fresh_checkpoint_recovers() {
 }
 
 #[test]
-fn merge_window_resume_matrix_byte_identical() {
-    // The merge window is NOT part of the run identity: a journal written
-    // under a tight window resumes under any window (or none), at any
-    // thread count, with faults off or on — and reproduces the baseline
-    // bytes while honouring the new bound.
-    let campaign = Campaign::standard(42);
-    for faults in [FaultConfig::default(), FaultConfig::demo()] {
-        let baseline = json(&campaign.run(&cfg(faults, Some(1))));
-        let tight = {
-            let mut c = cfg(faults, Some(2));
-            c.merge_window = Some(1);
-            c
-        };
-        let full_dir = tmpdir(&format!("window_full_{}", faults.enabled));
-        let ds = campaign.run_checkpointed(&tight, &full_dir, false).unwrap();
-        assert_eq!(
-            json(&ds),
-            baseline,
-            "windowed checkpointing must not change output"
-        );
-        let bytes = std::fs::read(full_dir.join(JOURNAL_FILE)).unwrap();
-        let ends = frame_ends(&full_dir).unwrap();
-        // Kill mid-campaign: 5 of the 9 shard frames survive.
-        let cut = usize::try_from(ends[5]).unwrap();
-        for threads in [1usize, 4] {
-            for window in [Some(1), Some(4), None] {
-                let dir = tmpdir(&format!(
-                    "window_cut_{}_t{threads}_w{}",
-                    faults.enabled,
-                    window.map_or(0, |w| w)
-                ));
-                plant_truncated(&bytes, cut, &dir);
-                let mut conf = cfg(faults, Some(threads));
-                conf.merge_window = window;
-                let (resumed, stats) = campaign
-                    .run_checkpointed_with_stats(&conf, &dir, true)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "resume t={threads} w={window:?} faults={}: {e}",
-                            faults.enabled
-                        )
-                    });
-                assert_eq!(
-                    json(&resumed),
-                    baseline,
-                    "threads={threads}, window={window:?}, faults={}",
-                    faults.enabled
-                );
-                if let Some(w) = window {
-                    assert!(
-                        stats.peak_resident <= w,
-                        "resume threads={threads}, window={w}: {} shards resident",
-                        stats.peak_resident
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn view_from_journal_replays_to_identical_dataset() {
     use wheels_core::analysis::view::DatasetView;
 

@@ -51,23 +51,28 @@ fn thread_count_does_not_change_results() {
 
 #[test]
 fn sub_day_sharding_single_thread_matches_parallel() {
+    use wheels::core::disrupt::FaultConfig;
+
     // Sub-day splits multiply the shard count; scheduling still must not
     // leak into the output (the RNG stream layout is config-keyed, so
     // shard_cycles itself legitimately changes results — but threads at a
-    // fixed shard_cycles must not).
+    // fixed shard_cycles must not), with faults off or on.
     let c = Campaign::standard(7);
-    let mut base = cfg(7);
-    base.max_cycles = Some(4);
-    base.shard_cycles = Some(1);
-    let mut one = base.clone();
-    one.threads = Some(1);
-    let mut many = base;
-    many.threads = Some(8);
-    assert_datasets_identical(
-        &c.run(&one),
-        &c.run(&many),
-        "shard_cycles=1, threads=1 vs 8",
-    );
+    for faults in [FaultConfig::default(), FaultConfig::demo()] {
+        let mut base = cfg(7);
+        base.max_cycles = Some(4);
+        base.shard_cycles = Some(1);
+        base.faults = faults;
+        let mut one = base.clone();
+        one.threads = Some(1);
+        let mut many = base;
+        many.threads = Some(8);
+        assert_datasets_identical(
+            &c.run(&one),
+            &c.run(&many),
+            &format!("shard_cycles=1, threads=1 vs 8, faults={}", faults.enabled),
+        );
+    }
 }
 
 #[test]
@@ -142,49 +147,6 @@ fn different_seed_differs() {
         n1 != n2 || first_differs,
         "seeds 1 and 2 built identical worlds"
     );
-}
-
-#[test]
-fn merge_window_matrix_is_byte_identical() {
-    use wheels::core::disrupt::FaultConfig;
-
-    // The streaming merge parks at most `merge_window` completed shards
-    // and spills the overflow through the journal path; the window is a
-    // pure memory knob. Every (threads, window, faults) combination must
-    // reproduce the unbounded single-thread bytes, and the recorded peak
-    // residency must honour the bound.
-    let c = Campaign::standard(42);
-    for faults in [FaultConfig::default(), FaultConfig::demo()] {
-        let mut base = cfg(42);
-        base.max_cycles = Some(4);
-        base.shard_cycles = Some(1);
-        base.faults = faults;
-        base.threads = Some(1);
-        let baseline = c.run(&base);
-        for threads in [1usize, 4] {
-            for window in [Some(1), Some(2), Some(4), None] {
-                let mut conf = base.clone();
-                conf.threads = Some(threads);
-                conf.merge_window = window;
-                let (ds, stats) = c.run_with_stats(&conf);
-                assert_datasets_identical(
-                    &baseline,
-                    &ds,
-                    &format!(
-                        "threads={threads}, window={window:?}, faults={}",
-                        faults.enabled
-                    ),
-                );
-                if let Some(w) = window {
-                    assert!(
-                        stats.peak_resident <= w,
-                        "threads={threads}, window={w}: {} shards resident",
-                        stats.peak_resident
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]
