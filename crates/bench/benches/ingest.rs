@@ -53,7 +53,7 @@ fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usiz
     let full = campaign.run(&cfg);
     let tput_samples = full.tput.len();
 
-    // Full rebuild: normalize sort + columnarize + index build over the
+    // Full rebuild: normalize sort + index build over the
     // already-merged dataset. Sources are pre-cloned outside the timer.
     let mut rebuild_sources: Vec<_> = (0..reps).map(|_| full.clone()).collect();
     let rebuild_secs = best_of(reps, || {

@@ -1,5 +1,5 @@
-//! Columnar storage timings — WCD1 binary load vs JSON parse, encoded
-//! sizes, and view construction from rows vs from columns.
+//! Storage timings — WCD1 binary load vs JSON parse, encoded sizes,
+//! and view construction.
 //!
 //! Like the campaign and analysis benches, deliberately not Criterion:
 //! one load or one view build over a whole dataset is the right
@@ -16,16 +16,14 @@
 //! Both load paths go through [`wheels_core::column::load_dataset`] —
 //! exactly what `repro --load` runs — so the speedup column is the
 //! end-to-end parse-vs-decode ratio a user sees, not a microbenchmark.
-//! The view-build columns compare `DatasetView::new` (normalize sort +
-//! columnarize + index build) against `DatasetView::from_columns`
-//! (decode order is already canonical, so the sort is skipped); both
-//! consume sources cloned before the clock starts.
+//! The view-build timing is `DatasetView::new` (normalize sort + index
+//! build) over a source cloned before the clock starts.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::column::{self, wcd};
+use wheels_core::column::{self, wcd, ColumnarDataset};
 use wheels_experiments::world::{Scale, World};
 
 fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
@@ -50,14 +48,13 @@ struct ScaleResult {
     json_encode_secs: f64,
     bin_encode_secs: f64,
     view_rows_secs: f64,
-    view_cols_secs: f64,
 }
 
 fn bench_scale(name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
     eprintln!("{name} scale: building world...");
     let world = World::build_with(scale, 2022, None);
     let ds = world.dataset().clone();
-    let cols = world.view().columns().clone();
+    let cols = ColumnarDataset::from_rows(&ds);
 
     let json = serde_json::to_string(&ds).expect("dataset serializes");
     let bin = wcd::encode(&cols);
@@ -82,34 +79,24 @@ fn bench_scale(name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
     });
     let bin_encode_secs = best_of(reps, || wcd::encode(&cols).len() as f64);
 
-    // View construction: the constructors take their input by value, so
-    // the per-rep sources are cloned up front, outside the timed
-    // closure — earlier revisions cloned inside it and the clone cost
-    // polluted the rows-vs-cols delta (the normalize sort the columnar
-    // path skips).
+    // View construction takes its input by value, so the per-rep
+    // sources are cloned up front, outside the timed closure.
     let mut row_sources: Vec<_> = (0..reps).map(|_| ds.clone()).collect();
     let view_rows_secs = best_of(reps, || {
         let src = row_sources.pop().expect("one pre-cloned source per rep");
         DatasetView::new(src).dataset().tput.len() as f64
     });
-    let mut col_sources: Vec<_> = (0..reps).map(|_| cols.clone()).collect();
-    let view_cols_secs = best_of(reps, || {
-        let src = col_sources.pop().expect("one pre-cloned source per rep");
-        let v = DatasetView::from_columns(src).expect("columns are canonical");
-        v.dataset().tput.len() as f64
-    });
 
     eprintln!(
         "  {} tput samples: json {:.1} MB parse {:.4}s | bin {:.1} MB load {:.4}s ({:.0}x) | \
-         view rows {:.4}s cols {:.4}s",
+         view {:.4}s",
         ds.tput.len(),
         json_bytes as f64 / 1e6,
         json_parse_secs,
         bin_bytes as f64 / 1e6,
         bin_load_secs,
         json_parse_secs / bin_load_secs,
-        view_rows_secs,
-        view_cols_secs
+        view_rows_secs
     );
 
     ScaleResult {
@@ -122,7 +109,6 @@ fn bench_scale(name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
         json_encode_secs,
         bin_encode_secs,
         view_rows_secs,
-        view_cols_secs,
     }
 }
 
@@ -132,8 +118,7 @@ fn json_scale(r: &ScaleResult) -> String {
          \"json_bytes\": {},\n      \"bin_bytes\": {},\n      \"size_ratio\": {:.2},\n      \
          \"json_parse_secs\": {:.6},\n      \"bin_load_secs\": {:.6},\n      \
          \"load_speedup\": {:.1},\n      \"json_encode_secs\": {:.6},\n      \
-         \"bin_encode_secs\": {:.6},\n      \"view_build_rows_secs\": {:.6},\n      \
-         \"view_build_cols_secs\": {:.6}\n    }}",
+         \"bin_encode_secs\": {:.6},\n      \"view_build_rows_secs\": {:.6}\n    }}",
         r.name,
         r.tput_samples,
         r.json_bytes,
@@ -144,8 +129,7 @@ fn json_scale(r: &ScaleResult) -> String {
         r.json_parse_secs / r.bin_load_secs,
         r.json_encode_secs,
         r.bin_encode_secs,
-        r.view_rows_secs,
-        r.view_cols_secs
+        r.view_rows_secs
     )
 }
 
@@ -166,8 +150,7 @@ fn main() {
          \"scales\": [\n{}\n  ]\n}}\n",
         cores,
         "load timings run the repro --load path (auto-detect + materialize rows); \
-         view-build timings consume pre-cloned source tables, so the rows-vs-cols \
-         delta is purely the normalize sort the columnar path skips",
+         view-build timings consume pre-cloned source tables",
         scales.join(",\n")
     );
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -4,19 +4,12 @@
 //! speed, and handover count, so the correlation is a direct column-wise
 //! Pearson over the filtered sample set — exactly what the paper computes
 //! after joining XCAL KPI logs with throughput logs.
-//!
-//! The batched kernel is [`correlate_cols`]: it gathers each KPI from
-//! the contiguous [`TputColumns`] slices through a position index, one
-//! column at a time, instead of striding over row structs six times. The
-//! row-based entry points remain as thin shims that columnarize first.
 
 use serde::{Deserialize, Serialize};
 use wheels_radio::tech::Direction;
 use wheels_ran::operator::Operator;
 use wheels_sim_core::stats::{pearson, spearman};
 
-use crate::analysis::view::at;
-use crate::column::TputColumns;
 use crate::records::TputSample;
 
 /// The KPI columns of Table 2.
@@ -70,27 +63,6 @@ impl Kpi {
             Kpi::Handovers => s.handovers_in_bin as f64,
         }
     }
-
-    /// Gather this KPI for the indexed positions from the column slices
-    /// — one contiguous source column per call, matching
-    /// [`Kpi::value`]'s per-row conversions exactly (`u8` widens
-    /// losslessly to `f64`).
-    pub fn gather(self, t: &TputColumns, idx: &[u32]) -> Vec<f64> {
-        fn take(col: &[f64], idx: &[u32]) -> Vec<f64> {
-            idx.iter().map(|&i| *at(col, i)).collect()
-        }
-        fn widen(col: &[u8], idx: &[u32]) -> Vec<f64> {
-            idx.iter().map(|&i| f64::from(*at(col, i))).collect()
-        }
-        match self {
-            Kpi::Rsrp => take(&t.rsrp_dbm, idx),
-            Kpi::Mcs => widen(&t.mcs, idx),
-            Kpi::Ca => widen(&t.carriers, idx),
-            Kpi::Bler => take(&t.bler, idx),
-            Kpi::Speed => take(&t.speed_mph, idx),
-            Kpi::Handovers => widen(&t.handovers_in_bin, idx),
-        }
-    }
 }
 
 /// One row of Table 2: operator × direction → r per KPI.
@@ -125,37 +97,19 @@ pub fn correlate(
     )
 }
 
-/// [`correlate`] over pre-filtered samples: a compat shim that
-/// columnarizes the rows once and runs the batched kernel, so every
-/// entry point shares [`correlate_cols`]'s column-slice math.
+/// [`correlate`] over pre-filtered samples (the dataset-view path),
+/// in the order given.
 pub fn correlate_rows<'a>(
     samples: impl IntoIterator<Item = &'a TputSample>,
     operator: Operator,
     direction: Direction,
 ) -> CorrelationRow {
-    let mut cols = TputColumns::default();
-    for s in samples {
-        cols.push(s);
-    }
-    let idx: Vec<u32> = (0..u32::try_from(cols.len()).expect("table exceeds u32 rows")).collect();
-    correlate_cols(&cols, &idx, operator, direction)
-}
-
-/// The batched Table-2 kernel: correlate `mbps` against every KPI over
-/// the positions in `idx`, gathering each input from one contiguous
-/// column slice (the `DatasetView` partitions feed their permutation
-/// indices straight in here).
-pub fn correlate_cols(
-    t: &TputColumns,
-    idx: &[u32],
-    operator: Operator,
-    direction: Direction,
-) -> CorrelationRow {
-    let tput: Vec<f64> = idx.iter().map(|&i| *at(&t.mbps, i)).collect();
+    let rows: Vec<&TputSample> = samples.into_iter().collect();
+    let tput: Vec<f64> = rows.iter().map(|s| s.mbps).collect();
     let mut r = Vec::with_capacity(Kpi::ALL.len());
     let mut rho = Vec::with_capacity(Kpi::ALL.len());
     for k in Kpi::ALL {
-        let xs = k.gather(t, idx);
+        let xs: Vec<f64> = rows.iter().map(|s| k.value(s)).collect();
         r.push((k, pearson(&xs, &tput)));
         rho.push((k, spearman(&xs, &tput)));
     }
@@ -164,7 +118,7 @@ pub fn correlate_cols(
         direction,
         r,
         rho,
-        n: idx.len(),
+        n: rows.len(),
     }
 }
 

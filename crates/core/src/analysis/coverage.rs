@@ -1,9 +1,4 @@
 //! Coverage analysis (Figs. 1–2): miles-weighted technology shares.
-//!
-//! The `*_cols` kernels are the batched path: they gather technology
-//! codes and miles weights from the contiguous [`CoverageColumns`]
-//! slices through a position index (the view's per-operator coverage
-//! index), touching exactly the two or three columns each figure needs.
 
 use std::collections::BTreeMap;
 
@@ -13,8 +8,6 @@ use wheels_sim_core::stats::WeightedShare;
 use wheels_sim_core::time::Timezone;
 use wheels_sim_core::units::{Speed, SpeedBin};
 
-use crate::analysis::view::at;
-use crate::column::{self, CoverageColumns};
 use crate::records::CoverageSample;
 
 /// A coverage breakdown: for each technology (plus out-of-service), the
@@ -126,63 +119,6 @@ pub fn by_speed_bin_from<'a>(
         out.entry(SpeedBin::of(Speed::from_mph(s.speed_mph)))
             .or_default()
             .add(s.tech, s.miles);
-    }
-    out
-}
-
-/// Decode one sentinel-coded technology byte from a view-owned column;
-/// those columns were produced by `from_rows` or validated by `to_rows`,
-/// so a bad code is a programming error, not an input error.
-fn tech_at(cov: &CoverageColumns, i: u32) -> Option<Technology> {
-    column::tech_opt_from(*at(&cov.tech, i)).expect("view columns carry validated codes")
-}
-
-/// [`overall`] over column slices: one pass gathering `(tech, miles)`
-/// through the position index.
-pub fn overall_cols(cov: &CoverageColumns, idx: &[u32]) -> TechShare {
-    let mut out = TechShare::default();
-    for &i in idx {
-        out.add(tech_at(cov, i), *at(&cov.miles, i));
-    }
-    out
-}
-
-/// [`by_direction`] over column slices; rows without a backlogged
-/// direction ([`column::NONE_CODE`]) are skipped, as in the row path.
-pub fn by_direction_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Direction, TechShare> {
-    let mut out: BTreeMap<Direction, TechShare> = BTreeMap::new();
-    for &i in idx {
-        let code = *at(&cov.direction, i);
-        if code == column::NONE_CODE {
-            continue;
-        }
-        let dir = column::dir_from(code).expect("view columns carry validated codes");
-        out.entry(dir)
-            .or_default()
-            .add(tech_at(cov, i), *at(&cov.miles, i));
-    }
-    out
-}
-
-/// [`by_timezone`] over column slices.
-pub fn by_timezone_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Timezone, TechShare> {
-    let mut out: BTreeMap<Timezone, TechShare> = BTreeMap::new();
-    for &i in idx {
-        let tz = column::tz_from(*at(&cov.tz, i)).expect("view columns carry validated codes");
-        out.entry(tz)
-            .or_default()
-            .add(tech_at(cov, i), *at(&cov.miles, i));
-    }
-    out
-}
-
-/// [`by_speed_bin`] over column slices.
-pub fn by_speed_bin_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<SpeedBin, TechShare> {
-    let mut out: BTreeMap<SpeedBin, TechShare> = BTreeMap::new();
-    for &i in idx {
-        out.entry(SpeedBin::of(Speed::from_mph(*at(&cov.speed_mph, i))))
-            .or_default()
-            .add(tech_at(cov, i), *at(&cov.miles, i));
     }
     out
 }

@@ -21,14 +21,6 @@
 //! The view is `Sync` (plain tables plus `OnceLock` memo slots), so one
 //! instance can back the parallel experiment runner without locking.
 //!
-//! Since the columnar refactor the view owns *both* layouts: the row
-//! tables (the public iterator API hands out `&TputSample` etc.) and
-//! their [`ColumnarDataset`] twin. Index building and every bulk numeric
-//! gather (sorted-sample Cdf runs, correlation inputs, coverage shares)
-//! scan the contiguous column slices; the enum-code columns are the
-//! `index()` values the partition math wants, so the build loop never
-//! touches a row struct.
-//!
 //! # Incremental ingest
 //!
 //! [`DatasetView::ingest_shard`] folds one completed campaign shard
@@ -62,9 +54,6 @@ use crate::analysis::coverage::{self, TechShare};
 use crate::analysis::handover::{self, HoImpact};
 use crate::campaign::apply_table1_accounting;
 use crate::checkpoint::{self, CheckpointError, Fingerprint, TailState};
-use crate::column::{
-    op_code, AppColumns, AuditColumns, ColumnError, ColumnarDataset, HandoverColumns, RunColumns,
-};
 use crate::records::{
     merge_sorted_by_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
 };
@@ -285,14 +274,14 @@ struct TputPart {
 }
 
 impl TputPart {
-    /// Gather this partition's finite `mbps` values from the contiguous
-    /// column and sort once, shared by every Cdf that merges it.
-    fn sorted_mbps(&self, mbps: &[f64]) -> &[f64] {
+    /// Gather this partition's finite `mbps` values and sort once,
+    /// shared by every Cdf that merges it.
+    fn sorted_mbps(&self, tput: &[TputSample]) -> &[f64] {
         self.sorted_mbps.get_or_init(|| {
             let mut v: Vec<f64> = self
                 .idx
                 .iter()
-                .map(|&i| *at(mbps, i))
+                .map(|&i| at(tput, i).mbps)
                 .filter(|x| x.is_finite())
                 .collect();
             v.sort_by(f64::total_cmp);
@@ -312,15 +301,13 @@ struct RttPart {
 }
 
 impl RttPart {
-    /// Gather this partition's finite valid RTT values from the validity
-    /// and value columns and sort once.
-    fn sorted_ms(&self, rtt_valid: &[u8], rtt_ms: &[f64]) -> &[f64] {
+    /// Gather this partition's finite valid RTT values and sort once.
+    fn sorted_ms(&self, rtt: &[RttSample]) -> &[f64] {
         self.sorted_ms.get_or_init(|| {
             let mut v: Vec<f64> = self
                 .idx
                 .iter()
-                .filter(|&&i| *at(rtt_valid, i) == 1)
-                .map(|&i| *at(rtt_ms, i))
+                .filter_map(|&i| at(rtt, i).rtt_ms)
                 .filter(|x| x.is_finite())
                 .collect();
             v.sort_by(f64::total_cmp);
@@ -329,13 +316,73 @@ impl RttPart {
     }
 }
 
+/// Append positions `base..` of `rows`, in row order, to the partition
+/// lists and per-test groups each sample belongs to.
+fn index_tput(
+    parts: &mut [TputPart],
+    by_test: &mut BTreeMap<u32, Vec<u32>>,
+    rows: &[TputSample],
+    base: usize,
+) {
+    for (j, s) in rows.iter().enumerate() {
+        let i = base + j;
+        let tech = s.tech.index();
+        let p = &mut parts[tpart(
+            s.operator.index(),
+            dir_index(s.direction),
+            usize::from(s.driving),
+        )];
+        push_pos(&mut p.idx, i);
+        push_pos(&mut p.by_tech[tech], i);
+        push_pos(&mut p.by_tz[tz_index(s.tz)], i);
+        let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
+        push_pos(&mut p.by_bin_tech[b][tech], i);
+        push_pos(by_test.entry(s.test_id).or_default(), i);
+    }
+}
+
+/// RTT counterpart of [`index_tput`].
+fn index_rtt(
+    parts: &mut [RttPart],
+    by_test: &mut BTreeMap<u32, Vec<u32>>,
+    rows: &[RttSample],
+    base: usize,
+) {
+    for (j, s) in rows.iter().enumerate() {
+        let i = base + j;
+        let tech = s.tech.index();
+        let p = &mut parts[rpart(s.operator.index(), usize::from(s.driving))];
+        push_pos(&mut p.idx, i);
+        push_pos(&mut p.by_tech[tech], i);
+        let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
+        push_pos(&mut p.by_bin_tech[b][tech], i);
+        push_pos(by_test.entry(s.test_id).or_default(), i);
+    }
+}
+
+/// Coverage counterpart of [`index_tput`]: one list per operator.
+fn index_coverage(lists: &mut [Vec<u32>; OPS], rows: &[CoverageSample], base: usize) {
+    for (j, s) in rows.iter().enumerate() {
+        push_pos(&mut lists[s.operator.index()], base + j);
+    }
+}
+
+/// Canonical ([`Dataset::normalize`]) sort key of a throughput position.
+fn tput_key(tput: &[TputSample], i: u32) -> (u64, u32) {
+    let s = at(tput, i);
+    (s.t.as_millis(), s.test_id)
+}
+
+/// RTT counterpart of [`tput_key`].
+fn rtt_key(rtt: &[RttSample], i: u32) -> (u64, u32) {
+    let s = at(rtt, i);
+    (s.t.as_millis(), s.test_id)
+}
+
 /// Indexed view over an owned, normalized [`Dataset`]. See the module
 /// docs for the guarantees.
 pub struct DatasetView {
     ds: Dataset,
-    /// Struct-of-arrays twin of `ds`, row-aligned position for position;
-    /// all bulk numeric gathers go through these columns.
-    cols: ColumnarDataset,
     tput_parts: Vec<TputPart>,
     rtt_parts: Vec<RttPart>,
     cov_idx: [Vec<u32>; OPS],
@@ -368,77 +415,17 @@ impl DatasetView {
     /// use.
     pub fn new(mut ds: Dataset) -> DatasetView {
         ds.normalize();
-        let cols = ColumnarDataset::from_rows(&ds);
-        // Satellite invariant: columnarization must preserve dataset
-        // order, or every figure multiset would silently reorder.
-        debug_assert!(
-            cols.is_normalized(),
-            "from_rows reordered a normalized dataset"
-        );
-        Self::build(ds, cols)
-    }
-
-    /// Build a view directly from a decoded [`ColumnarDataset`] (the
-    /// binary-load path): reconstruct the row tables for the iterator
-    /// API and index straight off the columns, skipping the normalize
-    /// sort a row-side build pays — WCD1 files store canonical order.
-    pub fn from_columns(cols: ColumnarDataset) -> Result<DatasetView, ColumnError> {
-        let mut ds = cols.to_rows()?;
-        debug_assert!(
-            cols.is_normalized(),
-            "columnar dataset left canonical order on disk"
-        );
-        if !cols.is_normalized() {
-            // Foreign/hand-built files may be unsorted; fall back to the
-            // full normalize + rebuild so the order guarantee holds.
-            ds.normalize();
-            return Ok(Self::new(ds));
-        }
-        Ok(Self::build(ds, cols))
-    }
-
-    /// Index builder over the column slices. `ds` and `cols` must be the
-    /// same normalized dataset, row-aligned position for position.
-    fn build(ds: Dataset, cols: ColumnarDataset) -> DatasetView {
-        let t = &cols.tput;
         let mut tput_parts: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        let mut tput_by_test: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for i in 0..t.len() {
-            let tech = usize::from(t.tech[i]);
-            let p = &mut tput_parts[tpart(
-                usize::from(t.operator[i]),
-                usize::from(t.direction[i]),
-                usize::from(t.driving[i]),
-            )];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            push_pos(&mut p.by_tz[usize::from(t.tz[i])], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(t.speed_mph[i])));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(tput_by_test.entry(t.test_id[i]).or_default(), i);
-        }
-
-        let r = &cols.rtt;
+        let mut tput_by_test = BTreeMap::new();
+        index_tput(&mut tput_parts, &mut tput_by_test, &ds.tput, 0);
         let mut rtt_parts: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        let mut rtt_by_test: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for i in 0..r.len() {
-            let tech = usize::from(r.tech[i]);
-            let p = &mut rtt_parts[rpart(usize::from(r.operator[i]), usize::from(r.driving[i]))];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(r.speed_mph[i])));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(rtt_by_test.entry(r.test_id[i]).or_default(), i);
-        }
-
+        let mut rtt_by_test = BTreeMap::new();
+        index_rtt(&mut rtt_parts, &mut rtt_by_test, &ds.rtt, 0);
         let mut cov_idx: [Vec<u32>; OPS] = Default::default();
-        for (i, &op) in cols.coverage.operator.iter().enumerate() {
-            push_pos(&mut cov_idx[usize::from(op)], i);
-        }
+        index_coverage(&mut cov_idx, &ds.coverage, 0);
 
         DatasetView {
             ds,
-            cols,
             tput_parts,
             rtt_parts,
             cov_idx,
@@ -460,12 +447,6 @@ impl DatasetView {
         &self.ds
     }
 
-    /// The columnar twin, row-aligned with [`DatasetView::dataset`] —
-    /// what the batched kernels scan and what the WCD1 writer persists.
-    pub fn columns(&self) -> &ColumnarDataset {
-        &self.cols
-    }
-
     /// Positions matching the filter, in dataset (time) order — the same
     /// visit order as a linear `tput_where` scan.
     fn tput_index(
@@ -478,12 +459,11 @@ impl DatasetView {
             return &self.tput_parts[tpart(o.index(), dir_index(d), usize::from(dr))].idx;
         }
         self.tput_merged[tcombo(op, dir, driving)].get_or_init(|| {
-            let t = &self.cols.tput;
             let runs: Vec<&[u32]> = tput_part_ids(op, dir, driving)
                 .into_iter()
                 .map(|p| self.tput_parts[p].idx.as_slice())
                 .collect();
-            merge_indices(&runs, |i| (*at(&t.t_ms, i), *at(&t.test_id, i)))
+            merge_indices(&runs, |i| tput_key(&self.ds.tput, i))
         })
     }
 
@@ -492,12 +472,11 @@ impl DatasetView {
             return &self.rtt_parts[rpart(o.index(), usize::from(dr))].idx;
         }
         self.rtt_merged[rcombo(op, driving)].get_or_init(|| {
-            let r = &self.cols.rtt;
             let runs: Vec<&[u32]> = rtt_part_ids(op, driving)
                 .into_iter()
                 .map(|p| self.rtt_parts[p].idx.as_slice())
                 .collect();
-            merge_indices(&runs, |i| (*at(&r.t_ms, i), *at(&r.test_id, i)))
+            merge_indices(&runs, |i| rtt_key(&self.ds.rtt, i))
         })
     }
 
@@ -525,7 +504,7 @@ impl DatasetView {
         self.tput_cdfs[tcombo(op, dir, driving)].get_or_init(|| {
             let runs: Vec<&[f64]> = tput_part_ids(op, dir, driving)
                 .into_iter()
-                .map(|p| self.tput_parts[p].sorted_mbps(&self.cols.tput.mbps))
+                .map(|p| self.tput_parts[p].sorted_mbps(&self.ds.tput))
                 .collect();
             Cdf::from_sorted(merge_sorted(&runs))
         })
@@ -620,9 +599,7 @@ impl DatasetView {
         self.rtt_cdfs[rcombo(op, driving)].get_or_init(|| {
             let runs: Vec<&[f64]> = rtt_part_ids(op, driving)
                 .into_iter()
-                .map(|p| {
-                    self.rtt_parts[p].sorted_ms(&self.cols.rtt.rtt_valid, &self.cols.rtt.rtt_ms)
-                })
+                .map(|p| self.rtt_parts[p].sorted_ms(&self.ds.rtt))
                 .collect();
             Cdf::from_sorted(merge_sorted(&runs))
         })
@@ -683,32 +660,30 @@ impl DatasetView {
             .get_or_init(|| handover::impacts_indexed(&self.ds, &self.tput_by_test))
     }
 
-    /// One Table-2 row via the batched columnar kernel: the partition's
-    /// permutation index gathers `mbps` and each KPI from contiguous
-    /// column slices (same samples, same order as the row path).
+    /// One Table-2 row over the partition's samples, in dataset order.
     pub fn tput_correlation(&self, op: Operator, dir: Direction, driving: bool) -> CorrelationRow {
         let idx = &self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].idx;
-        correlation::correlate_cols(&self.cols.tput, idx, op, dir)
+        correlation::correlate_rows(idx.iter().map(|&i| at(&self.ds.tput, i)), op, dir)
     }
 
-    /// Fig. 2a technology share via the columnar kernel.
+    /// Fig. 2a technology share.
     pub fn coverage_share(&self, op: Operator) -> TechShare {
-        coverage::overall_cols(&self.cols.coverage, &self.cov_idx[op.index()])
+        coverage::overall_from(self.coverage_for(op))
     }
 
-    /// Fig. 2b share split by backlogged direction via the columnar kernel.
+    /// Fig. 2b share split by backlogged direction.
     pub fn coverage_share_by_direction(&self, op: Operator) -> BTreeMap<Direction, TechShare> {
-        coverage::by_direction_cols(&self.cols.coverage, &self.cov_idx[op.index()])
+        coverage::by_direction_from(self.coverage_for(op))
     }
 
-    /// Fig. 2c share per timezone via the columnar kernel.
+    /// Fig. 2c share per timezone.
     pub fn coverage_share_by_timezone(&self, op: Operator) -> BTreeMap<Timezone, TechShare> {
-        coverage::by_timezone_cols(&self.cols.coverage, &self.cov_idx[op.index()])
+        coverage::by_timezone_from(self.coverage_for(op))
     }
 
-    /// Fig. 2d share per speed bin via the columnar kernel.
+    /// Fig. 2d share per speed bin.
     pub fn coverage_share_by_speed_bin(&self, op: Operator) -> BTreeMap<SpeedBin, TechShare> {
-        coverage::by_speed_bin_cols(&self.cols.coverage, &self.cov_idx[op.index()])
+        coverage::by_speed_bin_from(self.coverage_for(op))
     }
 
     /// Fold one completed campaign shard into the view incrementally —
@@ -781,23 +756,6 @@ impl DatasetView {
         self.ds.rx_bytes += sd.rx_bytes;
         self.ds.tx_bytes += sd.tx_bytes;
         apply_table1_accounting(&mut self.ds, &Operator::ALL, &self.cell_sets, self.log_base);
-        self.cols.rx_bytes = self.ds.rx_bytes;
-        self.cols.tx_bytes = self.ds.tx_bytes;
-        self.cols.log_bytes = self.ds.log_bytes;
-        self.cols.cells_operator.clear();
-        self.cols.cells_count.clear();
-        for &(op, n) in &self.ds.unique_cells {
-            self.cols.cells_operator.push(op_code(op));
-            self.cols
-                .cells_count
-                .push(u64::try_from(n).expect("usize fits u64 on every supported target"));
-        }
-        self.cols.runtime_operator.clear();
-        self.cols.runtime_min.clear();
-        for &(op, min) in &self.ds.runtime_min {
-            self.cols.runtime_operator.push(op_code(op));
-            self.cols.runtime_min.push(min);
-        }
     }
 
     /// Append the shard's throughput run and splice-merge each touched
@@ -807,29 +765,12 @@ impl DatasetView {
         if rows.is_empty() {
             return touched;
         }
-        let base = self.ds.tput.len();
         let mut add: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        for (j, s) in rows.iter().enumerate() {
-            let i = base + j;
-            self.cols.tput.push(s);
-            let tech = s.tech.index();
-            let p = &mut add[tpart(
-                s.operator.index(),
-                dir_index(s.direction),
-                usize::from(s.driving),
-            )];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            push_pos(&mut p.by_tz[tz_index(s.tz)], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(self.tput_by_test.entry(s.test_id).or_default(), i);
-        }
+        index_tput(&mut add, &mut self.tput_by_test, &rows, self.ds.tput.len());
         self.ds.tput.extend(rows);
 
-        let t_ms = &self.cols.tput.t_ms;
-        let test_id = &self.cols.tput.test_id;
-        let key = |i: u32| (*at(t_ms, i), *at(test_id, i));
+        let tput = &self.ds.tput;
+        let key = |i: u32| tput_key(tput, i);
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -859,24 +800,12 @@ impl DatasetView {
         if rows.is_empty() {
             return touched;
         }
-        let base = self.ds.rtt.len();
         let mut add: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        for (j, s) in rows.iter().enumerate() {
-            let i = base + j;
-            self.cols.rtt.push(s);
-            let tech = s.tech.index();
-            let p = &mut add[rpart(s.operator.index(), usize::from(s.driving))];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(self.rtt_by_test.entry(s.test_id).or_default(), i);
-        }
+        index_rtt(&mut add, &mut self.rtt_by_test, &rows, self.ds.rtt.len());
         self.ds.rtt.extend(rows);
 
-        let t_ms = &self.cols.rtt.t_ms;
-        let test_id = &self.cols.rtt.test_id;
-        let key = |i: u32| (*at(t_ms, i), *at(test_id, i));
+        let rtt = &self.ds.rtt;
+        let key = |i: u32| rtt_key(rtt, i);
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -897,23 +826,21 @@ impl DatasetView {
         touched
     }
 
-    /// Coverage twin: per-operator index splice (coverage has no lazy
+    /// Coverage counterpart: per-operator index splice (coverage has no lazy
     /// memos — the share kernels scan the index on every call).
     fn ingest_coverage(&mut self, rows: Vec<CoverageSample>) {
         if rows.is_empty() {
             return;
         }
-        let base = self.ds.coverage.len();
         let mut add: [Vec<u32>; OPS] = Default::default();
-        for (j, s) in rows.iter().enumerate() {
-            self.cols.coverage.push(s);
-            push_pos(&mut add[s.operator.index()], base + j);
-        }
+        index_coverage(&mut add, &rows, self.ds.coverage.len());
         self.ds.coverage.extend(rows);
 
-        let t_ms = &self.cols.coverage.t_ms;
-        let op = &self.cols.coverage.operator;
-        let key = |i: u32| (*at(t_ms, i), *at(op, i));
+        let coverage = &self.ds.coverage;
+        let key = |i: u32| {
+            let s = at(coverage, i);
+            (s.t.as_millis(), s.operator.index())
+        };
         for (list, run) in self.cov_idx.iter_mut().zip(&add) {
             merge_positions(list, run, key);
         }
@@ -921,8 +848,8 @@ impl DatasetView {
 
     /// Physically merge the shard's small tables into canonical order
     /// (raw-order consumers: the handover kernels and the figure code)
-    /// and rebuild their column bundles — thousands of times smaller
-    /// than the sample tables, so the rebuild is noise.
+    /// — thousands of times smaller than the sample tables, so the
+    /// linear merge is noise.
     fn ingest_small_tables(&mut self, sd: &mut Dataset) {
         merge_sorted_by_key(&mut self.ds.runs, std::mem::take(&mut sd.runs), |r| {
             (r.start.as_millis(), r.id)
@@ -942,23 +869,6 @@ impl DatasetView {
         merge_sorted_by_key(&mut self.ds.audits, std::mem::take(&mut sd.audits), |a| {
             (a.scheduled.as_millis(), a.test_id)
         });
-
-        self.cols.runs = RunColumns::default();
-        for r in &self.ds.runs {
-            self.cols.runs.push(r);
-        }
-        self.cols.handovers = HandoverColumns::default();
-        for h in &self.ds.handovers {
-            self.cols.handovers.push(h);
-        }
-        self.cols.apps = AppColumns::default();
-        for a in &self.ds.apps {
-            self.cols.apps.push(a);
-        }
-        self.cols.audits = AuditColumns::default();
-        for a in &self.ds.audits {
-            self.cols.audits.push(a);
-        }
     }
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame

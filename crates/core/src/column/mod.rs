@@ -1,24 +1,19 @@
-//! Columnar (struct-of-arrays) twin of the consolidated [`Dataset`] —
-//! ROADMAP item 3's data layer.
+//! Columnar (struct-of-arrays) form of the consolidated [`Dataset`]:
+//! the in-memory side of the WCD1 binary codec, and nothing else.
 //!
-//! Every row table in [`Dataset`] fights the analysis access pattern:
-//! the figure kernels consume *columns* (all `mbps`, all `rtt_ms`, all
-//! `miles`) but the rows force every scan to stride over whole structs
-//! and pull one field out of each. This module stores each table as
-//! contiguous per-field vectors sharing one row count — quantile, CDF,
-//! correlation and coverage kernels then batch over plain `&[f64]` /
-//! `&[u8]` slices, and the on-disk format ([`wcd`]) is a direct dump of
-//! those fixed-width sections, so loading is a checksummed bulk copy
-//! with no parse step.
+//! The analysis views hold rows only. This module stores each table as
+//! contiguous per-field vectors sharing one row count so that the
+//! on-disk format ([`wcd`]) is a direct dump of those fixed-width
+//! sections and loading is a checksummed bulk copy with no parse step.
+//! Writers call [`ColumnarDataset::from_rows`] just before encoding;
+//! readers call [`ColumnarDataset::to_rows`] (or [`load_dataset`]) just
+//! after decoding.
 //!
 //! Invariants:
 //!
 //! - **Row order is preserved bit-for-bit.** `from_rows` visits rows in
 //!   table order and `to_rows` re-emits them in the same order, so a
-//!   normalized dataset stays normalized across the conversion (the
-//!   figure multisets and their order are provably unchanged —
-//!   [`ColumnarDataset::is_normalized`] is the debug assertion the view
-//!   builder uses).
+//!   normalized dataset stays normalized across the conversion.
 //! - **Round-trips are lossless.** `f64` fields travel as raw bits,
 //!   `Option` fields as a validity column or a sentinel code
 //!   ([`NONE_CODE`]), enums as the stable codes below. Property tests in
@@ -212,12 +207,6 @@ fn opt_from<T>(
     } else {
         dec(code).map(Some)
     }
-}
-
-/// Decode a technology sentinel byte (`NONE_CODE` = out of service) —
-/// public so the coverage kernels can consume the raw column.
-pub fn tech_opt_from(code: u8) -> Result<Option<Technology>, ColumnError> {
-    opt_from(code, tech_from)
 }
 
 fn bool_code(b: bool) -> u8 {
@@ -1272,48 +1261,6 @@ impl ColumnarDataset {
         }
         Ok(())
     }
-
-    /// True when every table is in the canonical [`Dataset::normalize`]
-    /// order (the view builder's debug assertion: columnar conversion
-    /// must preserve dataset order, or figure multisets would silently
-    /// reorder).
-    pub fn is_normalized(&self) -> bool {
-        let tput_keys = (0..self.tput.len()).map(|i| (self.tput.t_ms[i], self.tput.test_id[i]));
-        let rtt_keys = (0..self.rtt.len()).map(|i| (self.rtt.t_ms[i], self.rtt.test_id[i]));
-        let cov_keys =
-            (0..self.coverage.len()).map(|i| (self.coverage.t_ms[i], self.coverage.operator[i]));
-        let run_keys = (0..self.runs.len()).map(|i| (self.runs.start_ms[i], self.runs.id[i]));
-        let ho_keys = (0..self.handovers.len()).map(|i| {
-            (
-                self.handovers.start_ms[i],
-                self.handovers.operator[i],
-                self.handovers.to_cell[i],
-            )
-        });
-        let audit_keys =
-            (0..self.audits.len()).map(|i| (self.audits.scheduled_ms[i], self.audits.test_id[i]));
-        fn sorted<K: Ord>(mut it: impl Iterator<Item = K>) -> bool {
-            let Some(mut prev) = it.next() else {
-                return true;
-            };
-            for k in it {
-                if k < prev {
-                    return false;
-                }
-                prev = k;
-            }
-            true
-        }
-        sorted(tput_keys)
-            && sorted(rtt_keys)
-            && sorted(cov_keys)
-            && sorted(run_keys)
-            && sorted(ho_keys)
-            && sorted(self.apps.id.iter())
-            && sorted(audit_keys)
-            && sorted(self.cells_operator.iter())
-            && sorted(self.runtime_operator.iter())
-    }
 }
 
 /// Auto-detecting loader: WCD1 bytes decode without a parse step,
@@ -1340,7 +1287,6 @@ mod tests {
     fn empty_dataset_roundtrips() {
         let ds = Dataset::default();
         let cols = ColumnarDataset::from_rows(&ds);
-        assert!(cols.is_normalized());
         assert_eq!(cols.to_rows().expect("valid by construction"), ds);
     }
 
@@ -1355,29 +1301,6 @@ mod tests {
         }
         assert!(tech_from(9).is_err());
         assert!(bool_from(2).is_err());
-    }
-
-    #[test]
-    fn unnormalized_order_is_detected() {
-        let mut ds = Dataset::default();
-        let mk = |ms: u64| TestAudit {
-            test_id: 0,
-            operator: Operator::Verizon,
-            kind: TestKind::Rtt,
-            day: 0,
-            scheduled: SimTime(ms),
-            status: TestStatus::Completed,
-            attempts: 1,
-            fault: None,
-            planned_samples: 0,
-            recorded_samples: 0,
-            lost_samples: 0,
-        };
-        ds.audits.push(mk(500));
-        ds.audits.push(mk(100));
-        assert!(!ColumnarDataset::from_rows(&ds).is_normalized());
-        ds.normalize();
-        assert!(ColumnarDataset::from_rows(&ds).is_normalized());
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //! - [`analysis`] — everything §4–§7 computes: coverage-by-miles,
 //!   KPI↔throughput correlations (Table 2), handover impact (ΔT₁/ΔT₂,
 //!   Fig. 12), and operator diversity (Fig. 6).
-//! - [`column`] — the struct-of-arrays twin of [`records::Dataset`] and
-//!   the WCD1 binary file format: contiguous per-field columns the
-//!   analysis kernels batch over, plus a checksummed fixed-width on-disk
-//!   layout that loads without a parse step. JSON stays the pinned
-//!   interchange format; WCD1 is the fast cache/transport layer.
+//! - [`column`] — the WCD1 binary file format and its in-memory
+//!   struct-of-arrays form of [`records::Dataset`]: a checksummed
+//!   fixed-width on-disk layout that loads without a parse step. JSON
+//!   stays the pinned interchange format; WCD1 is the fast
+//!   cache/transport layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

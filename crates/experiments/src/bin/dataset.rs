@@ -40,7 +40,7 @@ fn exit_broken_pipe_quietly(e: &std::io::Error) {
 }
 
 use wheels_core::checkpoint::write_atomic;
-use wheels_core::column::wcd;
+use wheels_core::column::{wcd, ColumnarDataset};
 use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::cli::{self, Format};
 use wheels_experiments::world::{Scale, Tuning, World};
@@ -114,16 +114,15 @@ fn main() {
                 }
             }
         }
-        // The world's view already holds the columnar twin; the binary
-        // export streams its sections straight to the sink (temp file +
-        // atomic rename, or stdout) — the full encoded image never
-        // exists in memory, so peak RSS stays near the dataset itself.
+        // Columnarize the rows once, at export time, then stream the
+        // WCD1 sections straight to the sink (temp file + atomic rename,
+        // or stdout) — the full encoded image never exists in memory.
         Format::Bin => {
-            let cols = world.view().columns();
+            let cols = ColumnarDataset::from_rows(ds);
             match out_path {
                 Some(p) => {
                     let path = Path::new(&p);
-                    if let Err(e) = wcd::write_file(path, cols) {
+                    if let Err(e) = wcd::write_file(path, &cols) {
                         eprintln!("cannot write {p}: {e}");
                         std::process::exit(1);
                     }
@@ -132,7 +131,7 @@ fn main() {
                 }
                 None => {
                     let mut w = std::io::BufWriter::new(std::io::stdout().lock());
-                    let streamed = wcd::encode_to(cols, &mut w)
+                    let streamed = wcd::encode_to(&cols, &mut w)
                         .and_then(|()| w.flush().map_err(wcd::WcdError::from));
                     if let Err(e) = streamed {
                         if let wcd::WcdError::Io(io) = &e {

@@ -7,8 +7,7 @@ use wheels_ran::operator::Operator;
 use crate::fmt;
 use crate::world::World;
 
-/// All six Table-2 rows, computed by the batched columnar kernel over
-/// the view's partition indices.
+/// All six Table-2 rows, computed over the view's partition indices.
 pub fn rows_for(world: &World) -> Vec<CorrelationRow> {
     let v = world.view();
     let mut out = Vec::new();

@@ -44,11 +44,6 @@ pub struct Config {
     /// `fs::write` / non-renamed `File::create` are flagged there — a
     /// crash mid-write must never leave a torn file behind.
     pub persist_paths: Vec<String>,
-    /// Path prefixes holding the batched analysis kernels: per-row
-    /// projections (`.iter().map(|s| s.field)`) are flagged there —
-    /// kernels must scan the contiguous column slices, not walk an
-    /// array of structs one row at a time.
-    pub columnar_paths: Vec<String>,
     /// Crates excluded from every tier-2 dataflow pass (this tool
     /// itself: its fixtures and string tables would otherwise trip the
     /// very patterns it searches for; the serving layer and the stress
@@ -102,7 +97,6 @@ impl Default for Config {
             lossy_paths: v(&["crates/core/src", "crates/experiments/src"]),
             disrupt_paths: v(&["crates/core/src/disrupt"]),
             persist_paths: v(&["crates/core/src/checkpoint", "crates/experiments/src/bin"]),
-            columnar_paths: v(&["crates/core/src/analysis"]),
             tier2_exempt_crates: v(&["lint", "serve", "stress"]),
             retry_paths: v(&["crates/serve/src", "crates/stress/src"]),
             taint_sink_paths: v(&[

@@ -11,7 +11,7 @@
 //! environment is registry-free, so no `syn` — a self-contained lexer
 //! and a lightweight recursive-descent parser live in this crate).
 //!
-//! **Tier 1** is the token-pattern rule engine: ten single-file rules.
+//! **Tier 1** is the token-pattern rule engine: nine single-file rules.
 //!
 //! 1. **nondeterminism** — no `Instant::now` / `SystemTime::now` /
 //!    `thread_rng` / `from_entropy` / `rand::random` / `env::var` in
@@ -33,33 +33,29 @@
 //!    binary output writers), no in-place `fs::write` or non-renamed
 //!    `File::create`: files must land via temp-file + atomic rename so a
 //!    crash mid-write never leaves a torn file a resumed run would trust;
-//! 9. **columnar-kernel** — in the batched analysis paths, no per-row
-//!    `.iter().map(|s| s.field)` projections: kernels scan the
-//!    contiguous column slices of the columnar dataset, not an array of
-//!    structs one row at a time;
-//! 10. **bounded-retry** — on the always-on service and soak-harness
-//!     paths, `loop`/`while` bodies that sleep (retry/poll loops) must
-//!     visibly bound themselves with a stop flag, deadline/timeout, or
-//!     attempt budget — an unbounded sleep loop spins forever against a
-//!     peer that never recovers.
+//! 9. **bounded-retry** — on the always-on service and soak-harness
+//!    paths, `loop`/`while` bodies that sleep (retry/poll loops) must
+//!    visibly bound themselves with a stop flag, deadline/timeout, or
+//!    attempt budget — an unbounded sleep loop spins forever against a
+//!    peer that never recovers.
 //!
 //! **Tier 2** ([`tier2`]) parses every file into an item AST, builds a
 //! workspace symbol table and approximate call graph, and runs four
 //! cross-file dataflow passes:
 //!
-//! 11. **determinism-taint** — nondeterministic values (clock reads,
+//! 10. **determinism-taint** — nondeterministic values (clock reads,
 //!     entropy, host topology, hash-iteration order) must not *flow*,
 //!     through locals, params, and returns, into record constructors,
 //!     checkpoint/WCD1 encoders, or report printers — the full call
 //!     chain appears in the diagnostic;
-//! 12. **rng-stream-flow** — `split(label)` sites whose label arrives
+//! 11. **rng-stream-flow** — `split(label)` sites whose label arrives
 //!     through value flow (`format!`, locals, params, callee returns)
 //!     obey the `area/rest` scheme, workspace uniqueness, and the
 //!     disrupt-namespace confinement, just like literal labels;
-//! 13. **persistence-ordering** — when a created file is later renamed
+//! 12. **persistence-ordering** — when a created file is later renamed
 //!     into place, an fsync (possibly transitive through a callee) must
 //!     sit between the create and the rename;
-//! 14. **unordered-float-reduction** — non-commutative `f64` reductions
+//! 13. **unordered-float-reduction** — non-commutative `f64` reductions
 //!     must not consume hash-map or channel iteration order in the
 //!     analysis kernels or the campaign merge.
 //!
@@ -68,7 +64,7 @@
 //! emit *raw* findings and this driver applies the allow filter
 //! uniformly, which is what powers `--strict-allows`: the audit diffs
 //! the directives against the raw findings and reports every directive
-//! that no longer suppresses anything as **stale-allow** (rule 15).
+//! that no longer suppresses anything as **stale-allow** (rule 14).
 //!
 //! Run it four ways: `cargo run -p wheels-lint -- --workspace [--json]
 //! [--sarif FILE] [--tier1-only] [--strict-allows]`, the fixture tests
@@ -131,7 +127,6 @@ pub fn lint_sources_opts(files: &[SourceFile], cfg: &Config, opts: Options) -> R
         rules::crate_hygiene(file, lx, mask, cfg, &mut raw);
         rules::disrupt_stream_namespace(file, lx, mask, cfg, &mut raw);
         rules::atomic_persistence(file, lx, mask, cfg, &mut raw);
-        rules::columnar_kernel(file, lx, mask, cfg, &mut raw);
         rules::bounded_retry(file, lx, mask, cfg, &mut raw);
     }
     rules::label_findings(&labels, &mut raw);

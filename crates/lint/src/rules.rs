@@ -27,9 +27,9 @@ pub struct RuleMeta {
     pub about: &'static str,
 }
 
-/// The rule catalogue, in order: tier-1 token rules (0–9), tier-2
-/// dataflow passes (10–13), and the strict-allows audit (14).
-pub const RULES: [RuleMeta; 15] = [
+/// The rule catalogue, in order: tier-1 token rules (0–8), tier-2
+/// dataflow passes (9–12), and the strict-allows audit (13).
+pub const RULES: [RuleMeta; 14] = [
     RuleMeta {
         name: "nondeterminism",
         id: "nondeterminism",
@@ -69,11 +69,6 @@ pub const RULES: [RuleMeta; 15] = [
         name: "atomic-persistence",
         id: "atomic_persistence",
         about: "persistence paths use temp-file + atomic rename, never in-place writes",
-    },
-    RuleMeta {
-        name: "columnar-kernel",
-        id: "columnar_kernel",
-        about: "batched analysis paths gather from column slices, not per-row struct walks",
     },
     RuleMeta {
         name: "bounded-retry",
@@ -706,74 +701,6 @@ fn renamed_later(toks: &[Tok], k: usize) -> bool {
     }) == Some(true)
 }
 
-/// Rule 9 — columnar-kernel: in the batched analysis paths
-/// (`columnar_paths`), the per-row projection `.iter().map(|s| s.field)`
-/// walks an array of structs one row at a time, dragging every field of
-/// every record through cache to read one. Kernels there scan the
-/// contiguous column slices instead (the `*_cols` kernels and
-/// `Kpi::gather`), where the same projection is a sequential read of one
-/// `Vec`. Index gathers like `.iter().map(|&i| …)` bind by pattern, not
-/// a bare identifier, and are not matched.
-pub fn columnar_kernel(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .columnar_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
-        return;
-    }
-    const RULE: &str = RULES[8].name;
-    let toks = &lexed.toks;
-    for k in 0..toks.len() {
-        if mask[k] {
-            continue;
-        }
-        // `.iter().map(|s| s.field)` — row-at-a-time field projection.
-        if toks[k].ident() != Some("iter")
-            || k == 0
-            || !toks[k - 1].is_punct('.')
-            || !toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-            || !toks.get(k + 2).is_some_and(|t| t.is_punct(')'))
-            || !toks.get(k + 3).is_some_and(|t| t.is_punct('.'))
-            || toks.get(k + 4).and_then(|t| t.ident()) != Some("map")
-            || !toks.get(k + 5).is_some_and(|t| t.is_punct('('))
-            || !toks.get(k + 6).is_some_and(|t| t.is_punct('|'))
-        {
-            continue;
-        }
-        let Some(param) = toks.get(k + 7).and_then(|t| t.ident()) else {
-            continue;
-        };
-        if !toks.get(k + 8).is_some_and(|t| t.is_punct('|'))
-            || toks.get(k + 9).and_then(|t| t.ident()) != Some(param)
-            || !toks.get(k + 10).is_some_and(|t| t.is_punct('.'))
-        {
-            continue;
-        }
-        let Some(field) = toks.get(k + 11).and_then(|t| t.ident()) else {
-            continue;
-        };
-        if !toks.get(k + 12).is_some_and(|t| t.is_punct(')')) {
-            continue;
-        }
-        out.push(finding(
-            RULE,
-            file,
-            lexed,
-            &toks[k],
-            format!(
-                "`.iter().map(|{param}| {param}.{field})` walks rows struct-by-struct in a batched analysis path — gather from the contiguous `{field}` column slice (see the `*_cols` kernels), or justify with `// lint: allow(columnar-kernel, reason)`"
-            ),
-        ));
-    }
-}
-
 /// Identifier fragments that mark a retry/poll loop as bounded: a stop
 /// flag consulted, a deadline or timeout compared, elapsed time read,
 /// or an attempt/iteration budget counted. Matching is by lowercase
@@ -783,7 +710,7 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
     "stop", "deadline", "elapsed", "timeout", "attempt", "remain", "budget", "tries", "retries",
 ];
 
-/// Rule 10 — bounded-retry: on the always-on service and soak-harness
+/// Rule 9 — bounded-retry: on the always-on service and soak-harness
 /// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
@@ -807,7 +734,7 @@ pub fn bounded_retry(
     {
         return;
     }
-    const RULE: &str = RULES[9].name;
+    const RULE: &str = RULES[8].name;
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {

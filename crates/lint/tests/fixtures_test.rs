@@ -248,40 +248,6 @@ fn atomic_persistence_scoped_to_persist_paths() {
 }
 
 #[test]
-fn columnar_kernel_fires_with_positions() {
-    // `analysis/…` lands the fixture inside the `crates/core/src/analysis`
-    // columnar-path prefix.
-    let src = include_str!("fixtures/columnar_kernel_bad.rs");
-    let got = lint_one(fixture("analysis/columnar_kernel_bad", "core", src));
-    assert_eq!(
-        got,
-        vec![("columnar-kernel", 2, 32), ("columnar-kernel", 7, 13)]
-    );
-}
-
-#[test]
-fn columnar_kernel_silent_on_clean_counterpart() {
-    // Index gathers (`|&i|`), method-call maps (`r.len()`), and the
-    // reasoned allow are all accepted.
-    let src = include_str!("fixtures/columnar_kernel_ok.rs");
-    assert_eq!(
-        lint_one(fixture("analysis/columnar_kernel_ok", "core", src)),
-        vec![]
-    );
-}
-
-#[test]
-fn columnar_kernel_scoped_to_columnar_paths() {
-    // The same projections outside the analysis kernels (here, the
-    // records module) are ordinary row iteration — no findings.
-    let src = include_str!("fixtures/columnar_kernel_bad.rs");
-    assert_eq!(
-        lint_one(fixture("columnar_kernel_bad", "core", src)),
-        vec![]
-    );
-}
-
-#[test]
 fn bounded_retry_fires_with_positions() {
     // `server` lands at crates/serve/src/server.rs, inside the
     // configured retry paths.

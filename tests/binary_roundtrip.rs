@@ -2,15 +2,16 @@
 //! back to the identical normalized dataset, auto-detect correctly
 //! through [`wheels_core::column::load_dataset`], and leave the JSON
 //! interchange untouched — serializing the loaded copy reproduces the
-//! exact JSON the row tables would have produced. A view rebuilt from
-//! the decoded columns must also drive the analysis kernels to the same
-//! memoized results as the row-built view, so `repro --load` cannot
-//! drift from `repro`.
+//! exact JSON the row tables would have produced. A world rebuilt the
+//! way `repro --load` rebuilds it (`load_dataset` → `World::from_dataset`)
+//! must also drive the analysis kernels to the same memoized results as
+//! the simulated one, so `repro --load` cannot drift from `repro`.
 
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::{Campaign, CampaignConfig};
-use wheels_core::column::{self, wcd};
+use wheels_core::column::{self, wcd, ColumnarDataset};
 use wheels_core::disrupt::FaultConfig;
+use wheels_experiments::world::{Scale, World};
 use wheels_ran::operator::Operator;
 
 /// Full round-trip at one campaign config: rows → columns → WCD1 bytes →
@@ -22,10 +23,10 @@ fn roundtrip(cfg: &CampaignConfig) {
     assert!(!ds.apps.is_empty(), "apps table empty");
     assert!(!ds.audits.is_empty(), "audit ledger empty");
 
-    // The export path: the view normalizes the tables and owns the
-    // columnar twin `dataset --format bin` encodes.
+    // The export path: the view normalizes the tables and
+    // `dataset --format bin` columnarizes its dataset at export time.
     let view = DatasetView::new(ds);
-    let bytes = wcd::encode(view.columns());
+    let bytes = wcd::encode(&ColumnarDataset::from_rows(view.dataset()));
     assert_eq!(&bytes[..4], wcd::MAGIC);
 
     // `repro --load` path: auto-detect, load, compare tables.
@@ -42,9 +43,9 @@ fn roundtrip(cfg: &CampaignConfig) {
         "binary round-trip perturbed the JSON export"
     );
 
-    // A view rebuilt from the decoded columns answers like the original.
-    let cols = wcd::decode(&bytes).expect("binary export decodes");
-    let v2 = DatasetView::from_columns(cols).expect("view builds from columns");
+    // The loaded world answers like the original.
+    let world = World::from_dataset(Scale::Quick, cfg.seed, loaded);
+    let v2 = world.view();
     assert_eq!(
         v2.tput_cdf(None, None, None),
         view.tput_cdf(None, None, None),
