@@ -56,7 +56,9 @@ use wheels_sim_core::rng::SimRng;
 use wheels_sim_core::time::{SimDuration, SimTime};
 use wheels_transport::servers::ServerFleet;
 
-use crate::checkpoint::{CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics};
+use crate::checkpoint::{
+    encode_shard_frame, CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics,
+};
 use crate::disrupt::{FaultConfig, FaultKind, FaultSchedule, RetryPolicy};
 use crate::measure::{self, VehicleCtx};
 use crate::records::{
@@ -596,8 +598,9 @@ impl Campaign {
     /// order is the plan order no matter which worker ran what, the
     /// output is byte-identical at any thread count.
     ///
-    /// With a `journal`, every fresh shard is appended (under a lock —
-    /// appends must not interleave) *before* it counts as done, so a kill
+    /// With a `journal`, every fresh shard is encoded by its worker, then
+    /// appended under a lock (appends must not interleave; the lock
+    /// covers only the write and sync) *before* it counts as done, so a kill
     /// at any moment loses at most the shards still in flight. The first
     /// journal error stops the pool at the next job boundary and
     /// surfaces as an error rather than silently degrading to an
@@ -676,7 +679,13 @@ impl Campaign {
                     }
                     let shard = self.run_shard(&jobs[i], cfg);
                     if let Some(j) = &journal {
-                        let appended = j.lock().expect("journal mutex poisoned").append(i, &shard);
+                        // Encode outside the lock: only the write and
+                        // its sync serialize the workers.
+                        let appended = encode_shard_frame(i, &shard).and_then(|frame| {
+                            j.lock()
+                                .expect("journal mutex poisoned")
+                                .write_frame(&frame)
+                        });
                         if let Err(e) = appended {
                             let mut st = state.lock().expect("reorder state mutex poisoned");
                             st.failed.get_or_insert(e);

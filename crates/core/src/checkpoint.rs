@@ -17,12 +17,22 @@
 //! # Journal format
 //!
 //! ```text
-//! "WCJ1"                                     4-byte magic
+//! "WCJ2"                                     4-byte magic
 //! frame        header: JSON Fingerprint      run identity (see below)
-//! frame*       one per completed shard: JSON (job index, ShardRecords)
+//! frame*       one per completed shard: binary shard payload
 //!
 //! frame := len: u32 LE | fnv1a64(payload): u64 LE | payload bytes
+//! shard payload := job: u64 LE | operator code: u8
+//!                | cell count: u32 LE | cells: u32 LE*
+//!                | WCD1 image of the shard dataset
 //! ```
+//!
+//! The shard payload reuses the WCD1 columnar codec (`column::wcd`) for
+//! the dataset, so replaying a frame is a checksum pass plus bulk copies
+//! rather than a JSON parse, and non-finite floats survive bit-for-bit.
+//! Only the small identity header stays JSON. A journal written by the
+//! older JSON-framed format (magic `WCJ1`) is refused by name; it must
+//! be re-run with `--checkpoint`.
 //!
 //! The journal is *created* via temp-file + atomic rename (a kill during
 //! creation leaves either no journal or a complete header, never a
@@ -52,7 +62,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use wheels_ran::cells::CellId;
 
+use crate::column::{op_code, op_from, wcd, ColumnarDataset};
 use crate::disrupt::FaultConfig;
 use crate::records::ShardRecords;
 
@@ -60,7 +72,11 @@ use crate::records::ShardRecords;
 pub const JOURNAL_FILE: &str = "journal.wcj";
 
 /// Journal magic + format version.
-const MAGIC: &[u8; 4] = b"WCJ1";
+const MAGIC: &[u8; 4] = b"WCJ2";
+
+/// Magic of the retired JSON-framed format, recognized only so it can
+/// be refused by name.
+const OLD_MAGIC: &[u8; 4] = b"WCJ1";
 
 /// Bytes of frame framing ahead of the payload (u32 length + u64 checksum).
 const FRAME_HEADER: usize = 12;
@@ -209,15 +225,89 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encode one frame (length prefix + checksum + payload).
-fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+/// Finish a frame whose payload was written after `FRAME_HEADER`
+/// reserved bytes: fill in the length prefix and checksum in place, so
+/// the payload is never copied.
+fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, CheckpointError> {
+    let payload = &frame[FRAME_HEADER..];
     let len = u32::try_from(payload.len())
         .map_err(|_| CheckpointError::Invalid("frame payload exceeds u32 length".to_string()))?;
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    let sum = fnv1a64(payload);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
+    Ok(frame)
+}
+
+/// Encode one completed shard as a sealed journal frame (envelope
+/// included): the fixed prefix — job, operator code, served cells —
+/// then the WCD1 image of the shard dataset. Pure CPU work with no
+/// journal access, so a campaign worker encodes before it takes the
+/// journal lock and the lock covers only the write and its sync.
+pub fn encode_shard_frame(job: usize, records: &ShardRecords) -> Result<Vec<u8>, CheckpointError> {
+    let job = u64::try_from(job)
+        .map_err(|_| CheckpointError::Invalid("shard job index exceeds u64".to_string()))?;
+    let cells = u32::try_from(records.cells.len())
+        .map_err(|_| CheckpointError::Invalid("shard cell list exceeds u32 length".to_string()))?;
+    let mut frame = vec![0u8; FRAME_HEADER];
+    frame.extend_from_slice(&job.to_le_bytes());
+    frame.push(op_code(records.operator));
+    frame.extend_from_slice(&cells.to_le_bytes());
+    frame.extend(records.cells.iter().flat_map(|c| c.0.to_le_bytes()));
+    wcd::encode_to(&ColumnarDataset::from_rows(&records.dataset), &mut frame)
+        .map_err(|e| CheckpointError::Invalid(format!("cannot encode shard frame: {e}")))?;
+    seal_frame(frame)
+}
+
+/// Decode one shard-frame payload (the bytes inside the envelope, as
+/// written by [`encode_shard_frame`]) into its job index and records.
+/// `pos` is the frame's journal offset, for the diagnostic only. Every
+/// replay path — [`tail_from`] and [`JournalReader::read_frame`] —
+/// decodes through here. Strict like WCD1 itself: the payload is
+/// checked section by section and must be consumed exactly, so a frame
+/// either decodes whole or is an error.
+pub fn decode_shard_frame(
+    payload: &[u8],
+    pos: usize,
+) -> Result<(usize, ShardRecords), CheckpointError> {
+    let bad = |what: String| {
+        CheckpointError::Invalid(format!(
+            "checksummed frame at byte {pos} does not decode: {what}"
+        ))
+    };
+    let (job, rest) = frame_job(payload, pos)?;
+    let (&op, rest) = rest
+        .split_first()
+        .ok_or_else(|| bad("missing operator code".to_string()))?;
+    let operator = op_from(op).map_err(|e| bad(e.0))?;
+    let (count, rest) = rest
+        .split_first_chunk::<4>()
+        .ok_or_else(|| bad("missing cell count".to_string()))?;
+    let cell_bytes = usize::try_from(u32::from_le_bytes(*count))
+        .ok()
+        .and_then(|n| n.checked_mul(4))
+        .filter(|&n| n <= rest.len())
+        .ok_or_else(|| bad("cell list overruns the frame".to_string()))?;
+    let (cells, image) = rest.split_at(cell_bytes);
+    let cells = cells
+        .chunks_exact(4)
+        .map(|c| {
+            let mut b = [0u8; 4];
+            b.copy_from_slice(c);
+            CellId(u32::from_le_bytes(b))
+        })
+        .collect();
+    let dataset = wcd::decode(image)
+        .map_err(|e| bad(e.to_string()))?
+        .to_rows()
+        .map_err(|e| bad(e.to_string()))?;
+    Ok((
+        job,
+        ShardRecords {
+            operator,
+            dataset,
+            cells,
+        },
+    ))
 }
 
 /// One frame-scan step.
@@ -261,21 +351,37 @@ fn scan_frame(bytes: &[u8], pos: usize) -> Scan<'_> {
     }
 }
 
-/// Extract the job index from a shard-frame payload without decoding
-/// the records: the payload is `serde_json` of `(job, ShardRecords)` —
-/// i.e. `[<digits>,{…}]` — so the index is the integer right after the
-/// opening bracket. This is what lets a resume build its frame index
-/// without materializing a single shard.
-fn frame_job(payload: &[u8], pos: usize) -> Result<usize, CheckpointError> {
-    let bad = || {
-        CheckpointError::Invalid(format!(
-            "checksummed frame at byte {pos} does not start with a job index"
-        ))
-    };
-    let s = std::str::from_utf8(payload).map_err(|_| bad())?;
-    let body = s.strip_prefix('[').ok_or_else(bad)?;
-    let digits = &body[..body.find(',').ok_or_else(bad)?];
-    digits.trim().parse().map_err(|_| bad())
+/// Split the job index off a shard-frame payload's fixed prefix (its
+/// first 8 bytes) without decoding the records. This is what lets a
+/// resume build its frame index without materializing a single shard.
+fn frame_job(payload: &[u8], pos: usize) -> Result<(usize, &[u8]), CheckpointError> {
+    payload
+        .split_first_chunk::<8>()
+        .and_then(|(b, rest)| Some((usize::try_from(u64::from_le_bytes(*b)).ok()?, rest)))
+        .ok_or_else(|| {
+            CheckpointError::Invalid(format!(
+                "checksummed frame at byte {pos} does not start with a job index"
+            ))
+        })
+}
+
+/// Check the journal magic at the head of `bytes`. A journal in the
+/// retired JSON-framed format is refused by name, with the way out.
+fn check_magic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    if bytes.starts_with(MAGIC) {
+        return Ok(());
+    }
+    if bytes.starts_with(OLD_MAGIC) {
+        return Err(CheckpointError::Invalid(format!(
+            "{} is a WCJ1 journal (JSON shard frames), a format this build no longer reads; \
+             re-run the campaign with --checkpoint to write a WCJ2 journal",
+            path.display()
+        )));
+    }
+    Err(CheckpointError::Invalid(format!(
+        "{} is not a wheels checkpoint journal (bad magic)",
+        path.display()
+    )))
 }
 
 /// Read `dir`'s journal and verify its magic and identity header
@@ -297,12 +403,7 @@ fn open_verified(
         }
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::Invalid(format!(
-            "{} is not a wheels checkpoint journal (bad magic)",
-            path.display()
-        )));
-    }
+    check_magic(&path, &bytes)?;
     // The header must be intact: a journal whose identity cannot be
     // verified cannot be trusted at all.
     let (header, pos) = match scan_frame(&bytes, MAGIC.len()) {
@@ -396,17 +497,7 @@ pub fn tail_from(
         match scan_frame(&bytes, pos) {
             Scan::End | Scan::Torn => break,
             Scan::Frame { payload, end } => {
-                let text = std::str::from_utf8(payload).map_err(|_| {
-                    CheckpointError::Invalid(format!(
-                        "checksummed frame at byte {pos} is not valid UTF-8"
-                    ))
-                })?;
-                let (job, records): (usize, ShardRecords) =
-                    serde_json::from_str(text).map_err(|e| {
-                        CheckpointError::Invalid(format!(
-                            "checksummed frame at byte {pos} does not decode: {e}"
-                        ))
-                    })?;
+                let (job, records) = decode_shard_frame(payload, pos)?;
                 sink(job, records)?;
                 delivered += 1;
                 pos = end;
@@ -508,10 +599,12 @@ impl Journal {
     /// hybrid.
     pub fn create(dir: &Path, fp: &Fingerprint) -> Result<Journal, CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let header = serde_json::to_string(fp)
+        let json = serde_json::to_string(fp)
             .map_err(|e| CheckpointError::Invalid(format!("cannot serialize fingerprint: {e}")))?;
+        let mut header = vec![0u8; FRAME_HEADER];
+        header.extend_from_slice(json.as_bytes());
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(header.as_bytes())?);
+        bytes.extend_from_slice(&seal_frame(header)?);
         let path = Self::file_path(dir);
         write_atomic(&path, &bytes)?;
         Ok(Journal {
@@ -537,7 +630,7 @@ impl Journal {
             match scan_frame(&bytes, pos) {
                 Scan::End | Scan::Torn => break pos,
                 Scan::Frame { payload, end } => {
-                    let job = frame_job(payload, pos)?;
+                    let (job, _) = frame_job(payload, pos)?;
                     completed.insert(
                         job,
                         FrameSpan {
@@ -613,12 +706,16 @@ impl Journal {
         job: usize,
         records: &ShardRecords,
     ) -> Result<FrameSpan, CheckpointError> {
-        let payload = serde_json::to_string(&(job, records))
-            .map_err(|e| CheckpointError::Invalid(format!("cannot serialize shard frame: {e}")))?;
-        let frame = encode_frame(payload.as_bytes())?;
+        self.write_frame(&encode_shard_frame(job, records)?)
+    }
+
+    /// The one write path: append a frame sealed by
+    /// [`encode_shard_frame`] and sync it. Callers that share a journal
+    /// encode first and hold their lock only across this call.
+    pub(crate) fn write_frame(&mut self, frame: &[u8]) -> Result<FrameSpan, CheckpointError> {
         let mut f = OpenOptions::new().append(true).open(&self.path)?;
         let start = f.metadata()?.len();
-        f.write_all(&frame)?;
+        f.write_all(frame)?;
         f.sync_data()?;
         let len = u64::try_from(frame.len())
             .map_err(|_| CheckpointError::Invalid("frame length exceeds u64".to_string()))?;
@@ -662,19 +759,9 @@ impl JournalReader {
                 span.start, span.end
             )));
         };
-        let text = std::str::from_utf8(payload).map_err(|_| {
-            CheckpointError::Invalid(format!(
-                "checksummed frame at byte {} is not valid UTF-8",
-                span.start
-            ))
-        })?;
-        let (_, records): (usize, ShardRecords) = serde_json::from_str(text).map_err(|e| {
-            CheckpointError::Invalid(format!(
-                "checksummed frame at byte {} does not decode: {e}",
-                span.start
-            ))
-        })?;
-        Ok(records)
+        let pos = usize::try_from(span.start)
+            .map_err(|_| CheckpointError::Invalid("frame span exceeds usize".to_string()))?;
+        Ok(decode_shard_frame(payload, pos)?.1)
     }
 }
 
@@ -685,12 +772,7 @@ impl JournalReader {
 pub fn frame_ends(dir: &Path) -> Result<Vec<u64>, CheckpointError> {
     let path = Journal::file_path(dir);
     let bytes = std::fs::read(&path)?;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::Invalid(format!(
-            "{} is not a wheels checkpoint journal (bad magic)",
-            path.display()
-        )));
-    }
+    check_magic(&path, &bytes)?;
     let mut ends = Vec::new();
     let mut pos = MAGIC.len();
     while let Scan::Frame { end, .. } = scan_frame(&bytes, pos) {
@@ -968,6 +1050,39 @@ mod tests {
             Err(CheckpointError::Invalid(d)) => assert!(d.contains("magic"), "{d}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wcj1_journals_are_refused_by_name() {
+        // A journal as the JSON-framed format wrote it: old magic, then
+        // a well-formed JSON identity header that matches the run.
+        let dir = tmpdir("ckpt_wcj1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut header = vec![0u8; FRAME_HEADER];
+        header.extend_from_slice(serde_json::to_string(&fp(1)).unwrap().as_bytes());
+        let mut bytes = b"WCJ1".to_vec();
+        bytes.extend_from_slice(&seal_frame(header).unwrap());
+        std::fs::write(Journal::file_path(&dir), &bytes).unwrap();
+        let check = |what: &str, err: CheckpointError| match err {
+            CheckpointError::Invalid(d) => {
+                assert!(
+                    d.contains("WCJ1") && d.contains("--checkpoint"),
+                    "{what}: {d}"
+                )
+            }
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        };
+        check(
+            "resume_indexed",
+            Journal::resume_indexed(&dir, &fp(1)).unwrap_err(),
+        );
+        check("tail", tail(&dir, &fp(1), |_, _| Ok(())).unwrap_err());
+        check("frame_ends", frame_ends(&dir).unwrap_err());
+        assert_eq!(
+            std::fs::read(Journal::file_path(&dir)).unwrap(),
+            bytes,
+            "a refused journal is left as it was"
+        );
     }
 
     #[test]

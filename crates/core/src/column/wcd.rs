@@ -1,8 +1,9 @@
 //! WCD1 — the columnar dataset's binary on-disk format.
 //!
-//! Same family as the WCJ1 checkpoint journal: magic, length prefixes,
+//! Same family as the WCJ2 checkpoint journal: magic, length prefixes,
 //! and FNV-1a-64 checksums, but laid out as a *column catalogue* rather
-//! than an append-only frame log. Each named column is one fixed-width
+//! than an append-only frame log. Each journal shard frame carries one
+//! WCD1 image of its shard's dataset. Each named column is one fixed-width
 //! little-endian section whose payload starts on an 8-byte boundary, so
 //! a loader may memory-map the file and view every section in place;
 //! the portable decoder here copies instead (no `unsafe` in this
@@ -579,7 +580,7 @@ mod tests {
             "truncation must fail"
         );
         assert!(
-            decode(b"WCJ1----").is_err(),
+            decode(b"WCJ2----").is_err(),
             "journal magic is not a dataset"
         );
     }

@@ -1,0 +1,487 @@
+//! Journal shard frames: the WCJ2 payload round-trips bit-for-bit
+//! through every replay path, and its decoders survive hostile bytes.
+//!
+//! The fuzz half feeds arbitrary bytes, every truncation and single-bit
+//! flips of a real shard payload into `decode_shard_frame` and
+//! `wcd::decode`. A checksum only vouches that bytes were written whole,
+//! not that the writer was right, so these run on the payload behind
+//! the frame's FNV check. Each call must return `Ok` or `Err` without
+//! panicking, and its largest allocation must stay within a small
+//! multiple of the input length; a counting allocator measures that.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+
+use proptest::prelude::*;
+use wheels_apps::arcav::OffloadStats;
+use wheels_apps::gaming::GamingStats;
+use wheels_apps::video::{ChunkRecord, VideoStats};
+use wheels_core::checkpoint::{decode_shard_frame, encode_shard_frame, tail, Fingerprint, Journal};
+use wheels_core::column::{wcd, ColumnarDataset};
+use wheels_core::disrupt::{FaultConfig, FaultKind};
+use wheels_core::records::{
+    AppRun, CoverageSample, Dataset, RttSample, ShardRecords, TaggedHandover, TestAudit, TestKind,
+    TestRun, TestStatus, TputSample,
+};
+use wheels_geo::route::ZoneClass;
+use wheels_radio::tech::{Direction, Technology};
+use wheels_ran::cells::CellId;
+use wheels_ran::operator::Operator;
+use wheels_ran::session::{HandoverEvent, HandoverKind};
+use wheels_sim_core::time::{SimDuration, SimTime, Timezone};
+use wheels_transport::servers::ServerKind;
+
+/// Records the largest single allocation request made on the current
+/// thread, so a decode's worst allocation can be bounded by its input.
+struct Tracking;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call forwards unchanged to the system allocator; the
+// only addition is a thread-local maximum, which never allocates.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+/// Bytes of envelope (`u32` length + `u64` FNV checksum) ahead of a
+/// frame's payload.
+const ENVELOPE: usize = 12;
+
+/// Decode `bytes` with both decoders and return whether each succeeded,
+/// failing the test if either one's largest allocation exceeds what the
+/// input length can justify. Decoded rows are at most ~4x their column
+/// bytes (`(Operator, usize)` pairs from 9 bytes, doubled by `Vec`
+/// growth); 8x plus a page of slack still catches any size taken from an
+/// unchecked header field.
+fn decode_bounded(bytes: &[u8]) -> (bool, bool) {
+    let limit = 8 * bytes.len() + 4096;
+    LARGEST.with(|l| l.set(0));
+    let frame_ok = decode_shard_frame(bytes, 0).is_ok();
+    let frame_peak = LARGEST.with(Cell::get);
+    LARGEST.with(|l| l.set(0));
+    let wcd_ok = wcd::decode(bytes)
+        .ok()
+        .and_then(|c| c.to_rows().ok())
+        .is_some();
+    let wcd_peak = LARGEST.with(Cell::get);
+    assert!(
+        frame_peak <= limit && wcd_peak <= limit,
+        "{}-byte input allocated {frame_peak} (frame) / {wcd_peak} (wcd) bytes at once",
+        bytes.len()
+    );
+    (frame_ok, wcd_ok)
+}
+
+/// Float values JSON could not carry, or carried only approximately.
+const AWKWARD: [f64; 6] = [
+    -0.0,
+    5e-324,
+    f64::MIN_POSITIVE / 4.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+fn at(ms: u64) -> SimTime {
+    SimTime::EPOCH + SimDuration::from_millis(ms)
+}
+
+/// A shard dataset with `n` rows in every table, each float field drawn
+/// from [`AWKWARD`] and every optional field alternating between `None`
+/// and `Some`.
+fn awkward_dataset(n: usize, op: Operator) -> Dataset {
+    let f = |i: usize, k: usize| AWKWARD[(i + k) % AWKWARD.len()];
+    let mut ds = Dataset {
+        rx_bytes: -0.0,
+        tx_bytes: 5e-324,
+        log_bytes: f64::NAN,
+        unique_cells: vec![(op, 3), (Operator::Att, usize::MAX)],
+        runtime_min: vec![(op, f64::INFINITY), (Operator::Verizon, -0.0)],
+        ..Dataset::default()
+    };
+    for i in 0..n {
+        let id = u32::try_from(i).expect("small test tables");
+        let some = i % 2 == 0;
+        ds.tput.push(TputSample {
+            t: at(500 * u64::from(id)),
+            test_id: id,
+            operator: op,
+            direction: Direction::ALL[i % 2],
+            mbps: f(i, 0),
+            tech: Technology::ALL[i % 5],
+            cell: u32::MAX - id,
+            speed_mph: f(i, 1),
+            zone: ZoneClass::ALL[i % 3],
+            tz: Timezone::ALL[i % 4],
+            server: ServerKind::Edge,
+            rsrp_dbm: f(i, 2),
+            mcs: 27,
+            bler: f(i, 3),
+            carriers: 3,
+            handovers_in_bin: 1,
+            driving: some,
+        });
+        ds.rtt.push(RttSample {
+            t: at(u64::MAX / 2 + u64::from(id)),
+            test_id: id,
+            operator: op,
+            rtt_ms: some.then(|| f(i, 4)),
+            tech: Technology::Nr5gMmWave,
+            speed_mph: f(i, 5),
+            tz: Timezone::Pacific,
+            server: ServerKind::Cloud,
+            driving: !some,
+        });
+        ds.coverage.push(CoverageSample {
+            t: at(u64::from(id)),
+            operator: op,
+            tech: some.then_some(Technology::LteA),
+            direction: (!some).then_some(Direction::Uplink),
+            miles: f(i, 0),
+            speed_mph: f(i, 3),
+            tz: Timezone::Central,
+            zone: ZoneClass::Highway,
+        });
+        ds.runs.push(TestRun {
+            id,
+            kind: TestKind::Rtt,
+            operator: op,
+            start: at(10),
+            end: at(20),
+            miles: f(i, 1),
+            tz: Timezone::Mountain,
+            server: ServerKind::Edge,
+            hs5g_fraction: f(i, 2),
+            handovers: u32::MAX,
+            driving: some,
+            partial: !some,
+        });
+        ds.handovers.push(TaggedHandover {
+            event: HandoverEvent {
+                start: at(7),
+                duration: SimDuration::from_millis(40),
+                from_cell: CellId(id),
+                to_cell: CellId(id + 1),
+                from_tech: Technology::Lte,
+                to_tech: Technology::Nr5gMid,
+                kind: HandoverKind::Up4gTo5g,
+            },
+            operator: op,
+            test_id: some.then_some(id),
+            direction: some.then_some(Direction::Downlink),
+        });
+        ds.apps.push(AppRun {
+            id,
+            operator: op,
+            kind: TestKind::Gaming,
+            server: ServerKind::Cloud,
+            driving: some,
+            offload: some.then(|| OffloadStats {
+                e2e_ms: (0..i).map(|k| f(i, k)).collect(),
+                frames_offloaded: i,
+                frames_total: usize::MAX,
+                compressed: true,
+                high_speed_5g_fraction: f(i, 4),
+                handovers: 2,
+            }),
+            video: Some(VideoStats {
+                chunks: (0..i % 3)
+                    .map(|k| ChunkRecord {
+                        bitrate_mbps: f(i, k),
+                        rebuffer_s: f(i, k + 1),
+                        qoe: f(i, k + 2),
+                    })
+                    .collect(),
+                high_speed_5g_fraction: f(i, 5),
+                handovers: 0,
+            }),
+            gaming: (!some).then(|| GamingStats {
+                bitrate_mbps: vec![f(i, 1), f(i, 2)],
+                latency_ms: (0..=i).map(|k| f(i, k + 3)).collect(),
+                frames_dropped: 1,
+                frames_sent: 60,
+                high_speed_5g_fraction: f(i, 0),
+                handovers: 4,
+            }),
+        });
+        ds.audits.push(TestAudit {
+            test_id: id,
+            operator: op,
+            kind: TestKind::Video,
+            day: 13,
+            scheduled: at(99),
+            status: [TestStatus::Completed, TestStatus::Partial, TestStatus::Lost][i % 3],
+            attempts: 2,
+            fault: some.then_some(FaultKind::LoggerGap),
+            planned_samples: 10,
+            recorded_samples: 7,
+            lost_samples: 3,
+        });
+    }
+    ds
+}
+
+/// Raw bits of every float in a dataset, in column order. Equal bits
+/// mean equal values even where `PartialEq` cannot tell (NaN).
+fn float_bits(ds: &Dataset) -> Vec<u64> {
+    let c = ColumnarDataset::from_rows(ds);
+    [
+        &c.tput.mbps,
+        &c.tput.speed_mph,
+        &c.tput.rsrp_dbm,
+        &c.tput.bler,
+        &c.rtt.rtt_ms,
+        &c.rtt.speed_mph,
+        &c.coverage.miles,
+        &c.coverage.speed_mph,
+        &c.runs.miles,
+        &c.runs.hs5g_fraction,
+        &c.apps.off_e2e_ms,
+        &c.apps.off_hs5g,
+        &c.apps.vid_bitrate_mbps,
+        &c.apps.vid_rebuffer_s,
+        &c.apps.vid_qoe,
+        &c.apps.vid_hs5g,
+        &c.apps.gam_bitrate_mbps,
+        &c.apps.gam_latency_ms,
+        &c.apps.gam_hs5g,
+        &c.runtime_min,
+    ]
+    .into_iter()
+    .flatten()
+    .chain([&c.rx_bytes, &c.tx_bytes, &c.log_bytes])
+    .map(|v| v.to_bits())
+    .collect()
+}
+
+/// Bit-for-bit equality of two shard records: `PartialEq` where it can
+/// decide (no NaN anywhere), the `Debug` rendering where it cannot, and
+/// the raw bits of every float either way.
+fn assert_same(got: &ShardRecords, want: &ShardRecords, what: &str) {
+    let has_nan = float_bits(&want.dataset)
+        .into_iter()
+        .any(|b| f64::from_bits(b).is_nan());
+    if has_nan {
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+    } else {
+        assert_eq!(got, want, "{what}");
+    }
+    assert_eq!(
+        float_bits(&got.dataset),
+        float_bits(&want.dataset),
+        "{what}: float bits"
+    );
+}
+
+fn tmpdir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("frame_properties")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn fingerprint() -> Fingerprint {
+    Fingerprint {
+        seed: 7,
+        max_cycles: Some(1),
+        include_apps: true,
+        include_static: false,
+        start_at_sample: 0,
+        cycle_stride_s: 40_000,
+        shard_cycles: Some(1),
+        faults: FaultConfig::default(),
+        segments: 1,
+        jobs: 3,
+    }
+}
+
+fn cases() -> Vec<ShardRecords> {
+    let mut out = Vec::new();
+    for op in Operator::ALL {
+        out.push(ShardRecords {
+            operator: op,
+            dataset: Dataset::default(),
+            cells: Vec::new(),
+        });
+        out.push(ShardRecords {
+            operator: op,
+            dataset: awkward_dataset(7, op),
+            cells: vec![CellId(0), CellId(41), CellId(u32::MAX)],
+        });
+    }
+    out
+}
+
+#[test]
+fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
+    let dir = tmpdir("roundtrip");
+    let fp = fingerprint();
+    let mut journal = Journal::create(&dir, &fp).expect("create journal");
+    let cases = cases();
+    let spans: Vec<_> = cases
+        .iter()
+        .enumerate()
+        .map(|(job, rec)| journal.append(job, rec).expect("append"))
+        .collect();
+    let reader = journal.reader();
+    for (job, (span, want)) in spans.iter().zip(&cases).enumerate() {
+        let got = reader.read_frame(*span).expect("read_frame decodes");
+        assert_same(&got, want, &format!("read_frame of job {job}"));
+    }
+    let mut tailed = Vec::new();
+    let state = tail(&dir, &fp, |job, rec| {
+        tailed.push((job, rec));
+        Ok(())
+    })
+    .expect("tail replays");
+    assert_eq!(state.delivered, cases.len());
+    for (i, ((job, got), want)) in tailed.iter().zip(&cases).enumerate() {
+        assert_eq!(*job, i, "tail delivers in append order");
+        assert_same(got, want, &format!("tail of job {job}"));
+    }
+}
+
+/// Offset of the WCD1 image inside [`real_payload`]: job `u64`,
+/// operator `u8`, cell count `u32`, then its two `u32` cells.
+const IMAGE: usize = 8 + 1 + 4 + 2 * 4;
+
+/// A real shard payload, envelope stripped, and the byte ranges of its
+/// WCD1 column payloads (walked from the section headers).
+fn real_payload(rows: usize) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    let rec = ShardRecords {
+        operator: Operator::TMobile,
+        dataset: awkward_dataset(rows, Operator::TMobile),
+        cells: vec![CellId(5), CellId(9)],
+    };
+    let frame = encode_shard_frame(11, &rec).expect("encodes");
+    let payload = frame[ENVELOPE..].to_vec();
+    let image = IMAGE;
+    assert_eq!(&payload[image..image + 4], wcd::MAGIC);
+    let u64_at = |p: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&payload[p..p + 8]);
+        usize::try_from(u64::from_le_bytes(b)).expect("fits")
+    };
+    let mut columns = Vec::new();
+    let mut pos = 8; // magic + column count
+    while image + pos < payload.len() {
+        let width = match payload[image + pos] {
+            1 => 1,
+            2 => 4,
+            _ => 8,
+        };
+        let name_len = usize::from(payload[image + pos + 1]);
+        pos += 2 + name_len;
+        let elems = u64_at(image + pos);
+        pos += 16; // element count + checksum
+        pos = pos.next_multiple_of(8);
+        columns.push(image + pos..image + pos + elems * width);
+        pos += elems * width;
+    }
+    assert_eq!(
+        image + pos,
+        payload.len(),
+        "section walk ends at the payload end"
+    );
+    (payload, columns)
+}
+
+#[test]
+fn every_truncation_and_every_column_bit_flip_is_an_error() {
+    let (payload, columns) = real_payload(3);
+    let image = &payload[IMAGE..];
+    assert!(decode_bounded(&payload).0, "the intact payload decodes");
+    assert!(decode_bounded(image).1, "the intact image decodes");
+    for cut in 0..payload.len() {
+        assert!(
+            !decode_bounded(&payload[..cut]).0,
+            "truncation at byte {cut} decoded"
+        );
+    }
+    for cut in 0..image.len() {
+        assert!(
+            !decode_bounded(&image[..cut]).1,
+            "image truncation at byte {cut} decoded"
+        );
+    }
+    let mut flipped = payload.clone();
+    for byte in columns.iter().flat_map(Clone::clone) {
+        for bit in 0..8 {
+            flipped[byte] ^= 1 << bit;
+            assert!(
+                !decode_bounded(&flipped).0,
+                "flip of bit {bit} at byte {byte} decoded"
+            );
+            assert!(
+                !decode_bounded(&flipped[IMAGE..]).1,
+                "image flip of bit {bit} at byte {byte} decoded"
+            );
+            flipped[byte] ^= 1 << bit;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes, bare or behind a valid frame prefix and WCD1
+    /// magic (so they reach the section parser), never panic and never
+    /// allocate beyond the input.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
+        decode_bounded(&bytes);
+        let mut framed = vec![0u8; 13];
+        framed[8] = 2; // operator code: AT&T
+        framed.extend_from_slice(wcd::MAGIC);
+        framed.extend_from_slice(&bytes);
+        decode_bounded(&framed);
+        decode_bounded(&framed[13..]);
+    }
+
+    /// Any single-bit flip anywhere in a real payload decodes to `Ok` or
+    /// `Err` within the allocation bound; inside a column payload it is
+    /// always `Err`.
+    #[test]
+    fn single_bit_flips_are_contained(rows in 0usize..6, at in any::<u64>(), bit in 0u32..8) {
+        let (mut payload, columns) = real_payload(rows);
+        let len = u64::try_from(payload.len()).expect("fits");
+        let byte = usize::try_from(at % len).expect("fits");
+        payload[byte] ^= 1 << bit;
+        let (frame_ok, _) = decode_bounded(&payload);
+        if columns.iter().any(|c| c.contains(&byte)) {
+            prop_assert!(!frame_ok, "column flip at byte {} decoded", byte);
+        }
+    }
+}
