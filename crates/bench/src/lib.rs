@@ -31,8 +31,6 @@
 //!   construction (`BENCH_storage.json`).
 //! - `ingest` — incremental shard ingest vs a full view rebuild
 //!   (`BENCH_ingest.json`).
-//! - `lint` — the analyzer, tier 1 alone vs tier 1 + tier 2
-//!   (`BENCH_lint.json`).
 //! - `serve` — `wheels-serve` query latency and ingest lag
 //!   (`BENCH_serve.json`).
 //! - `stress` — `wheels-stress` soak cycle and verification cost

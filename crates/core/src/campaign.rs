@@ -343,7 +343,7 @@ impl Campaign {
         let trace = DrivePlan::default().generate(&route, &mut rng.split("campaign/drive-plan"));
         let deployments = Operator::ALL
             .into_iter()
-            // lint: allow(rng-stream-flow, the operator display names seed the deployment streams; relabeling to an area/rest scheme would change every FNV child seed and break the published byte-identical dataset pin in EXPERIMENTS.md)
+            // lint: allow(rng-stream-labels, the operator display names seed the deployment streams; relabeling to an area/rest scheme would change every FNV child seed and break the published byte-identical dataset pin in EXPERIMENTS.md)
             .map(|op| Deployment::generate(&route, op, &mut rng.split(op.label())))
             .collect();
         Campaign {

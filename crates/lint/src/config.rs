@@ -2,17 +2,10 @@
 //!
 //! Crates are identified by their directory name under `crates/` (the
 //! workspace root package is `"wheels"`). The default configuration
-//! encodes the workspace's reproducibility contract; a JSON file with the
-//! same shape can be passed to the CLI via `--config` to override it.
-
-use serde::{Deserialize, Serialize};
+//! encodes the workspace's reproducibility contract.
 
 /// Which crates each rule applies to, and what the walker skips.
-///
-/// A `--config` JSON file must spell out every field (the vendored serde
-/// stand-in has no `#[serde(default)]`); start from
-/// `serde_json::to_string(&Config::default())`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Config {
     /// Directory names never descended into (anywhere in the tree).
     pub skip_dirs: Vec<String>,
@@ -33,24 +26,25 @@ pub struct Config {
     /// Path prefixes (relative to the workspace root, `/`-separated)
     /// where unannotated `as` casts to integer types are flagged.
     pub lossy_paths: Vec<String>,
-    /// Path prefixes where every RNG stream label must live in the
-    /// `campaign/faults/` namespace (the disruption subsystem). Fault
-    /// schedules drawing from any other stream would entangle the fault
-    /// model with the simulation streams and break the off-by-default
-    /// bit-identity guarantee.
+    /// Path prefixes of the disruption subsystem: every RNG stream label
+    /// there must live in the `campaign/faults/` namespace, and no label
+    /// elsewhere may. Fault schedules drawing from any other stream would
+    /// entangle the fault model with the simulation streams and break the
+    /// off-by-default bit-identity guarantee.
     pub disrupt_paths: Vec<String>,
     /// Path prefixes that persist state a later run will trust (the
     /// checkpoint journal, the binaries' output writers): in-place
-    /// `fs::write` / non-renamed `File::create` are flagged there — a
-    /// crash mid-write must never leave a torn file behind.
+    /// `fs::write`, non-renamed `File::create`, and a rename with no
+    /// fsync before it are flagged there — a crash must never leave a
+    /// torn or unsynced file behind.
     pub persist_paths: Vec<String>,
-    /// Crates excluded from every tier-2 dataflow pass (this tool
-    /// itself: its fixtures and string tables would otherwise trip the
-    /// very patterns it searches for; the serving layer and the stress
-    /// harness, which are wall-clock-aware by design — uptime, latency
-    /// histograms, soak timings — and whose answers are pinned
-    /// byte-identical to the offline replay by their own integration
-    /// tests rather than by taint analysis).
+    /// Crates excluded from the determinism-taint and float-reduction
+    /// passes (this tool itself: its fixtures and string tables would
+    /// otherwise trip the very patterns it searches for; the serving
+    /// layer and the stress harness, which are wall-clock-aware by
+    /// design — uptime, latency histograms, soak timings — and whose
+    /// answers are pinned byte-identical to the offline replay by their
+    /// own integration tests rather than by taint analysis).
     pub tier2_exempt_crates: Vec<String>,
     /// Path prefixes on the always-on service and soak-harness paths:
     /// `loop`/`while` bodies that sleep (retry/poll loops) must carry a
@@ -127,21 +121,5 @@ mod tests {
         assert!(c.skips_dir("vendor"));
         assert!(c.skips_dir("target"));
         assert!(!c.skips_dir("src"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = Config::default();
-        let s = serde_json::to_string(&c).expect("serialize");
-        let back: Config = serde_json::from_str(&s).expect("deserialize");
-        assert_eq!(back.dataset_crates, c.dataset_crates);
-    }
-
-    #[test]
-    fn json_keeps_skip_dirs() {
-        let s = serde_json::to_string(&Config::default()).expect("serialize");
-        let back: Config = serde_json::from_str(&s).expect("deserialize");
-        assert!(back.skips_dir("vendor"));
-        assert!(back.skips_dir("target"));
     }
 }

@@ -1,15 +1,15 @@
 //! CLI for `wheels-lint`.
 //!
 //! ```text
-//! cargo run -p wheels-lint -- --workspace [--json] [--sarif FILE]
-//!     [--tier1-only] [--strict-allows] [--root DIR] [--config FILE]
+//! cargo run -p wheels-lint -- --workspace [--json] [--sarif FILE] [--root DIR]
 //! ```
 //!
-//! `--tier1-only` skips the tier-2 dataflow passes (fast token-rule
-//! scan). `--strict-allows` audits suppression directives: any
-//! `// lint: allow(…)` that no longer silences a finding is itself
-//! reported as `stale-allow`. `--sarif FILE` additionally writes a
-//! SARIF 2.1.0 log to `FILE` (alongside the text or JSON on stdout).
+//! Every run applies all eleven rules: the six token rules, the four
+//! dataflow passes, and the stale-allow audit, which reports any
+//! `// lint: allow(…)` that no longer silences a finding. `--json`
+//! prints the report as JSON instead of text; `--sarif FILE`
+//! additionally writes a SARIF 2.1.0 log to `FILE`; `--root DIR` lints
+//! the workspace at `DIR` instead of the current directory.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -18,25 +18,21 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wheels_lint::{lint_workspace_opts, render_sarif, Config, Options};
+use wheels_lint::{lint_workspace, render_sarif, Config};
 
-const USAGE: &str = "usage: wheels-lint --workspace [--json] [--sarif FILE] [--tier1-only] [--strict-allows] [--root DIR] [--config FILE]";
+const USAGE: &str = "usage: wheels-lint --workspace [--json] [--sarif FILE] [--root DIR]";
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut config_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut opts = Options::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--tier1-only" => opts.tier2 = false,
-            "--strict-allows" => opts.strict_allows = true,
             "--sarif" => match args.next() {
                 Some(file) => sarif_path = Some(PathBuf::from(file)),
                 None => return usage_error("--sarif requires a file"),
@@ -44,10 +40,6 @@ fn main() -> ExitCode {
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage_error("--root requires a directory"),
-            },
-            "--config" => match args.next() {
-                Some(file) => config_path = Some(PathBuf::from(file)),
-                None => return usage_error("--config requires a file"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -60,21 +52,7 @@ fn main() -> ExitCode {
         return usage_error("--workspace is required");
     }
 
-    let cfg = match config_path {
-        None => Config::default(),
-        Some(path) => match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<Config>(&s).map_err(|e| e.to_string()))
-        {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("wheels-lint: cannot load config {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    match lint_workspace_opts(&root, &cfg, opts) {
+    match lint_workspace(&root, &Config::default()) {
         Ok(report) => {
             if let Some(path) = sarif_path {
                 if let Err(e) = std::fs::write(&path, render_sarif(&report)) {

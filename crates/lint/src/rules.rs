@@ -1,12 +1,9 @@
-//! The rule catalogue.
+//! The rule catalogue and the six tier-1 token rules.
 //!
-//! Every rule is a token-pattern pass over one lexed file, except the RNG
-//! stream-label rule, which also aggregates a workspace-wide registry so
-//! it can enforce label uniqueness across crates. Each rule can be
-//! silenced at a site with `// lint: allow(rule-name, reason)` on the
-//! offending line or the line above — the reason is mandatory.
-
-use std::collections::BTreeMap;
+//! Every token rule is a pattern pass over one lexed file; the dataflow
+//! rules live in [`crate::tier2`]. Each rule can be silenced at a site
+//! with `// lint: allow(rule-name, reason)` on the offending line or the
+//! line above — the reason is mandatory.
 
 use crate::config::Config;
 use crate::lexer::{LexedFile, Tok, TokKind};
@@ -27,9 +24,9 @@ pub struct RuleMeta {
     pub about: &'static str,
 }
 
-/// The rule catalogue, in order: tier-1 token rules (0–8), tier-2
-/// dataflow passes (9–12), and the strict-allows audit (13).
-pub const RULES: [RuleMeta; 14] = [
+/// The rule catalogue, in order: tier-1 token rules (0–5), tier-2
+/// dataflow passes (6–9), and the stale-allow audit (10).
+pub const RULES: [RuleMeta; 11] = [
     RuleMeta {
         name: "nondeterminism",
         id: "nondeterminism",
@@ -39,11 +36,6 @@ pub const RULES: [RuleMeta; 14] = [
         name: "hash-iteration",
         id: "hash_iteration",
         about: "HashMap/HashSet iteration order can leak into datasets produced by these crates",
-    },
-    RuleMeta {
-        name: "rng-stream-labels",
-        id: "rng_stream_labels",
-        about: "split() label literals must follow area/rest and be unique workspace-wide",
     },
     RuleMeta {
         name: "unwrap-in-lib",
@@ -61,16 +53,6 @@ pub const RULES: [RuleMeta; 14] = [
         about: "crate roots carry #![forbid(unsafe_code)] and a //! doc header",
     },
     RuleMeta {
-        name: "disrupt-stream-namespace",
-        id: "disrupt_stream_namespace",
-        about: "disruption-subsystem RNG labels stay inside the campaign/faults/ namespace",
-    },
-    RuleMeta {
-        name: "atomic-persistence",
-        id: "atomic_persistence",
-        about: "persistence paths use temp-file + atomic rename, never in-place writes",
-    },
-    RuleMeta {
         name: "bounded-retry",
         id: "bounded_retry",
         about:
@@ -82,14 +64,14 @@ pub const RULES: [RuleMeta; 14] = [
         about: "tier 2: nondeterministic values must not flow into record/checkpoint/report sinks",
     },
     RuleMeta {
-        name: "rng-stream-flow",
-        id: "rng_stream_flow",
-        about: "tier 2: RNG labels resolved through value flow obey scheme, uniqueness, namespace",
+        name: "rng-stream-labels",
+        id: "rng_stream_labels",
+        about: "tier 2: split() labels follow area/rest, are unique, and respect campaign/faults/",
     },
     RuleMeta {
-        name: "persistence-ordering",
-        id: "persistence_ordering",
-        about: "tier 2: created files are fsynced before the rename that publishes them",
+        name: "atomic-persistence",
+        id: "atomic_persistence",
+        about: "tier 2: persistence paths publish files by create, fsync, then atomic rename",
     },
     RuleMeta {
         name: "unordered-float-reduction",
@@ -99,7 +81,7 @@ pub const RULES: [RuleMeta; 14] = [
     RuleMeta {
         name: "stale-allow",
         id: "stale_allow",
-        about: "strict-allows audit: allow directives that no longer suppress any finding",
+        about: "audit: allow directives that no longer suppress any finding",
     },
 ];
 
@@ -126,40 +108,11 @@ const INT_TYPES: [&str; 12] = [
 /// Methods that make the rounding of a float→int cast explicit.
 const ROUNDING_METHODS: [&str; 4] = ["round", "floor", "ceil", "trunc"];
 
-/// One `split("…")` call site collected for the label registry.
-#[derive(Debug, Clone)]
-pub struct LabelSite {
-    /// The label literal (format skeleton for `format!` labels).
-    pub label: String,
-    /// Workspace-relative file.
-    pub file: String,
-    /// Position.
-    pub line: u32,
-    /// Position.
-    pub col: u32,
-    /// Offending source line.
-    pub snippet: String,
-}
-
-/// Workspace-wide registry of RNG stream labels, keyed by literal.
-#[derive(Debug, Default)]
-pub struct LabelRegistry {
-    sites: BTreeMap<String, Vec<LabelSite>>,
-}
-
-impl LabelRegistry {
-    /// The collected sites, keyed by label literal (tier 2 consults this
-    /// for cross-tier uniqueness of resolved labels).
-    pub fn labels(&self) -> &BTreeMap<String, Vec<LabelSite>> {
-        &self.sites
-    }
-}
-
 /// True if a finding of `rule` at `line` is suppressed by an allow
 /// directive (on the same line or the line above) with a non-empty
 /// reason. Rules emit *raw* findings; the driver applies this filter
-/// uniformly afterwards (which is what makes the `--strict-allows`
-/// audit possible — it diffs the raw findings against the directives).
+/// uniformly afterwards (which is what makes the stale-allow audit
+/// possible — it diffs the raw findings against the directives).
 pub(crate) fn allowed(lexed: &LexedFile, rule: &str, line: u32) -> bool {
     [line.saturating_sub(1), line].iter().any(|l| {
         lexed.allows.get(l).is_some_and(|v| {
@@ -177,7 +130,7 @@ fn snippet(lexed: &LexedFile, line: u32) -> String {
         .unwrap_or_default()
 }
 
-fn finding(
+pub(crate) fn finding(
     rule: &'static str,
     file: &SourceFile,
     lexed: &LexedFile,
@@ -203,7 +156,7 @@ fn path_seg(toks: &[Tok], k: usize, seg: &str) -> bool {
 }
 
 /// Is `toks[k]` preceded by `seg::`?
-fn path_pred(toks: &[Tok], k: usize, seg: &str) -> bool {
+pub(crate) fn path_pred(toks: &[Tok], k: usize, seg: &str) -> bool {
     k >= 3
         && toks[k - 1].is_punct(':')
         && toks[k - 2].is_punct(':')
@@ -284,115 +237,7 @@ pub fn hash_iteration(
     }
 }
 
-/// Rule 3 (collection half) — gather every `split("…")` label literal.
-/// Labels built with `format!("…", ..)` contribute their format skeleton;
-/// fully dynamic labels cannot be checked lexically and are skipped.
-pub fn collect_labels(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    reg: &mut LabelRegistry,
-) {
-    if cfg.label_exempt_crates.contains(&file.crate_name) {
-        return;
-    }
-    let toks = &lexed.toks;
-    for k in 0..toks.len() {
-        if mask[k] {
-            continue;
-        }
-        if toks[k].ident() != Some("split")
-            || k == 0
-            || !toks[k - 1].is_punct('.')
-            || !toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-        {
-            continue;
-        }
-        let mut j = k + 2;
-        if toks.get(j).is_some_and(|t| t.is_punct('&')) {
-            j += 1;
-        }
-        let lit = match toks.get(j) {
-            Some(t) if t.kind == TokKind::Str => Some(t),
-            Some(t)
-                if t.ident() == Some("format")
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct('!'))
-                    && toks.get(j + 2).is_some_and(|t| t.is_punct('(')) =>
-            {
-                toks.get(j + 3).filter(|t| t.kind == TokKind::Str)
-            }
-            _ => None,
-        };
-        let Some(lit) = lit else { continue };
-        reg.sites
-            .entry(lit.text.clone())
-            .or_default()
-            .push(LabelSite {
-                label: lit.text.clone(),
-                file: file.rel_path.clone(),
-                line: lit.line,
-                col: lit.col,
-                snippet: snippet(lexed, lit.line),
-            });
-    }
-}
-
-/// Does a label follow the `area/{…}` scheme: a static lowercase
-/// `[a-z0-9_-]+` area prefix, a `/`, and a non-empty remainder?
-fn label_well_formed(label: &str) -> bool {
-    match label.split_once('/') {
-        None => false,
-        Some((area, rest)) => {
-            !area.is_empty()
-                && !rest.is_empty()
-                && area
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
-        }
-    }
-}
-
-/// Rule 3 (verdict half) — every collected label must be well-formed and
-/// unique across the workspace; two sites reusing one literal silently
-/// correlate their streams when handed the same parent generator.
-pub fn label_findings(reg: &LabelRegistry, out: &mut Vec<Finding>) {
-    const RULE: &str = RULES[2].name;
-    for (label, sites) in &reg.sites {
-        for (idx, site) in sites.iter().enumerate() {
-            if !label_well_formed(label) {
-                out.push(Finding {
-                    rule: RULE,
-                    id: rule_id(RULE),
-                    file: site.file.clone(),
-                    line: site.line,
-                    col: site.col,
-                    message: format!(
-                        "RNG stream label \"{label}\" does not follow the `area/{{…}}` scheme (lowercase area prefix, then `/`)"
-                    ),
-                    snippet: site.snippet.clone(),
-                });
-            }
-            if idx > 0 {
-                let first = &sites[0];
-                out.push(Finding {
-                    rule: RULE,
-                    id: rule_id(RULE),
-                    file: site.file.clone(),
-                    line: site.line,
-                    col: site.col,
-                    message: format!(
-                        "duplicate RNG stream label \"{label}\" (first used at {}:{}:{}) — reusing a label risks correlated streams",
-                        first.file, first.line, first.col
-                    ),
-                    snippet: site.snippet.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// Rule 4 — unwrap-in-lib: bare `.unwrap()` / `panic!` in library code
+/// Rule 3 — unwrap-in-lib: bare `.unwrap()` / `panic!` in library code
 /// must either become `expect("why this holds")` / a proper error, or
 /// carry a justification comment.
 pub fn unwrap_in_lib(
@@ -405,7 +250,7 @@ pub fn unwrap_in_lib(
     if file.is_bin || cfg.unwrap_exempt_crates.contains(&file.crate_name) {
         return;
     }
-    const RULE: &str = RULES[3].name;
+    const RULE: &str = RULES[2].name;
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {
@@ -438,7 +283,7 @@ pub fn unwrap_in_lib(
     }
 }
 
-/// Rule 5 — lossy-cast: in record/analysis paths, `as`-casts to integer
+/// Rule 4 — lossy-cast: in record/analysis paths, `as`-casts to integer
 /// types silently truncate; make the rounding explicit (`.round() as`)
 /// or justify the cast.
 pub fn lossy_cast(
@@ -455,7 +300,7 @@ pub fn lossy_cast(
     {
         return;
     }
-    const RULE: &str = RULES[4].name;
+    const RULE: &str = RULES[3].name;
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {
@@ -519,7 +364,7 @@ fn rounded_call(toks: &[Tok], close: usize) -> bool {
     }
 }
 
-/// Rule 6 — crate-hygiene: every crate root carries
+/// Rule 5 — crate-hygiene: every crate root carries
 /// `#![forbid(unsafe_code)]` and a `//!` doc header.
 pub fn crate_hygiene(
     file: &SourceFile,
@@ -531,7 +376,7 @@ pub fn crate_hygiene(
     if !file.is_crate_root {
         return;
     }
-    const RULE: &str = RULES[5].name;
+    const RULE: &str = RULES[4].name;
     let toks = &lexed.toks;
     let has_forbid = (0..toks.len()).any(|k| {
         toks[k].ident() == Some("forbid")
@@ -568,139 +413,6 @@ pub fn crate_hygiene(
     }
 }
 
-/// Rule 7 — disrupt-stream-namespace: inside the disruption subsystem
-/// (`disrupt_paths`), every `split("…")` label must live under the
-/// dedicated `campaign/faults/` namespace. A fault schedule drawn from
-/// any other stream would entangle fault generation with the simulation
-/// streams, so enabling faults could perturb the fault-free dataset and
-/// break the off-by-default bit-identity guarantee.
-pub fn disrupt_stream_namespace(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .disrupt_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
-        return;
-    }
-    const RULE: &str = RULES[6].name;
-    const NAMESPACE: &str = "campaign/faults/";
-    let toks = &lexed.toks;
-    for k in 0..toks.len() {
-        if mask[k] {
-            continue;
-        }
-        if toks[k].ident() != Some("split")
-            || k == 0
-            || !toks[k - 1].is_punct('.')
-            || !toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-        {
-            continue;
-        }
-        let mut j = k + 2;
-        if toks.get(j).is_some_and(|t| t.is_punct('&')) {
-            j += 1;
-        }
-        let lit = match toks.get(j) {
-            Some(t) if t.kind == TokKind::Str => Some(t),
-            Some(t)
-                if t.ident() == Some("format")
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct('!'))
-                    && toks.get(j + 2).is_some_and(|t| t.is_punct('(')) =>
-            {
-                toks.get(j + 3).filter(|t| t.kind == TokKind::Str)
-            }
-            _ => None,
-        };
-        let Some(lit) = lit else { continue };
-        if lit.text.starts_with(NAMESPACE) {
-            continue;
-        }
-        out.push(finding(
-            RULE,
-            file,
-            lexed,
-            lit,
-            format!(
-                "RNG stream label \"{}\" in the disrupt module is outside the `{NAMESPACE}` namespace — fault schedules must never draw from simulation streams",
-                lit.text
-            ),
-        ));
-    }
-}
-
-/// Rule 8 — atomic-persistence: on persistence paths (`persist_paths`:
-/// the checkpoint journal and the binaries' output writers), files must
-/// land via the temp-file + atomic-rename idiom. `fs::write(..)` replaces
-/// a file in place, and `File::create(..)` truncates it immediately — a
-/// crash mid-write leaves a torn file at the very path a resumed run will
-/// trust. `File::create` is accepted when the same function later calls
-/// `rename` (the write-to-temp-then-rename idiom); `fs::write` is always
-/// a finding.
-pub fn atomic_persistence(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .persist_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
-        return;
-    }
-    const RULE: &str = RULES[7].name;
-    let toks = &lexed.toks;
-    for k in 0..toks.len() {
-        if mask[k] {
-            continue;
-        }
-        if !toks.get(k + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        match toks[k].ident() {
-            Some("write") if path_pred(toks, k, "fs") => {
-                out.push(finding(
-                    RULE,
-                    file,
-                    lexed,
-                    &toks[k],
-                    "`fs::write` on a persistence path replaces the file in place — a crash mid-write leaves a torn file; write a temp file and `rename` it (see `checkpoint::write_atomic`)".to_string(),
-                ));
-            }
-            Some("create") if path_pred(toks, k, "File") && !renamed_later(toks, k) => {
-                out.push(finding(
-                    RULE,
-                    file,
-                    lexed,
-                    &toks[k],
-                    "`File::create` on a persistence path with no following `rename` truncates the destination before the new bytes are safe — write a temp file and `rename` it (see `checkpoint::write_atomic`)".to_string(),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Does a `rename` call appear after `toks[k]`, before the next `fn`
-/// item? An approximation of "same function as the `File::create`" that
-/// is exact for the write-temp-then-rename idiom this rule exists to
-/// enforce.
-fn renamed_later(toks: &[Tok], k: usize) -> bool {
-    toks[k + 1..].iter().find_map(|t| match t.ident() {
-        Some("fn") => Some(false),
-        Some("rename") => Some(true),
-        _ => None,
-    }) == Some(true)
-}
-
 /// Identifier fragments that mark a retry/poll loop as bounded: a stop
 /// flag consulted, a deadline or timeout compared, elapsed time read,
 /// or an attempt/iteration budget counted. Matching is by lowercase
@@ -710,7 +422,7 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
     "stop", "deadline", "elapsed", "timeout", "attempt", "remain", "budget", "tries", "retries",
 ];
 
-/// Rule 9 — bounded-retry: on the always-on service and soak-harness
+/// Rule 6 — bounded-retry: on the always-on service and soak-harness
 /// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
@@ -734,7 +446,7 @@ pub fn bounded_retry(
     {
         return;
     }
-    const RULE: &str = RULES[8].name;
+    const RULE: &str = RULES[5].name;
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {
@@ -816,18 +528,6 @@ pub fn bounded_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn label_scheme() {
-        assert!(label_well_formed("geo/speed"));
-        assert!(label_well_formed("campaign/{}/{}"));
-        assert!(label_well_formed("probe/rtt/{id}"));
-        assert!(!label_well_formed("trace"));
-        assert!(!label_well_formed("city{i}"));
-        assert!(!label_well_formed("/x"));
-        assert!(!label_well_formed("area/"));
-        assert!(!label_well_formed("Area/x"));
-    }
 
     #[test]
     fn rounding_scan() {

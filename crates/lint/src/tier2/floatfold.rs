@@ -25,6 +25,7 @@
 use crate::config::Config;
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
+use crate::rules::finding;
 use crate::tier2::{in_paths, locals_in, mentions_channel, mentions_hash, Tier2};
 
 /// Run the pass.
@@ -85,22 +86,15 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
                 })
             });
             let Some(why) = why else { continue };
-            let tok = &toks[k];
-            out.push(Finding {
-                rule: "unordered-float-reduction",
-                id: crate::rules::rule_id("unordered-float-reduction"),
-                file: file.rel_path.clone(),
-                line: tok.line,
-                col: tok.col,
-                message: format!(
+            out.push(finding(
+                "unordered-float-reduction",
+                file,
+                &t2.lexed[def.file],
+                &toks[k],
+                format!(
                     "`.{method}` reduces f64 values fed from `{head}`, {why} — float addition is not associative, so the result depends on visit order; collect into an ordered container (or sort) before reducing"
                 ),
-                snippet: t2.lexed[def.file]
-                    .lines
-                    .get(tok.line as usize - 1)
-                    .cloned()
-                    .unwrap_or_default(),
-            });
+            ));
         }
     }
 }

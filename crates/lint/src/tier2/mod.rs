@@ -9,18 +9,19 @@
 //!   (wall-clock reads, hash-iteration order, host-core counts,
 //!   pointer addresses) tracked interprocedurally into dataset/
 //!   checkpoint/report sinks.
-//! * [`streamflow`] — `rng-stream-flow`: RNG stream-label *values*
-//!   resolved through locals, `format!` indirection, parameters, and
-//!   callee return literals, then held to the `area/rest` scheme,
-//!   workspace uniqueness, and namespace confinement.
-//! * [`persist`] — `persistence-ordering`: on persistence paths, a
-//!   created file must be fsynced (directly or via a callee) before the
-//!   rename that publishes it.
+//! * [`streamflow`] — `rng-stream-labels`: every `split(label)` site's
+//!   values — the literal or `format!` skeleton written there, plus what
+//!   flow resolves through locals, parameters and callee return
+//!   literals — held to the `area/rest` scheme, workspace uniqueness,
+//!   and the `campaign/faults/` fence in both directions.
+//! * [`persist`] — `atomic-persistence`: on persistence paths, no
+//!   in-place `fs::write`, every `File::create` renamed into place, and
+//!   an fsync (directly or via a callee) before that rename.
 //! * [`floatfold`] — `unordered-float-reduction`: non-commutative `f64`
 //!   folds fed from unordered (hash-container / channel) iteration.
 //!
 //! Passes emit *raw* findings — `// lint: allow` suppression and the
-//! strict-allows audit are applied by the driver in `lib.rs`, uniformly
+//! stale-allow audit are applied by `lint_sources` in `lib.rs`, uniformly
 //! with tier 1.
 
 pub mod floatfold;
@@ -33,7 +34,6 @@ pub mod taint;
 use crate::config::Config;
 use crate::lexer::{LexedFile, Tok, TokKind};
 use crate::report::Finding;
-use crate::rules::LabelRegistry;
 use crate::workspace::SourceFile;
 use parse::FileAst;
 use symbols::{CallGraph, Symbols};
@@ -75,14 +75,14 @@ impl<'a> Tier2<'a> {
     }
 
     /// Run all four passes, appending raw findings.
-    pub fn run(&self, cfg: &Config, tier1_labels: &LabelRegistry, out: &mut Vec<Finding>) {
+    pub fn run(&self, cfg: &Config, out: &mut Vec<Finding>) {
         taint::run(self, cfg, out);
-        streamflow::run(self, cfg, tier1_labels, out);
+        streamflow::run(self, cfg, out);
         persist::run(self, cfg, out);
         floatfold::run(self, cfg, out);
     }
 
-    /// Is this fn's file exempt from tier-2 findings?
+    /// Is this fn's file exempt from the taint and float-fold passes?
     pub(crate) fn exempt(&self, file: usize, cfg: &Config) -> bool {
         cfg.tier2_exempt_crates
             .contains(&self.files[file].crate_name)

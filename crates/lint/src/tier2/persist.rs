@@ -1,24 +1,32 @@
-//! Pass: `persistence-ordering`.
+//! Pass: `atomic-persistence`.
 //!
-//! Tier 1's `atomic-persistence` rule flags `fs::write` and
-//! `File::create` with *no* rename at all on persistence paths. This
-//! pass takes the complementary, path-sensitive half: when a created
-//! file *is* later renamed into place, the bytes must be fsynced before
-//! the rename — `create → write… → sync_all/sync_data → rename` — or a
-//! crash after the rename can publish a destination whose contents never
-//! reached the disk. The fsync may be transitive: a call between the
-//! create and the rename to a fn that (transitively) fsyncs counts,
-//! computed as a call-graph fixpoint.
+//! Files a later run will trust — the checkpoint journal, the binaries'
+//! exported datasets — must land by `create temp → write → fsync →
+//! rename`. Anything else lets a crash publish a torn file at the very
+//! path a resumed run reads. For each fn body under `persist_paths` the
+//! pass flags:
 //!
-//! Scope: fns defined in files under `persist_paths`. The create and the
-//! rename are matched within one fn body (the `write_atomic` idiom this
-//! workspace standardizes on); cross-fn create/rename splits are out of
-//! scope by design and land in tier 1.
+//! * an `fs::write`, which replaces the file in place;
+//! * a `File::create` with no later `rename` in the same body, which
+//!   truncates the destination before the new bytes are safe;
+//! * a `rename` that publishes a created file with no `sync_all` /
+//!   `sync_data` between the create and the rename. The fsync may be
+//!   transitive: a call in between to a fn that (transitively) fsyncs
+//!   counts, computed as a call-graph fixpoint.
+//!
+//! Append-mode writes (the journal's frame appends) are the idiom's
+//! other half and are not flagged. A create and its rename are matched
+//! within one fn body, the `write_atomic` idiom this workspace
+//! standardizes on.
 
 use crate::config::Config;
 use crate::lexer::Tok;
 use crate::report::Finding;
+use crate::rules::{finding, path_pred};
 use crate::tier2::{in_paths, sites_in, Tier2};
+
+/// The rule this pass reports under.
+const RULE: &str = "atomic-persistence";
 
 /// Run the pass.
 pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
@@ -51,62 +59,59 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
     }
 
     for (fidx, def) in t2.sym.fns.iter().enumerate() {
-        let file = &t2.files[def.file];
-        if !in_paths(&file.rel_path, &cfg.persist_paths) || t2.exempt(def.file, cfg) {
+        let (file, lexed) = (&t2.files[def.file], &t2.lexed[def.file]);
+        if !in_paths(&file.rel_path, &cfg.persist_paths) {
             continue;
         }
         let Some((lo, hi)) = def.body else { continue };
-        let toks = &t2.lexed[def.file].toks;
-        let mask = &t2.masks[def.file];
+        let (toks, mask) = (&lexed.toks, &t2.masks[def.file]);
+        let call = |k: usize, name: &str| {
+            !mask[k]
+                && toks[k].ident() == Some(name)
+                && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
+        };
         for k in lo..hi {
-            if mask[k] || !is_file_create(toks, k) {
+            if call(k, "write") && path_pred(toks, k, "fs") {
+                out.push(finding(
+                    RULE,
+                    file,
+                    lexed,
+                    &toks[k],
+                    "`fs::write` on a persistence path replaces the file in place — a crash mid-write leaves a torn file; write a temp file and `rename` it (see `checkpoint::write_atomic`)".to_string(),
+                ));
+            }
+            if !(call(k, "create") && path_pred(toks, k, "File")) {
                 continue;
             }
-            // The rename that publishes this create, if any. No rename
-            // at all is tier 1's finding, not ours.
-            let Some(rk) = (k + 1..hi).find(|&j| {
-                !mask[j]
-                    && toks[j].ident() == Some("rename")
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct('('))
-            }) else {
+            let Some(rk) = (k + 1..hi).find(|&j| call(j, "rename")) else {
+                out.push(finding(
+                    RULE,
+                    file,
+                    lexed,
+                    &toks[k],
+                    "`File::create` on a persistence path with no following `rename` truncates the destination before the new bytes are safe — write a temp file and `rename` it (see `checkpoint::write_atomic`)".to_string(),
+                ));
                 continue;
             };
-            let span = (k, rk);
-            let direct = (span.0..span.1).any(|j| !mask[j] && is_sync_call(toks, j));
-            let via_call =
-                sites_in(&t2.graph[fidx], span).any(|s| s.resolved.iter().any(|&r| syncs[r]));
-            if direct || via_call {
-                continue;
+            // The span starts after `create`: name-based resolution can
+            // bind `File::create` to a workspace `create` that fsyncs.
+            let direct = (k + 1..rk).any(|j| !mask[j] && is_sync_call(toks, j));
+            let via_call = sites_in(&t2.graph[fidx], (k + 1, rk))
+                .any(|s| s.resolved.iter().any(|&r| syncs[r]));
+            if !(direct || via_call) {
+                out.push(finding(
+                    RULE,
+                    file,
+                    lexed,
+                    &toks[rk],
+                    format!(
+                        "`rename` publishes the file created at line {} with no fsync in between — a crash after the rename can expose contents that never reached disk; call `sync_all()` before renaming (see `checkpoint::write_atomic`)",
+                        toks[k].line
+                    ),
+                ));
             }
-            let rt = &toks[rk];
-            out.push(Finding {
-                rule: "persistence-ordering",
-                id: crate::rules::rule_id("persistence-ordering"),
-                file: file.rel_path.clone(),
-                line: rt.line,
-                col: rt.col,
-                message: format!(
-                    "`rename` publishes the file created at line {} with no fsync in between — a crash after the rename can expose contents that never reached disk; call `sync_all()` before renaming (see `checkpoint::write_atomic`)",
-                    toks[k].line
-                ),
-                snippet: t2.lexed[def.file]
-                    .lines
-                    .get(rt.line as usize - 1)
-                    .cloned()
-                    .unwrap_or_default(),
-            });
         }
     }
-}
-
-/// `File::create(` at token `k`?
-fn is_file_create(toks: &[Tok], k: usize) -> bool {
-    toks[k].ident() == Some("create")
-        && k >= 3
-        && toks[k - 1].is_punct(':')
-        && toks[k - 2].is_punct(':')
-        && toks[k - 3].ident() == Some("File")
-        && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
 }
 
 /// `.sync_all(` / `.sync_data(` at token `k`?

@@ -1,54 +1,75 @@
-//! Pass: `rng-stream-flow`.
+//! Pass: `rng-stream-labels`.
 //!
-//! Tier 1's `rng-stream-labels` rule checks `split("…")` literals (and
-//! `format!` skeletons) textually at the call site. This pass upgrades
-//! the check to *value flow*: the label argument is resolved through
-//! local bindings, `format!` placeholder substitution, fn parameters
-//! (back-propagated from every call site), and callee return literals —
-//! so `rng.split(op.label())` is judged by the strings `label()` can
-//! actually return, and a label constant built three calls away still
-//! has to obey the contract:
+//! Every RNG substream is named by the label passed to `SimRng::split`,
+//! and the label *is* the stream's identity: two sites sharing a label
+//! draw correlated values, and a fault schedule drawn from a simulation
+//! stream makes enabling faults perturb the fault-free dataset. This
+//! pass checks every `recv.split(arg)` call site outside
+//! `label_exempt_crates`. The label's values come from the literal or
+//! `format!` skeleton written at the site, plus whatever value flow
+//! resolves: local bindings, `format!` placeholder substitution, fn
+//! parameters (back-propagated from every call site) and callee return
+//! literals. So `rng.split(op.label())` is judged by the strings
+//! `label()` can actually return. Each site is held to:
 //!
-//! * **Scheme** — every resolvable value must match `area/rest`
-//!   (lowercase area, then `/`).
-//! * **Uniqueness** — a fully-resolved constant label must not collide
-//!   with any other split site, including tier-1 literal sites.
-//! * **Namespace confinement** — `campaign/faults/*` labels belong to
-//!   the disruption subsystem; a split on that namespace outside
-//!   `disrupt_paths` means fault streams are leaking into simulation
-//!   code (the reverse direction of tier-1 rule 7).
+//! * **Scheme** — `area/rest`, with a lowercase `[a-z0-9_-]+` area. A
+//!   literal or skeleton must spell its area out; a value that flow
+//!   resolved only partly keeps `{}` for the unknown part, and an
+//!   unknown area gets the benefit of the doubt.
+//! * **Uniqueness** — literals, skeletons and fully resolved constants
+//!   are unique across every site of the run.
+//! * **Namespace, both ways** — inside `disrupt_paths` every label lives
+//!   under `campaign/faults/`; outside them none does.
 //!
-//! Sites whose argument is a bare string literal are tier 1's job and
-//! are skipped here; sites that resolve to nothing (truly dynamic
-//! labels) are skipped too — partial resolution keeps `{}` markers and
-//! is still checked where the constant part suffices.
+//! Literal and skeleton labels are reported at the string token, labels
+//! known only through flow at the `split` token. Sites that resolve to
+//! nothing (truly dynamic labels) are skipped.
 
 use std::collections::BTreeMap;
 
 use crate::config::Config;
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
-use crate::rules::LabelRegistry;
+use crate::rules::finding;
 use crate::tier2::{in_paths, locals_in, return_ranges, Tier2};
+
+/// The rule this pass reports under.
+const RULE: &str = "rng-stream-labels";
+
+/// The disruption subsystem's reserved label namespace.
+const NAMESPACE: &str = "campaign/faults/";
 
 /// Resolution caps: recursion depth and value-set size.
 const MAX_DEPTH: usize = 4;
 const MAX_VALUES: usize = 12;
 
+/// One value a site's label can take.
+struct Label {
+    text: String,
+    /// Written at the site (a literal or `format!` skeleton) rather than
+    /// resolved through flow.
+    lexical: bool,
+    /// Token a finding about this value is reported at.
+    tok: usize,
+}
+
 /// Run the pass.
-pub fn run(t2: &Tier2, cfg: &Config, tier1: &LabelRegistry, out: &mut Vec<Finding>) {
+pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
     let r = Resolver {
         t2,
         callers: build_callers(t2),
     };
-    // Constant labels seen at tier-2 sites, for cross-site uniqueness.
-    let mut constants: BTreeMap<String, (usize, u32, u32)> = BTreeMap::new();
-    for fidx in 0..t2.sym.fns.len() {
-        let def = &t2.sym.fns[fidx];
-        let file = &t2.files[def.file];
-        if cfg.label_exempt_crates.contains(&file.crate_name) || t2.exempt(def.file, cfg) {
+    // Every split site with its label values, in (file, token) order so
+    // the first use of a label is the earliest in the tree.
+    let mut sites: Vec<(usize, usize, Vec<Label>)> = Vec::new();
+    for (fidx, def) in t2.sym.fns.iter().enumerate() {
+        if cfg
+            .label_exempt_crates
+            .contains(&t2.files[def.file].crate_name)
+        {
             continue;
         }
+        let toks = &t2.lexed[def.file].toks;
         for site in &t2.graph[fidx] {
             if !(site.callee == "split" && site.is_method) || t2.masks[def.file][site.name_tok] {
                 continue;
@@ -56,87 +77,131 @@ pub fn run(t2: &Tier2, cfg: &Config, tier1: &LabelRegistry, out: &mut Vec<Findin
             let Some(&arg) = site.args.first() else {
                 continue;
             };
-            // A bare literal is tier 1's site.
-            let trimmed = r.trim(def.file, arg);
-            if trimmed.1 - trimmed.0 == 1 && t2.lexed[def.file].toks[trimmed.0].kind == TokKind::Str
-            {
-                continue;
-            }
-            let values = r.resolve(fidx, arg, 0);
-            if values.is_empty() {
-                continue;
-            }
-            let tok = &t2.lexed[def.file].toks[site.name_tok];
-            let mut emit = |message: String| {
-                out.push(Finding {
-                    rule: "rng-stream-flow",
-                    id: crate::rules::rule_id("rng-stream-flow"),
-                    file: file.rel_path.clone(),
-                    line: tok.line,
-                    col: tok.col,
-                    message,
-                    snippet: t2.lexed[def.file]
-                        .lines
-                        .get(tok.line as usize - 1)
-                        .cloned()
-                        .unwrap_or_default(),
-                });
+            let (lo, hi) = r.trim(def.file, arg);
+            let mut labels = Vec::new();
+            let lexical = if hi == lo + 1 && toks[lo].kind == TokKind::Str {
+                Some(lo)
+            } else {
+                (lo < hi && is_format(toks, lo)).then_some(lo + 3)
             };
-            let bad: Vec<&String> = values.iter().filter(|v| violates_scheme(v)).collect();
-            if !bad.is_empty() {
-                let list = bad
-                    .iter()
-                    .map(|v| format!("\"{v}\""))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                emit(format!(
-                    "RNG stream label resolves (through value flow) to {list} — labels must follow the `area/rest` scheme (lowercase area prefix, then `/`)"
-                ));
+            if let Some(k) = lexical {
+                labels.push(Label {
+                    text: toks[k].text.clone(),
+                    lexical: true,
+                    tok: k,
+                });
             }
-            if !in_paths(&file.rel_path, &cfg.disrupt_paths) {
-                if let Some(v) = values.iter().find(|v| v.starts_with("campaign/faults/")) {
-                    emit(format!(
-                        "RNG stream label resolves to \"{v}\": the `campaign/faults/` namespace is reserved for the disruption subsystem ({}) — fault streams must not leak into simulation code",
-                        cfg.disrupt_paths.join(", ")
-                    ));
+            for text in r.resolve(fidx, arg, 0) {
+                if !labels.iter().any(|l| l.text == text) {
+                    labels.push(Label {
+                        text,
+                        lexical: false,
+                        tok: site.name_tok,
+                    });
                 }
             }
-            for v in values.iter().filter(|v| !v.contains('{')) {
-                if let Some(first) = tier1.labels().get(v).and_then(|s| s.first()) {
-                    emit(format!(
-                        "RNG stream label resolves to \"{v}\", which collides with the literal label at {}:{}:{} — reusing a label risks correlated streams",
-                        first.file, first.line, first.col
-                    ));
-                } else if let Some(&(f, l, c)) = constants.get(v) {
-                    if (f, l, c) != (def.file, tok.line, tok.col) {
-                        emit(format!(
-                            "RNG stream label resolves to \"{v}\", which collides with the resolved label at {}:{l}:{c} — reusing a label risks correlated streams",
-                            t2.files[f].rel_path
-                        ));
-                    }
-                } else {
-                    constants.insert(v.clone(), (def.file, tok.line, tok.col));
+            if !labels.is_empty() {
+                sites.push((def.file, site.name_tok, labels));
+            }
+        }
+    }
+    sites.sort_by_key(|&(file, tok, _)| (file, tok));
+
+    let mut first: BTreeMap<&str, (usize, u32, u32)> = BTreeMap::new();
+    for (file, _, labels) in &sites {
+        let (src, lexed) = (&t2.files[*file], &t2.lexed[*file]);
+        let mut emit = |l: &Label, message: String| {
+            out.push(finding(RULE, src, lexed, &lexed.toks[l.tok], message))
+        };
+        let off: Vec<&Label> = labels.iter().filter(|l| off_scheme(l)).collect();
+        if let Some(l) = off.first() {
+            let list = off
+                .iter()
+                .map(|l| format!("\"{}\"", l.text))
+                .collect::<Vec<_>>()
+                .join(", ");
+            let how = if l.lexical {
+                ""
+            } else {
+                " (resolved through value flow)"
+            };
+            emit(
+                l,
+                format!(
+                    "RNG stream label {list}{how} does not follow the `area/rest` scheme (lowercase area prefix, then `/`)"
+                ),
+            );
+        }
+        let in_disrupt = in_paths(&src.rel_path, &cfg.disrupt_paths);
+        if let Some(l) = labels.iter().find(|l| fenced_wrong(l, in_disrupt)) {
+            let message = if in_disrupt {
+                format!(
+                    "RNG stream label \"{}\" in the disrupt module is outside the `{NAMESPACE}` namespace — fault schedules must never draw from simulation streams",
+                    l.text
+                )
+            } else {
+                format!(
+                    "RNG stream label \"{}\": the `{NAMESPACE}` namespace is reserved for the disruption subsystem ({}) — fault streams must not leak into simulation code",
+                    l.text,
+                    cfg.disrupt_paths.join(", ")
+                )
+            };
+            emit(l, message);
+        }
+        for l in labels.iter().filter(|l| l.lexical || !l.text.contains('{')) {
+            let tok = &lexed.toks[l.tok];
+            match first.get(l.text.as_str()) {
+                Some(&(f, line, col)) => emit(
+                    l,
+                    format!(
+                        "duplicate RNG stream label \"{}\" (first used at {}:{line}:{col}) — reusing a label risks correlated streams",
+                        l.text, t2.files[f].rel_path
+                    ),
+                ),
+                None => {
+                    first.insert(&l.text, (*file, tok.line, tok.col));
                 }
             }
         }
     }
 }
 
-/// Does a resolved value (possibly with `{}` placeholders for parts we
-/// could not resolve) provably violate the `area/rest` scheme?
-fn violates_scheme(v: &str) -> bool {
-    match v.split_once('/') {
-        None => !v.contains('{'),
+/// Is `toks[lo..]` a `format!("skeleton", …)` call?
+fn is_format(toks: &[Tok], lo: usize) -> bool {
+    toks[lo].ident() == Some("format")
+        && toks.get(lo + 1).is_some_and(|t| t.is_punct('!'))
+        && toks.get(lo + 2).is_some_and(|t| t.is_punct('('))
+        && toks.get(lo + 3).is_some_and(|t| t.kind == TokKind::Str)
+}
+
+/// Does the label break the `area/rest` scheme? A `{` in a resolved
+/// value marks a part flow could not resolve, which may be fine.
+fn off_scheme(l: &Label) -> bool {
+    let unknown = |s: &str| !l.lexical && s.contains('{');
+    match l.text.split_once('/') {
+        None => !unknown(&l.text),
         Some((area, rest)) => {
-            if area.contains('{') {
-                return false;
-            }
-            area.is_empty()
-                || rest.is_empty()
-                || !area
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
+            !unknown(area)
+                && (area.is_empty()
+                    || rest.is_empty()
+                    || !area.chars().all(|c| {
+                        c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-'
+                    }))
         }
+    }
+}
+
+/// Is the label on the wrong side of the `campaign/faults/` fence?
+/// Inside the disrupt module, a resolved value whose known prefix could
+/// still grow into the namespace gets the benefit of the doubt.
+fn fenced_wrong(l: &Label, in_disrupt: bool) -> bool {
+    let inside = l.text.starts_with(NAMESPACE);
+    if !in_disrupt {
+        return inside;
+    }
+    match l.text.find('{') {
+        Some(i) if !l.lexical => !(inside || NAMESPACE.starts_with(&l.text[..i])),
+        _ => !inside,
     }
 }
 
@@ -206,11 +271,7 @@ impl<'a> Resolver<'a> {
             return vec![toks[lo].text.clone()];
         }
         // `format!("skeleton", args…)`.
-        if toks[lo].ident() == Some("format")
-            && toks.get(lo + 1).is_some_and(|t| t.is_punct('!'))
-            && toks.get(lo + 2).is_some_and(|t| t.is_punct('('))
-            && toks.get(lo + 3).is_some_and(|t| t.kind == TokKind::Str)
-        {
+        if is_format(toks, lo) {
             let skeleton = toks[lo + 3].text.clone();
             let args = split_top(toks, lo + 4, hi - 1);
             let mut values = vec![String::new()];
@@ -341,7 +402,7 @@ impl<'a> Resolver<'a> {
 }
 
 /// Split `[lo, hi)` at top-level commas.
-fn split_top(toks: &[crate::lexer::Tok], lo: usize, hi: usize) -> Vec<(usize, usize)> {
+fn split_top(toks: &[Tok], lo: usize, hi: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut start = lo;
@@ -361,4 +422,41 @@ fn split_top(toks: &[crate::lexer::Tok], lo: usize, hi: usize) -> Vec<(usize, us
         out.push((start, hi));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn label(text: &str, lexical: bool) -> Label {
+        Label {
+            text: text.to_string(),
+            lexical,
+            tok: 0,
+        }
+    }
+
+    #[test]
+    fn label_scheme() {
+        for ok in ["geo/speed", "campaign/{}/{}", "probe/rtt/{id}"] {
+            assert!(!off_scheme(&label(ok, true)), "{ok}");
+        }
+        for bad in ["trace", "city{i}", "/x", "area/", "Area/x", "{}/x"] {
+            assert!(off_scheme(&label(bad, true)), "{bad}");
+        }
+        // A resolved value's `{}` is an unknown part, not a violation.
+        assert!(!off_scheme(&label("{}/x", false)));
+        assert!(!off_scheme(&label("{}", false)));
+        assert!(off_scheme(&label("Verizon", false)));
+    }
+
+    #[test]
+    fn namespace_fence_cuts_both_ways() {
+        assert!(fenced_wrong(&label("campaign/faults/vz", true), false));
+        assert!(!fenced_wrong(&label("campaign/faults/vz", true), true));
+        assert!(fenced_wrong(&label("campaign/ran", true), true));
+        assert!(fenced_wrong(&label("campaign/{}", true), true));
+        assert!(!fenced_wrong(&label("campaign/{}", false), true));
+        assert!(fenced_wrong(&label("probe/{}", false), true));
+    }
 }

@@ -1,6 +1,6 @@
 //! Create → write → rename with no fsync in between: the rename can
-//! publish a file whose bytes never reached the disk. Tier 1 is silent
-//! here (a rename *is* present) — this is the ordering pass's half.
+//! publish a file whose bytes never reached the disk, even though the
+//! created file is renamed into place as the idiom asks.
 
 use std::fs::{self, File};
 use std::io::Write;

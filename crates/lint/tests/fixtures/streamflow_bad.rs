@@ -1,6 +1,6 @@
 //! The label reaches `split` through a local bound to a callee's return
-//! literal — invisible to tier 1, resolved by the stream-flow pass, and
-//! off the `area/rest` scheme.
+//! literal — invisible at the call site, resolved through value flow,
+//! and off the `area/rest` scheme.
 
 pub fn shuffle(rng: &mut SimRng) {
     let label = stream_name();

@@ -1,5 +1,5 @@
-//! Clean counterpart: the flowed label is on-scheme and unique, and the
-//! bare-literal site stays tier 1's business (skipped here).
+//! Clean counterpart: the flowed label is on-scheme and unique, and so
+//! is the bare literal at the second site.
 
 pub fn shuffle(rng: &mut SimRng) {
     let label = stream_name();

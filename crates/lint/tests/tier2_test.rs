@@ -1,10 +1,9 @@
 //! Tier-2 fixture tests: each dataflow pass must fire on its `_bad.rs`
 //! fixture with the exact `file:line:col` positions and stay silent on
-//! the clean `_ok.rs` counterpart, the `--tier1-only` switch must mute
-//! all of tier 2, and the strict-allows audit must flag exactly the
-//! directives that suppress nothing.
+//! the clean `_ok.rs` counterpart, and the stale-allow audit must flag
+//! exactly the directives that suppress nothing.
 
-use wheels_lint::{lint_sources, lint_sources_opts, Config, Options, SourceFile};
+use wheels_lint::{lint_sources, Config, SourceFile};
 
 /// Build the virtual workspace entry for one fixture.
 fn fixture(name: &str, crate_name: &str, src: &str) -> SourceFile {
@@ -62,7 +61,7 @@ fn rng_stream_flow_fires_with_positions() {
         "ran",
         include_str!("fixtures/streamflow_bad.rs"),
     );
-    assert_eq!(lint_all(vec![bad]), vec![("rng-stream-flow", 7, 9)]);
+    assert_eq!(lint_all(vec![bad]), vec![("rng-stream-labels", 7, 9)]);
 }
 
 #[test]
@@ -84,7 +83,27 @@ fn persistence_ordering_fires_with_positions() {
         "core",
         include_str!("fixtures/checkpoint_flow_bad.rs"),
     );
-    assert_eq!(lint_all(vec![bad]), vec![("persistence-ordering", 12, 9)]);
+    assert_eq!(lint_all(vec![bad]), vec![("atomic-persistence", 12, 9)]);
+}
+
+#[test]
+fn persistence_ordering_create_is_not_its_own_fsync() {
+    // Name-based resolution binds `File::create` to every workspace fn
+    // called `create`; one that fsyncs must not discharge the obligation.
+    let journal = fixture(
+        "journal",
+        "core",
+        "pub struct Journal;\nimpl Journal {\n    pub fn create(f: &File) -> std::io::Result<()> {\n        f.sync_all()\n    }\n}\n",
+    );
+    let bad = fixture(
+        "checkpoint_flow_bad",
+        "core",
+        include_str!("fixtures/checkpoint_flow_bad.rs"),
+    );
+    assert_eq!(
+        lint_all(vec![journal, bad]),
+        vec![("atomic-persistence", 12, 9)]
+    );
 }
 
 #[test]
@@ -124,39 +143,10 @@ fn unordered_float_reduction_silent_on_clean_counterpart() {
 }
 
 #[test]
-fn tier1_only_mutes_every_tier2_pass() {
-    let files = vec![
-        records_file(),
-        fixture("taint_bad", "core", include_str!("fixtures/taint_bad.rs")),
-        fixture(
-            "streamflow_bad",
-            "ran",
-            include_str!("fixtures/streamflow_bad.rs"),
-        ),
-        fixture(
-            "checkpoint_flow_bad",
-            "core",
-            include_str!("fixtures/checkpoint_flow_bad.rs"),
-        ),
-        fixture(
-            "analysis/floatfold_bad",
-            "core",
-            include_str!("fixtures/floatfold_bad.rs"),
-        ),
-    ];
-    let opts = Options {
-        tier2: false,
-        ..Options::default()
-    };
-    let report = lint_sources_opts(&files, &Config::default(), opts);
-    assert_eq!(report.findings.len(), 0, "{:?}", report.findings);
-}
-
-#[test]
 fn tier2_findings_honour_allow_directives() {
     let src = include_str!("fixtures/streamflow_bad.rs").replace(
         "    rng.split(&label);",
-        "    // lint: allow(rng-stream-flow, pinned legacy label)\n    rng.split(&label);",
+        "    // lint: allow(rng-stream-labels, pinned legacy label)\n    rng.split(&label);",
     );
     let bad = fixture("streamflow_bad", "ran", &src);
     assert_eq!(lint_all(vec![bad]), vec![]);
@@ -167,11 +157,7 @@ fn strict_allows_flags_stale_directive() {
     let src =
         "pub fn f() -> u32 {\n    1\n}\n// lint: allow(unwrap-in-lib, nothing left to suppress)\n";
     let f = fixture("stale", "geo", src);
-    let opts = Options {
-        strict_allows: true,
-        ..Options::default()
-    };
-    let report = lint_sources_opts(&[f], &Config::default(), opts);
+    let report = lint_sources(&[f], &Config::default());
     let got: Vec<_> = report
         .findings
         .iter()
@@ -184,11 +170,7 @@ fn strict_allows_flags_stale_directive() {
 fn strict_allows_flags_unknown_rule_name() {
     let src = "pub fn f() -> u32 {\n    // lint: allow(no-such-rule, typo)\n    1\n}\n";
     let f = fixture("typo", "geo", src);
-    let opts = Options {
-        strict_allows: true,
-        ..Options::default()
-    };
-    let report = lint_sources_opts(&[f], &Config::default(), opts);
+    let report = lint_sources(&[f], &Config::default());
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].rule, "stale-allow");
     assert!(report.findings[0].message.contains("no-such-rule"));
@@ -198,10 +180,6 @@ fn strict_allows_flags_unknown_rule_name() {
 fn strict_allows_accepts_used_directive() {
     let src = "pub fn f(xs: &[u32]) -> u32 {\n    // lint: allow(unwrap-in-lib, slice is non-empty by construction)\n    *xs.first().unwrap()\n}\n";
     let f = fixture("used", "geo", src);
-    let opts = Options {
-        strict_allows: true,
-        ..Options::default()
-    };
-    let report = lint_sources_opts(&[f], &Config::default(), opts);
+    let report = lint_sources(&[f], &Config::default());
     assert_eq!(report.findings.len(), 0, "{:?}", report.findings);
 }

@@ -20,7 +20,7 @@
 //!   in-flight requests, the ingest thread exits after its current
 //!   poll, and the final metrics snapshot is returned to the caller.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,6 +102,12 @@ struct Shared {
     next_conn: AtomicU64,
     opts: ServeOptions,
 }
+
+/// Longest request line a client may send, newline included. A longer
+/// line gets one error line and the connection is closed: the read
+/// timeout only catches an idle client, and one that keeps sending
+/// bytes with no newline would otherwise grow the line buffer forever.
+const MAX_REQUEST_BYTES: u64 = 64 * 1024;
 
 const UNATTACHED: u64 = u64::MAX;
 const NO_DEADLINE: u64 = u64::MAX;
@@ -367,8 +373,24 @@ fn serve_conn(shared: &Shared, sock: TcpStream) {
             return;
         }
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader)
+            .take(MAX_REQUEST_BYTES + 1)
+            .read_line(&mut line)
+        {
             Ok(0) => return,
+            Ok(n) if n as u64 > MAX_REQUEST_BYTES => {
+                shared.metrics.errors.inc();
+                let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+                let resp = protocol::error_line(&msg) + "\n";
+                // FIN right behind the reply: closing with unread input
+                // resets the connection, and the client should see the
+                // error and a clean EOF before that reset lands.
+                let _ = writer
+                    .write_all(resp.as_bytes())
+                    .and_then(|()| writer.flush())
+                    .and_then(|()| writer.shutdown(Shutdown::Write));
+                return;
+            }
             Ok(_) => {
                 let t0 = Instant::now();
                 let trimmed = line.trim();
