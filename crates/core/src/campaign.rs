@@ -476,7 +476,7 @@ impl Campaign {
     /// Simulate every shard in the plan sequentially and hand back the
     /// raw per-shard records in plan order — the feed for the
     /// incremental `DatasetView::ingest_shard` pipeline and its
-    /// bench/property harnesses, which deliberately need the whole plan
+    /// property tests, which deliberately need the whole plan
     /// materialized to shuffle and replay it.
     pub fn shard_records(&self, cfg: &CampaignConfig) -> Vec<ShardRecords> {
         self.plan(cfg)

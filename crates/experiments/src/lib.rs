@@ -2,9 +2,10 @@
 //!
 //! One module per table and figure of the paper's evaluation, each
 //! regenerating its rows/series from a simulated campaign dataset. The
-//! `repro` binary prints any (or all) of them; the `wheels-bench` crate
-//! wraps them in Criterion benches; EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! `repro` binary prints any (or all) of them; EXPERIMENTS.md records the
+//! paper-vs-measured comparison. [`ablations`] switches the mechanisms
+//! behind the headline shapes off one at a time; it needs no world and
+//! stays out of the registry.
 //!
 //! Experiments are registered in [`registry`]; each takes a shared
 //! [`world::World`] (campaign + dataset, built once per scale) and returns
@@ -13,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod cli;
 pub mod fmt;
 pub mod targets;

@@ -49,7 +49,7 @@ use std::path::PathBuf;
 /// Locate the `wheels-stress` executable for child spawns when the
 /// caller did not pass `--child-exe`: the current executable if it *is*
 /// the harness binary, else a sibling in the same target profile
-/// directory (covers tests and benches, which run from `deps/`).
+/// directory (covers test binaries, which run from `deps/`).
 pub fn default_child_exe() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let name = format!("wheels-stress{}", std::env::consts::EXE_SUFFIX);

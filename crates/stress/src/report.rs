@@ -8,7 +8,6 @@
 //! (shards completed/replayed, audit-ledger totals).
 
 use serde::Value;
-use wheels_metrics::Snapshot;
 
 use crate::load::LoadReport;
 
@@ -221,14 +220,4 @@ impl Report {
         }
         out
     }
-}
-
-/// Latency snapshot accessor used by the bench harness.
-pub fn latency_summary(s: &Snapshot) -> (u64, u64, u64, u64) {
-    (
-        s.count,
-        s.quantile_bound(0.50),
-        s.quantile_bound(0.90),
-        s.quantile_bound(0.99),
-    )
 }

@@ -37,6 +37,12 @@ fn roundtrip(cfg: &CampaignConfig) {
     // JSON stays the interchange format: the loaded copy serializes to
     // the exact bytes the row tables produce.
     let json_rows = serde_json::to_string(view.dataset()).expect("rows serialize");
+    assert!(
+        json_rows.len() > 4 * bytes.len(),
+        "WCD1 is no longer ~4× smaller than JSON: {} vs {} bytes",
+        bytes.len(),
+        json_rows.len()
+    );
     let json_loaded = serde_json::to_string(&loaded).expect("loaded dataset serializes");
     assert_eq!(
         json_loaded, json_rows,

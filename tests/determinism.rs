@@ -132,6 +132,18 @@ fn repro_report_identical_across_thread_counts() {
     assert!(one.contains("Findings digest"), "report looks truncated");
     assert_eq!(one, two, "report bytes differ between threads=1 and 2");
     assert_eq!(one, eight, "report bytes differ between threads=1 and 8");
+    // The exact bytes `repro --quick` prints (sha256 442c31f7…).
+    assert_eq!(
+        fnv1a64(one.as_bytes()),
+        0xd3c7_8b41_d2e3_3180,
+        "the Quick report drifted"
+    );
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
