@@ -8,16 +8,25 @@
 //! the frame's FNV check. Each call must return `Ok` or `Err` without
 //! panicking, and its largest allocation must stay within a small
 //! multiple of the input length; a counting allocator measures that.
+//!
+//! The frame scan in front of them (`checkpoint::scan_frame`, private)
+//! is fuzzed through `frame_ends` and `tail_from` on whole journal
+//! files: a valid WCJ2 header followed by arbitrary bytes, every
+//! truncation of a real journal, and bit flips in each frame's length
+//! and checksum words. Each call stops cleanly or returns `Err`, under
+//! the same allocation bound, even when a length points past the end.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use wheels_apps::arcav::OffloadStats;
 use wheels_apps::gaming::GamingStats;
 use wheels_apps::video::{ChunkRecord, VideoStats};
-use wheels_core::checkpoint::{decode_shard_frame, encode_shard_frame, tail, Fingerprint, Journal};
+use wheels_core::checkpoint::{
+    decode_shard_frame, encode_shard_frame, frame_ends, tail, tail_from, Fingerprint, Journal,
+};
 use wheels_core::column::{wcd, ColumnarDataset};
 use wheels_core::disrupt::{FaultConfig, FaultKind};
 use wheels_core::records::{
@@ -450,6 +459,154 @@ fn every_truncation_and_every_column_bit_flip_is_an_error() {
             );
             flipped[byte] ^= 1 << bit;
         }
+    }
+}
+
+/// What the two public frame scans made of one journal file.
+#[derive(Debug, PartialEq)]
+struct ScanOutcome {
+    /// `frame_ends`, or `None` if it returned `Err`.
+    ends: Option<Vec<u64>>,
+    /// Frames a fresh `tail_from` delivered, or `None` if it returned
+    /// `Err`.
+    delivered: Option<usize>,
+}
+
+/// Write `bytes` as the journal in `dir`, then scan it with
+/// `frame_ends`, a fresh `tail_from`, and a `tail_from` resumed at
+/// `resume_at`. Fails the test if any call panics or its largest
+/// allocation exceeds what the file length can justify (the same bound
+/// as [`decode_bounded`], since the tails decode what they find).
+fn scan_bounded(dir: &Path, fp: &Fingerprint, bytes: &[u8], resume_at: u64) -> ScanOutcome {
+    std::fs::write(Journal::file_path(dir), bytes).expect("write journal");
+    let limit = 8 * bytes.len() + 4096;
+    let bounded = |what: &str, call: &mut dyn FnMut()| {
+        LARGEST.with(|l| l.set(0));
+        call();
+        let peak = LARGEST.with(Cell::get);
+        assert!(
+            peak <= limit,
+            "{what} on a {}-byte journal allocated {peak} bytes at once",
+            bytes.len()
+        );
+    };
+    let mut ends = None;
+    bounded("frame_ends", &mut || ends = frame_ends(dir).ok());
+    let mut delivered = None;
+    bounded("tail_from", &mut || {
+        delivered = tail_from(dir, fp, None, |_, _| Ok(()))
+            .ok()
+            .map(|s| s.delivered);
+    });
+    bounded("resumed tail_from", &mut || {
+        let _ = tail_from(dir, fp, Some(resume_at), |_, _| Ok(()));
+    });
+    ScanOutcome { ends, delivered }
+}
+
+/// A frame around `payload` with a correct length and FNV-1a-64
+/// checksum, so arbitrary bytes get past the scan into the decoder.
+fn seal(payload: &[u8]) -> Vec<u8> {
+    let sum = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let len = u32::try_from(payload.len()).expect("small payload");
+    let mut frame = len.to_le_bytes().to_vec();
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// A real journal (magic, identity header, two shard frames) and the
+/// offset where each of its three frames starts.
+fn real_journal(dir: &Path, fp: &Fingerprint) -> (Vec<u8>, [usize; 3]) {
+    let mut journal = Journal::create(dir, fp).expect("create journal");
+    let header_end = std::fs::metadata(Journal::file_path(dir))
+        .expect("journal exists")
+        .len();
+    let mut starts = [4, usize::try_from(header_end).expect("fits"), 0];
+    for (job, rec) in cases().iter().take(2).enumerate() {
+        let span = journal.append(job, rec).expect("append");
+        if job == 0 {
+            starts[2] = usize::try_from(span.end).expect("fits");
+        }
+    }
+    let bytes = std::fs::read(Journal::file_path(dir)).expect("read journal");
+    (bytes, starts)
+}
+
+#[test]
+fn every_journal_truncation_stops_at_the_last_whole_frame() {
+    let dir = tmpdir("scan_truncation");
+    let fp = fingerprint();
+    let (bytes, starts) = real_journal(&dir, &fp);
+    let ends = [starts[1], starts[2], bytes.len()].map(|e| u64::try_from(e).expect("fits"));
+    for cut in 0..=bytes.len() {
+        let whole = ends
+            .iter()
+            .take_while(|&&e| e <= u64::try_from(cut).expect("fits"))
+            .count();
+        let got = scan_bounded(&dir, &fp, &bytes[..cut], ends[0]);
+        let want = ScanOutcome {
+            // Too short for the magic: not a journal at all.
+            ends: (cut >= 4).then(|| ends[..whole].to_vec()),
+            // A torn identity header cannot be verified.
+            delivered: (whole >= 1).then(|| whole - 1),
+        };
+        assert_eq!(got, want, "journal cut at byte {cut}");
+    }
+}
+
+#[test]
+fn envelope_bit_flips_stop_the_scan_at_the_flipped_frame() {
+    let dir = tmpdir("scan_flips");
+    let fp = fingerprint();
+    let (bytes, starts) = real_journal(&dir, &fp);
+    let ends = [starts[1], starts[2], bytes.len()].map(|e| u64::try_from(e).expect("fits"));
+    let mut flipped = bytes.clone();
+    for (frame, start) in starts.into_iter().enumerate() {
+        // The 4-byte length word and the 8-byte checksum word.
+        for byte in start..start + ENVELOPE {
+            for bit in 0..8 {
+                flipped[byte] ^= 1 << bit;
+                let got = scan_bounded(&dir, &fp, &flipped, ends[0]);
+                let want = ScanOutcome {
+                    ends: Some(ends[..frame].to_vec()),
+                    delivered: (frame >= 1).then(|| frame - 1),
+                };
+                assert_eq!(got, want, "frame {frame}: bit {bit} of byte {byte} flipped");
+                flipped[byte] ^= 1 << bit;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A valid WCJ2 header followed by arbitrary bytes, bare or sealed
+    /// into a checksummed frame, scans without panicking and within the
+    /// allocation bound, and a tail resumed at any offset does too.
+    #[test]
+    fn arbitrary_journal_tails_scan_cleanly(
+        tail_bytes in prop::collection::vec(any::<u8>(), 0..400),
+        sealed in any::<bool>(),
+        resume_at in 0u64..1_000,
+    ) {
+        let dir = tmpdir("scan_arbitrary");
+        let fp = fingerprint();
+        drop(Journal::create(&dir, &fp).expect("create journal"));
+        let mut bytes = std::fs::read(Journal::file_path(&dir)).expect("read journal");
+        let header_end = u64::try_from(bytes.len()).expect("fits");
+        if sealed {
+            bytes.extend_from_slice(&seal(&tail_bytes));
+        } else {
+            bytes.extend_from_slice(&tail_bytes);
+        }
+        let got = scan_bounded(&dir, &fp, &bytes, resume_at);
+        // The header is intact, so neither scan can fail before it.
+        let ends = got.ends.expect("frame_ends reads a journal with a valid header");
+        prop_assert_eq!(ends.first().copied(), Some(header_end));
     }
 }
 

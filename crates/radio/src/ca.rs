@@ -10,7 +10,9 @@
 use serde::{Deserialize, Serialize};
 use wheels_sim_core::units::{DataRate, Db};
 
-use crate::mcs::{bler, goodput_mcs, harq_goodput_factor, mcs_from_sinr, spectral_efficiency};
+use crate::mcs::{
+    bler, goodput_mcs, harq_goodput_factor, mcs_from_sinr, spectral_efficiency_table,
+};
 use crate::tech::{Direction, Technology};
 
 /// One block of identical component carriers in an allocation.
@@ -20,6 +22,14 @@ pub struct CarrierComponent {
     pub tech: Technology,
     /// Number of carriers of this technology.
     pub count: u8,
+}
+
+impl CarrierComponent {
+    /// The carrier count, clamped to the device's limit for the
+    /// technology in `dir`.
+    fn device_count(self, dir: Direction) -> u8 {
+        self.count.min(self.tech.max_ccs(dir))
+    }
 }
 
 /// The set of carriers currently serving one UE in one direction.
@@ -48,13 +58,9 @@ impl CarrierAllocation {
 
     /// Clamp carrier counts to the device's per-technology limits.
     pub fn clamped_to_device(mut self, dir: Direction) -> Self {
-        self.primary.count = self
-            .primary
-            .count
-            .min(self.primary.tech.max_ccs(dir))
-            .max(1);
+        self.primary.count = self.primary.device_count(dir).max(1);
         for c in &mut self.secondaries {
-            c.count = c.count.min(c.tech.max_ccs(dir));
+            c.count = c.device_count(dir);
         }
         self.secondaries.retain(|c| c.count > 0);
         self
@@ -131,7 +137,7 @@ fn component_rate(tech: Technology, count: u8, first_sinr: Db, dir: Direction) -
         // Transmit with the goodput-optimal index; the XCAL-reported KPI
         // (primary_mcs below) keeps the raw SINR-indicated index.
         let m = goodput_mcs(sinr);
-        let se = spectral_efficiency(m);
+        let se = spectral_efficiency_table()[usize::from(m.0)];
         let goodput = harq_goodput_factor(bler(sinr, m));
         total += bw_hz * se * effective_layers(sinr, max_layers) * goodput * OVERHEAD;
     }
@@ -150,28 +156,34 @@ pub fn aggregate(
     primary_sinr: Db,
     load_factor: f64,
 ) -> AggregateLink {
-    let alloc = alloc.clone().clamped_to_device(dir);
+    // The device clamp of `CarrierAllocation::clamped_to_device`, applied
+    // per component as it is read instead of on a clone.
+    let primary_count = alloc.primary.device_count(dir).max(1);
+    let secondaries = alloc
+        .secondaries
+        .iter()
+        .map(|c| (c.tech, c.device_count(dir)))
+        .filter(|&(_, count)| count > 0);
     let load = load_factor.clamp(0.0, 1.0);
 
-    let mut rate = component_rate(alloc.primary.tech, alloc.primary.count, primary_sinr, dir);
-    let mut block_start = primary_sinr.0 - SECONDARY_SINR_STEP_DB * alloc.primary.count as f64;
-    for c in &alloc.secondaries {
-        rate = rate + component_rate(c.tech, c.count, Db(block_start), dir);
-        block_start -= SECONDARY_SINR_STEP_DB * c.count as f64;
-    }
-
+    let mut rate = component_rate(alloc.primary.tech, primary_count, primary_sinr, dir);
+    let mut block_start = primary_sinr.0 - SECONDARY_SINR_STEP_DB * primary_count as f64;
     // Device cap follows the fastest technology present.
-    let cap = core::iter::once(alloc.primary.tech)
-        .chain(alloc.secondaries.iter().map(|c| c.tech))
-        .map(|t| device_peak(t, dir))
-        .fold(DataRate::ZERO, DataRate::max);
+    let mut cap = device_peak(alloc.primary.tech, dir);
+    let mut carriers = primary_count;
+    for (tech, count) in secondaries {
+        rate = rate + component_rate(tech, count, Db(block_start), dir);
+        block_start -= SECONDARY_SINR_STEP_DB * count as f64;
+        cap = cap.max(device_peak(tech, dir));
+        carriers += count;
+    }
 
     let m = mcs_from_sinr(primary_sinr);
     AggregateLink {
         rate: (rate * load).min(cap),
         primary_mcs: m.0,
         primary_bler: bler(primary_sinr, m),
-        carriers: alloc.total_carriers(),
+        carriers,
     }
 }
 

@@ -18,6 +18,8 @@
 //! two is what breaks the RSRP↔throughput correlation for wide-beam
 //! operators (Table 2).
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 use wheels_sim_core::process::{Ar1, GaussMarkov, TwoStateMarkov};
 use wheels_sim_core::rng::SimRng;
@@ -48,6 +50,12 @@ pub struct LinkChannel {
     shadowing: GaussMarkov,
     fading: Ar1,
     blockage: Option<TwoStateMarkov>,
+    /// `budget.noise_floor()`, fixed for the link's lifetime.
+    noise_floor: Dbm,
+    /// The last `budget.mean_rx_power` result, keyed by the distance's
+    /// bits: a drive trace moves the car once per second while the link
+    /// is polled many times, so most calls repeat the previous distance.
+    mean_rx: Cell<Option<(u64, Dbm)>>,
 }
 
 impl LinkChannel {
@@ -66,12 +74,15 @@ impl LinkChannel {
         };
         let blockage = (tech == Technology::Nr5gMmWave)
             .then(|| TwoStateMarkov::new_stationary(6_000.0, 1_500.0, rng));
+        let budget = LinkBudget::for_tech(tech);
         LinkChannel {
-            budget: LinkBudget::for_tech(tech),
+            budget,
             beam,
             shadowing: GaussMarkov::new_stationary(0.0, shadow_sigma, shadow_corr_m, rng),
             fading: Ar1::new(0.70, 2.5),
             blockage,
+            noise_floor: budget.noise_floor(),
+            mean_rx: Cell::new(None),
         }
     }
 
@@ -121,12 +132,11 @@ impl LinkChannel {
         }
 
         let rx = self
-            .budget
             .mean_rx_power(distance)
             .plus(shadow)
             .plus(fade)
             .minus(blockage_loss);
-        let snr = rx - self.budget.noise_floor();
+        let snr = rx - self.noise_floor;
         let re_norm = Db(self.budget.tech.rsrp_per_re_offset_db());
         // Measurement error: the modem's reported RSRP is a filtered
         // estimate, a couple of dB off the true channel at any instant —
@@ -144,10 +154,23 @@ impl LinkChannel {
     /// Mean (deterministic) reported RSRP at a distance — used for cell
     /// selection and A3 handover comparison without consuming randomness.
     pub fn mean_rsrp(&self, distance: Distance) -> Dbm {
-        self.budget
-            .mean_rx_power(distance)
+        self.mean_rx_power(distance)
             .plus(self.beam.rsrp_offset)
             .minus(Db(self.budget.tech.rsrp_per_re_offset_db()))
+    }
+
+    /// `budget.mean_rx_power(distance)`, recomputed only when the distance
+    /// differs from the previous call's.
+    fn mean_rx_power(&self, distance: Distance) -> Dbm {
+        let key = distance.as_m().to_bits();
+        match self.mean_rx.get() {
+            Some((k, rx)) if k == key => rx,
+            _ => {
+                let rx = self.budget.mean_rx_power(distance);
+                self.mean_rx.set(Some((key, rx)));
+                rx
+            }
+        }
     }
 }
 

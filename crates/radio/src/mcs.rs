@@ -42,6 +42,13 @@ pub fn spectral_efficiency(mcs: McsIndex) -> f64 {
     (0.75 * (1.0 + sinr_lin).log2()).min(5.55)
 }
 
+/// [`spectral_efficiency`] of every index 0–28, computed once by that
+/// function, so a lookup is bit-equal to the call it replaces.
+pub fn spectral_efficiency_table() -> &'static [f64; 29] {
+    static TABLE: std::sync::OnceLock<[f64; 29]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| core::array::from_fn(|i| spectral_efficiency(McsIndex(i as u8))))
+}
+
 /// Initial-transmission block error rate at `sinr` for a given `mcs`.
 ///
 /// Logistic in the dB error around the operating point: exactly 10% when

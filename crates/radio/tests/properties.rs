@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 use wheels_radio::ca::{aggregate, device_peak, CarrierAllocation, CarrierComponent};
 use wheels_radio::linkbudget::LinkBudget;
-use wheels_radio::mcs::{bler, harq_goodput_factor, mcs_from_sinr, spectral_efficiency, McsIndex};
+use wheels_radio::mcs::{
+    bler, goodput_mcs, harq_goodput_factor, mcs_from_sinr, spectral_efficiency,
+    spectral_efficiency_table, McsIndex,
+};
 use wheels_radio::tech::{Direction, Technology};
-use wheels_sim_core::units::{Db, Distance};
+use wheels_sim_core::units::{DataRate, Db, Distance};
 
 fn any_tech() -> impl Strategy<Value = Technology> {
     prop::sample::select(Technology::ALL.to_vec())
@@ -13,6 +16,89 @@ fn any_tech() -> impl Strategy<Value = Technology> {
 
 fn any_dir() -> impl Strategy<Value = Direction> {
     prop::sample::select(Direction::ALL.to_vec())
+}
+
+/// `aggregate` as first written: clamp a clone of the allocation, then
+/// call `spectral_efficiency` for every carrier. The constants are the
+/// private ones of `ca.rs` (SINR step 1.8 dB, overhead 0.82, MIMO layers).
+fn aggregate_reference(
+    alloc: &CarrierAllocation,
+    dir: Direction,
+    primary_sinr: Db,
+    load_factor: f64,
+) -> (DataRate, u8, f64, u8) {
+    const STEP_DB: f64 = 1.8;
+    let layers = |tech: Technology| match (tech, dir) {
+        (Technology::Nr5gMid, Direction::Downlink) => 4.0,
+        (_, Direction::Downlink) => 2.0,
+        (_, Direction::Uplink) => 1.0,
+    };
+    let component = |tech: Technology, count: u8, first_sinr: f64| {
+        let bw_hz = tech.cc_bandwidth_mhz() * 1e6 * tech.direction_fraction(dir);
+        let mut total = 0.0;
+        for i in 0..count {
+            let sinr = Db(first_sinr - STEP_DB * i as f64);
+            let m = goodput_mcs(sinr);
+            let se = spectral_efficiency(m);
+            let goodput = harq_goodput_factor(bler(sinr, m));
+            let eff_layers = (1.0 + (sinr.0 - 6.0) / 9.0).clamp(1.0, layers(tech));
+            total += bw_hz * se * eff_layers * goodput * 0.82;
+        }
+        DataRate::from_bps(total)
+    };
+    let alloc = alloc.clone().clamped_to_device(dir);
+    let mut rate = component(alloc.primary.tech, alloc.primary.count, primary_sinr.0);
+    let mut block_start = primary_sinr.0 - STEP_DB * alloc.primary.count as f64;
+    for c in &alloc.secondaries {
+        rate = rate + component(c.tech, c.count, block_start);
+        block_start -= STEP_DB * c.count as f64;
+    }
+    let cap = core::iter::once(alloc.primary.tech)
+        .chain(alloc.secondaries.iter().map(|c| c.tech))
+        .map(|t| device_peak(t, dir))
+        .fold(DataRate::ZERO, DataRate::max);
+    let m = mcs_from_sinr(primary_sinr);
+    (
+        (rate * load_factor.clamp(0.0, 1.0)).min(cap),
+        m.0,
+        bler(primary_sinr, m),
+        alloc.total_carriers(),
+    )
+}
+
+#[test]
+fn spectral_efficiency_table_bit_equal_to_function() {
+    for (i, se) in spectral_efficiency_table().iter().enumerate() {
+        let mcs = McsIndex(u8::try_from(i).expect("29 indices"));
+        assert_eq!(se.to_bits(), spectral_efficiency(mcs).to_bits(), "mcs {i}");
+    }
+}
+
+proptest! {
+    // A bit-equality oracle is cheap per case, so it runs many.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn aggregate_bit_equal_to_clone_and_clamp_reference(
+        primary in (any_tech(), 0u8..=8),
+        secondaries in prop::collection::vec((any_tech(), 0u8..=8), 1..4),
+        sinr in -20.0f64..=45.0,
+        load in 0.0f64..=1.0,
+    ) {
+        let component = |(tech, count)| CarrierComponent { tech, count };
+        let alloc = CarrierAllocation {
+            primary: component(primary),
+            secondaries: secondaries.into_iter().map(component).collect(),
+        };
+        for dir in Direction::ALL {
+            let link = aggregate(&alloc, dir, Db(sinr), load);
+            let (rate, mcs, bler, carriers) = aggregate_reference(&alloc, dir, Db(sinr), load);
+            prop_assert_eq!(link.rate.as_bps().to_bits(), rate.as_bps().to_bits());
+            prop_assert_eq!(link.primary_mcs, mcs);
+            prop_assert_eq!(link.primary_bler.to_bits(), bler.to_bits());
+            prop_assert_eq!(link.carriers, carriers);
+        }
+    }
 }
 
 proptest! {

@@ -256,8 +256,8 @@ impl Deployment {
     /// Whether `tech` has at least one in-range cell at `ue_odo`.
     ///
     /// Short-circuits on the first hit — unlike [`candidates`], it never
-    /// collects or sorts, so probing all five technologies per poll costs
-    /// one windowed scan each.
+    /// collects or sorts, so probing all five technologies at a new
+    /// position costs one windowed scan each.
     ///
     /// [`candidates`]: Deployment::candidates
     pub fn has_coverage(&self, tech: Technology, ue_odo: Distance) -> bool {

@@ -271,9 +271,16 @@ pub struct RanSession<'a> {
     /// changes.
     last_available: TechSet,
     granted: Option<Technology>,
+    /// Position memo: the available technologies at the last polled
+    /// odometer, keyed by its bits. A drive trace holds the odometer for
+    /// a whole second while the session is polled many times within it,
+    /// and the deployment never changes, so no key ever goes stale.
+    available: Option<(u64, TechSet)>,
     /// Scratch buffer for candidate lookups — reused across polls so the
     /// steady-state hot path performs no heap allocation.
     cand: Vec<&'a Cell>,
+    /// The `(odometer bits, technology)` that `cand` currently holds.
+    cand_key: Option<(u64, Technology)>,
     /// A3 state: candidate neighbor and for how long it has won.
     a3_candidate: Option<(CellId, u64)>,
     neighbor_smoothed: HashMap<CellId, f64>,
@@ -298,7 +305,9 @@ impl<'a> RanSession<'a> {
             pending: None,
             last_available: TechSet::EMPTY,
             granted: None,
+            available: None,
             cand: Vec::new(),
+            cand_key: None,
             a3_candidate: None,
             neighbor_smoothed: HashMap::new(),
             last_poll: None,
@@ -367,6 +376,29 @@ impl<'a> RanSession<'a> {
             self.deployment.operator.beam_profile()
         } else {
             wheels_radio::linkbudget::BeamProfile::neutral()
+        }
+    }
+
+    /// The technologies with coverage at `odo`, from the position memo.
+    fn available_at(&mut self, odo: Distance) -> TechSet {
+        let key = odo.as_m().to_bits();
+        match self.available {
+            Some((k, set)) if k == key => set,
+            _ => {
+                let set = self.deployment.available_techs(odo);
+                self.available = Some((key, set));
+                set
+            }
+        }
+    }
+
+    /// Fill `cand` with the in-range `tech` cells at `odo`, nearest first,
+    /// unless it already holds exactly that lookup.
+    fn fill_candidates(&mut self, tech: Technology, odo: Distance) {
+        let key = (odo.as_m().to_bits(), tech);
+        if self.cand_key != Some(key) {
+            self.deployment.candidates_into(tech, odo, &mut self.cand);
+            self.cand_key = Some(key);
         }
     }
 
@@ -444,7 +476,7 @@ impl<'a> RanSession<'a> {
 
         // Technology (re-)selection: only when the availability context
         // changes, the serving cell is lost, or we have no serving cell.
-        let available = self.deployment.available_techs(ctx.odo);
+        let available = self.available_at(ctx.odo);
         if available.is_empty() {
             self.serving = None;
             self.granted = None;
@@ -474,8 +506,6 @@ impl<'a> RanSession<'a> {
                 self.granted = self
                     .policy
                     .select(self.demand, available, ctx.tz, &mut self.rng);
-                #[cfg(feature = "dbg")]
-                eprintln!("re-roll: avail={:?} granted={:?}", available, self.granted);
             }
             self.last_available = available;
         }
@@ -491,8 +521,7 @@ impl<'a> RanSession<'a> {
                 .map(|s| s.cell.tech != target_tech)
                 .unwrap_or(true);
         if need_new_cell && self.pending.is_none() {
-            let dep = self.deployment;
-            dep.candidates_into(target_tech, ctx.odo, &mut self.cand);
+            self.fill_candidates(target_tech, ctx.odo);
             let target = self.cand.first().copied().copied();
             if let Some(target) = target {
                 if let Some(serving_id) = self.serving.as_ref().map(|s| s.cell.id) {
@@ -512,17 +541,17 @@ impl<'a> RanSession<'a> {
         // Horizontal A3 check among same-technology neighbors.
         if self.pending.is_none() {
             if let Some(s) = &self.serving {
-                let serving_id = s.cell.id;
+                let serving = s.cell;
+                let serving_id = serving.id;
                 let serving_mean =
-                    s.channel.mean_rsrp(s.cell.distance_to(ctx.odo)).0 + s.cell.power_offset_db;
+                    s.channel.mean_rsrp(serving.distance_to(ctx.odo)).0 + serving.power_offset_db;
                 let serving_level = if s.smoothed_rsrp.is_nan() {
                     serving_mean
                 } else {
                     s.smoothed_rsrp
                 };
-                let tech = s.cell.tech;
-                let dep = self.deployment;
-                dep.candidates_into(tech, ctx.odo, &mut self.cand);
+                let tech = serving.tech;
+                self.fill_candidates(tech, ctx.odo);
                 let best_neighbor = self.cand.iter().find(|c| c.id != serving_id).map(|c| **c);
                 if let Some(nb) = best_neighbor {
                     // Neighbor level: deterministic mean with the same
@@ -550,7 +579,7 @@ impl<'a> RanSession<'a> {
                     // handovers than the loaded test phones (Table 1 vs
                     // Fig. 11a).
                     let trigger = if self.demand == TrafficDemand::IcmpOnly {
-                        let serving_dist = s.cell.distance_to(ctx.odo).as_m();
+                        let serving_dist = serving.distance_to(ctx.odo).as_m();
                         let nearest_dist = nb.distance_to(ctx.odo).as_m();
                         serving_dist > 2.0 * nearest_dist + 200.0
                             || serving_level < RESELECT_RSRP_DBM
@@ -897,6 +926,108 @@ mod tests {
             "kinds seen: {kinds:?} over {} events",
             s.events().len()
         );
+    }
+
+    /// Fold `bytes` into an FNV-1a-64 state.
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for b in bytes {
+            *h ^= u64::from(*b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold every field of one poll result into `h`, floats as raw bits.
+    fn fold_snapshot(h: &mut u64, snap: Option<RanSnapshot>) {
+        let Some(s) = snap else {
+            fnv(h, &[0xff]);
+            return;
+        };
+        fnv(h, &s.t.as_millis().to_le_bytes());
+        fnv(h, &[s.operator.index() as u8, s.tech.index() as u8]);
+        fnv(h, &s.cell.0.to_le_bytes());
+        for x in [s.rsrp.0, s.sinr.0, s.primary_bler, s.share] {
+            fnv(h, &x.to_bits().to_le_bytes());
+        }
+        for r in [s.dl_rate, s.ul_rate] {
+            fnv(h, &r.as_bps().to_bits().to_le_bytes());
+        }
+        fnv(
+            h,
+            &[
+                u8::from(s.blocked),
+                u8::from(s.in_handover),
+                s.carriers,
+                s.primary_mcs,
+            ],
+        );
+    }
+
+    /// Pins the full poll stream of one session polled every 10 ms while
+    /// the odometer advances once per second, as a drive trace does. The
+    /// stretch includes a demand flip DL → UL → ICMP at an unchanged
+    /// odometer, a vertical handover forced by the eager policy, and a
+    /// gap long enough to re-attach, so any cached position state that
+    /// outlives a change of technology or demand shows as a new hash.
+    #[test]
+    fn session_stream_pin() {
+        let (route, _) = fixtures();
+        let op = Operator::Verizon;
+        let chicago_km = route
+            .waypoints()
+            .iter()
+            .position(|w| w.name == "Chicago")
+            .map(|i| route.waypoint_odometer(i).as_km())
+            .unwrap();
+        let start = Distance::from_km(chicago_km - 3.0);
+        let speed = Speed::from_mph(25.0);
+        let base = SimTime::from_hours(30);
+        let mut s = RanSession::new(dep(op), TrafficDemand::BackloggedDownlink, SimRng::seed(17));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..15_000u64 {
+            let ms = step * 10;
+            match ms {
+                60_500 => s.set_demand(TrafficDemand::BackloggedUplink),
+                60_700 => s.set_demand(TrafficDemand::IcmpOnly),
+                90_300 => s.set_policy(UpgradePolicy::eager(op)),
+                _ => {}
+            }
+            let gap_ms = if ms >= 110_000 {
+                REATTACH_GAP_MS + 2_000
+            } else {
+                0
+            };
+            let odo = start + speed.distance_in_ms(ms / 1000 * 1000);
+            let ctx = PollCtx {
+                odo,
+                speed,
+                zone: route.zone_at(odo),
+                tz: route.timezone_at(odo),
+            };
+            let snap = s.poll(base + SimDuration::from_millis(ms + gap_ms), ctx);
+            fold_snapshot(&mut h, snap);
+        }
+        for e in s.events() {
+            fnv(&mut h, &e.start.as_millis().to_le_bytes());
+            fnv(&mut h, &e.duration.as_millis().to_le_bytes());
+            fnv(&mut h, &e.from_cell.0.to_le_bytes());
+            fnv(&mut h, &e.to_cell.0.to_le_bytes());
+        }
+        // The scripted events really happen on this stretch: the uplink
+        // flip moves the UE off mmWave, the eager policy moves it back.
+        let vertical: Vec<_> = s
+            .events()
+            .iter()
+            .filter(|e| e.from_tech != e.to_tech)
+            .map(|e| (e.start.since(base).as_millis(), e.kind))
+            .collect();
+        assert_eq!(
+            vertical,
+            [
+                (60_500, HandoverKind::Down5gTo4g),
+                (90_300, HandoverKind::Up4gTo5g)
+            ]
+        );
+        assert_eq!(h, 0xfdea_80c6_fddc_58bf, "stream hash {h:#018x}");
     }
 
     #[test]
