@@ -711,8 +711,10 @@ impl DatasetView {
             cells,
         } = rec;
         if !sd.is_normalized() {
-            // Shards normalize before handing off, but a journal
-            // written by an older build may carry unsorted tables.
+            // Shards normalize before handing off, but a replayed
+            // frame is outside input: its checksum vouches that it was
+            // written whole, not that its tables are sorted, and the
+            // splice needs sorted runs.
             sd.normalize();
         }
 

@@ -270,8 +270,10 @@ impl<'o> Merger<'o> {
         }
         let mut ds = shard.dataset;
         if !ds.is_normalized() {
-            // Shards normalize before handing off, but a journal written
-            // by an older build may still carry unsorted shard tables.
+            // Shards normalize before handing off, but a replayed frame
+            // is outside input: its checksum vouches that it was written
+            // whole, not that its tables are sorted, and the merge needs
+            // sorted runs.
             ds.normalize();
         }
         self.out.merge_normalized(ds);

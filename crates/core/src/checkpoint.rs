@@ -28,11 +28,12 @@
 //! ```
 //!
 //! The shard payload reuses the WCD1 columnar codec (`column::wcd`) for
-//! the dataset, so replaying a frame is a checksum pass plus bulk copies
-//! rather than a JSON parse, and non-finite floats survive bit-for-bit.
-//! Only the small identity header stays JSON. A journal written by the
-//! older JSON-framed format (magic `WCJ1`) is refused by name; it must
-//! be re-run with `--checkpoint`.
+//! the dataset, so replaying a frame is a checksum pass plus reading
+//! rows out of fixed-width sections rather than a JSON parse, and
+//! non-finite floats survive bit-for-bit. Only the small identity
+//! header stays JSON. A journal written by the older JSON-framed format
+//! (magic `WCJ1`) is refused by name; it must be re-run with
+//! `--checkpoint`.
 //!
 //! The journal is *created* via temp-file + atomic rename (a kill during
 //! creation leaves either no journal or a complete header, never a
@@ -64,7 +65,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use wheels_ran::cells::CellId;
 
-use crate::column::{op_code, op_from, wcd, ColumnarDataset};
+use crate::column::{op_code, op_from, wcd};
 use crate::disrupt::FaultConfig;
 use crate::records::ShardRecords;
 
@@ -253,7 +254,7 @@ pub fn encode_shard_frame(job: usize, records: &ShardRecords) -> Result<Vec<u8>,
     frame.push(op_code(records.operator));
     frame.extend_from_slice(&cells.to_le_bytes());
     frame.extend(records.cells.iter().flat_map(|c| c.0.to_le_bytes()));
-    wcd::encode_to(&ColumnarDataset::from_rows(&records.dataset), &mut frame)
+    wcd::encode_to(&records.dataset, &mut frame)
         .map_err(|e| CheckpointError::Invalid(format!("cannot encode shard frame: {e}")))?;
     seal_frame(frame)
 }
@@ -278,7 +279,7 @@ pub fn decode_shard_frame(
     let (&op, rest) = rest
         .split_first()
         .ok_or_else(|| bad("missing operator code".to_string()))?;
-    let operator = op_from(op).map_err(|e| bad(e.0))?;
+    let operator = op_from(op).map_err(|e| bad(e.to_string()))?;
     let (count, rest) = rest
         .split_first_chunk::<4>()
         .ok_or_else(|| bad("missing cell count".to_string()))?;
@@ -296,10 +297,7 @@ pub fn decode_shard_frame(
             CellId(u32::from_le_bytes(b))
         })
         .collect();
-    let dataset = wcd::decode(image)
-        .map_err(|e| bad(e.to_string()))?
-        .to_rows()
-        .map_err(|e| bad(e.to_string()))?;
+    let dataset = wcd::decode(image).map_err(|e| bad(e.to_string()))?;
     Ok((
         job,
         ShardRecords {

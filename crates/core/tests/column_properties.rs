@@ -1,16 +1,16 @@
-//! Property tests for the columnar data layer: for every table,
-//! row → column → row must be the identity on arbitrarily shuffled
-//! inserts (no normalization required), the WCD1 binary encoding must
-//! round-trip bit-exactly (including non-finite floats), and the
-//! generated columns must satisfy the structural `check()` and carry no
-//! NaN the rows didn't. Each record is expanded deterministically from
-//! one random `u64` seed, like the view property tests.
+//! Property tests for the WCD1 column codec: for every table,
+//! rows → WCD1 columns → rows must be the identity on arbitrarily
+//! shuffled inserts (no normalization required) with a byte-identical
+//! re-encode, non-finite floats must survive bit-exactly, and the
+//! encoded columns must carry no NaN the rows didn't. Each record is
+//! expanded deterministically from one random `u64` seed, like the view
+//! property tests.
 
 use proptest::prelude::*;
 use wheels_apps::arcav::OffloadStats;
 use wheels_apps::gaming::GamingStats;
 use wheels_apps::video::{ChunkRecord, VideoStats};
-use wheels_core::column::{wcd, ColumnarDataset};
+use wheels_core::column::wcd;
 use wheels_core::disrupt::FaultKind;
 use wheels_core::records::{
     AppRun, CoverageSample, Dataset, RttSample, TaggedHandover, TestAudit, TestKind, TestRun,
@@ -273,84 +273,82 @@ fn dataset_from(seeds: &[u64]) -> Dataset {
     }
 }
 
-/// Every f64 column the table layer emits, for the NaN sweep.
-fn all_f64_columns(c: &ColumnarDataset) -> Vec<(&'static str, &[f64])> {
-    vec![
-        ("tput.mbps", &c.tput.mbps),
-        ("tput.speed_mph", &c.tput.speed_mph),
-        ("tput.rsrp_dbm", &c.tput.rsrp_dbm),
-        ("tput.bler", &c.tput.bler),
-        ("rtt.rtt_ms", &c.rtt.rtt_ms),
-        ("rtt.speed_mph", &c.rtt.speed_mph),
-        ("coverage.miles", &c.coverage.miles),
-        ("coverage.speed_mph", &c.coverage.speed_mph),
-        ("runs.miles", &c.runs.miles),
-        ("runs.hs5g_fraction", &c.runs.hs5g_fraction),
-        ("apps.off_e2e_ms", &c.apps.off_e2e_ms),
-        ("apps.off_hs5g", &c.apps.off_hs5g),
-        ("apps.vid_bitrate_mbps", &c.apps.vid_bitrate_mbps),
-        ("apps.vid_rebuffer_s", &c.apps.vid_rebuffer_s),
-        ("apps.vid_qoe", &c.apps.vid_qoe),
-        ("apps.vid_hs5g", &c.apps.vid_hs5g),
-        ("apps.gam_bitrate_mbps", &c.apps.gam_bitrate_mbps),
-        ("apps.gam_latency_ms", &c.apps.gam_latency_ms),
-        ("apps.gam_hs5g", &c.apps.gam_hs5g),
-        ("runtime_min", &c.runtime_min),
-    ]
+/// Every `f64` column (tag 4) of a WCD1 image, by name, read straight
+/// from its section payload, for the NaN sweep.
+fn all_f64_columns(image: &[u8]) -> Vec<(String, Vec<f64>)> {
+    let word = |p: usize| u64::from_le_bytes(image[p..p + 8].try_into().expect("8 bytes"));
+    let mut out = Vec::new();
+    let mut pos = 8; // magic + column count
+    while pos < image.len() {
+        let (tag, name_len) = (image[pos], usize::from(image[pos + 1]));
+        let name = String::from_utf8_lossy(&image[pos + 2..pos + 2 + name_len]).into_owned();
+        pos += 2 + name_len;
+        let elems = word(pos) as usize;
+        pos = (pos + 16).next_multiple_of(8);
+        let width = [0, 1, 4, 8, 8][usize::from(tag)];
+        if tag == 4 {
+            out.push((
+                name,
+                (0..elems)
+                    .map(|i| f64::from_bits(word(pos + 8 * i)))
+                    .collect(),
+            ));
+        }
+        pos += elems * width;
+    }
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Row → column → row is the identity for every table at once, on
-    /// shuffled (un-normalized) inserts, and the intermediate columns
-    /// pass the structural check.
+    /// Rows → WCD1 columns → rows is the identity for every table at
+    /// once, on shuffled (un-normalized) inserts, and the streaming
+    /// writer lays down the same columns as the in-memory encoder.
     #[test]
     fn row_column_row_is_lossless(seeds in prop::collection::vec(any::<u64>(), 0..150)) {
         let ds = dataset_from(&seeds);
-        let cols = ColumnarDataset::from_rows(&ds);
-        prop_assert!(cols.check().is_ok(), "structural check: {:?}", cols.check());
-        let back = cols.to_rows().expect("from_rows output decodes");
-        prop_assert_eq!(back, ds);
+        let bytes = wcd::encode(&ds);
+        let mut streamed = Vec::new();
+        wcd::encode_to(&ds, &mut streamed).expect("streaming encode into a Vec");
+        prop_assert_eq!(&streamed, &bytes, "encode_to and encode agree");
+        prop_assert_eq!(wcd::decode(&bytes).expect("encoded dataset decodes"), ds);
     }
 
-    /// The WCD1 binary encoding is bit-exact: encode → decode → rows
-    /// equals the source rows, and a second encode is byte-identical
-    /// (the format has a single canonical serialization).
+    /// The WCD1 binary encoding is bit-exact: encode → decode equals the
+    /// source rows, and a second encode is byte-identical (the format
+    /// has a single canonical serialization).
     #[test]
     fn wcd_binary_roundtrip_is_bit_exact(seeds in prop::collection::vec(any::<u64>(), 0..80)) {
         let ds = dataset_from(&seeds);
-        let cols = ColumnarDataset::from_rows(&ds);
-        let bytes = wcd::encode(&cols);
+        let bytes = wcd::encode(&ds);
         let decoded = wcd::decode(&bytes).expect("encoded dataset decodes");
-        prop_assert_eq!(decoded.to_rows().expect("decoded columns to rows"), ds);
         prop_assert_eq!(wcd::encode(&decoded), bytes, "re-encode is byte-identical");
+        prop_assert_eq!(decoded, ds);
     }
 
     /// Rows with finite fields yield NaN-free columns: optional floats
     /// travel as validity + placeholder pairs, never as NaN sentinels.
     #[test]
     fn columns_are_nan_free(seeds in prop::collection::vec(any::<u64>(), 0..150)) {
-        let cols = ColumnarDataset::from_rows(&dataset_from(&seeds));
-        for (name, col) in all_f64_columns(&cols) {
+        let columns = all_f64_columns(&wcd::encode(&dataset_from(&seeds)));
+        prop_assert_eq!(columns.len(), 23, "every f64 column was read");
+        for (name, col) in columns {
             prop_assert!(col.iter().all(|v| !v.is_nan()), "NaN leaked into {}", name);
         }
     }
 }
 
 /// Empty tables are not a degenerate case: the empty dataset round-trips
-/// through columns and through the binary format, and the binary file is
-/// still a valid, non-empty catalogue (magic + per-column headers).
+/// through the binary format, and the binary file is still a valid,
+/// non-empty catalogue (magic + per-column headers).
 #[test]
 fn empty_dataset_roundtrips_everywhere() {
     let ds = Dataset::default();
-    let cols = ColumnarDataset::from_rows(&ds);
-    assert!(cols.check().is_ok());
-    assert_eq!(cols.to_rows().expect("empty columns to rows"), ds);
-    let bytes = wcd::encode(&cols);
+    let bytes = wcd::encode(&ds);
     assert_eq!(&bytes[..4], wcd::MAGIC);
-    let decoded = wcd::decode(&bytes).expect("empty encoding decodes");
-    assert_eq!(decoded.to_rows().expect("decoded empty to rows"), ds);
+    assert_eq!(all_f64_columns(&bytes).len(), 23, "every column is present");
+    assert_eq!(wcd::decode(&bytes).expect("empty encoding decodes"), ds);
 }
 
 /// Non-finite floats a future producer might emit survive the binary
@@ -363,9 +361,9 @@ fn non_finite_floats_survive_the_binary_format() {
     t.rsrp_dbm = f64::NEG_INFINITY;
     ds.tput.push(t);
     ds.log_bytes = f64::INFINITY;
-    let bytes = wcd::encode(&ColumnarDataset::from_rows(&ds));
+    let bytes = wcd::encode(&ds);
     let back = wcd::decode(&bytes).expect("decodes");
-    assert!(back.tput.mbps[0].is_nan());
-    assert_eq!(back.tput.rsrp_dbm[0], f64::NEG_INFINITY);
+    assert!(back.tput[0].mbps.is_nan());
+    assert_eq!(back.tput[0].rsrp_dbm, f64::NEG_INFINITY);
     assert_eq!(back.log_bytes, f64::INFINITY);
 }

@@ -27,7 +27,7 @@ use wheels_apps::video::{ChunkRecord, VideoStats};
 use wheels_core::checkpoint::{
     decode_shard_frame, encode_shard_frame, frame_ends, tail, tail_from, Fingerprint, Journal,
 };
-use wheels_core::column::{wcd, ColumnarDataset};
+use wheels_core::column::wcd;
 use wheels_core::disrupt::{FaultConfig, FaultKind};
 use wheels_core::records::{
     AppRun, CoverageSample, Dataset, RttSample, ShardRecords, TaggedHandover, TestAudit, TestKind,
@@ -99,10 +99,7 @@ fn decode_bounded(bytes: &[u8]) -> (bool, bool) {
     let frame_ok = decode_shard_frame(bytes, 0).is_ok();
     let frame_peak = LARGEST.with(Cell::get);
     LARGEST.with(|l| l.set(0));
-    let wcd_ok = wcd::decode(bytes)
-        .ok()
-        .and_then(|c| c.to_rows().ok())
-        .is_some();
+    let wcd_ok = wcd::decode(bytes).is_ok();
     let wcd_peak = LARGEST.with(Cell::get);
     assert!(
         frame_peak <= limit && wcd_peak <= limit,
@@ -261,37 +258,48 @@ fn awkward_dataset(n: usize, op: Operator) -> Dataset {
     ds
 }
 
-/// Raw bits of every float in a dataset, in column order. Equal bits
+/// Raw bits of every float in a dataset, table by table. Equal bits
 /// mean equal values even where `PartialEq` cannot tell (NaN).
 fn float_bits(ds: &Dataset) -> Vec<u64> {
-    let c = ColumnarDataset::from_rows(ds);
-    [
-        &c.tput.mbps,
-        &c.tput.speed_mph,
-        &c.tput.rsrp_dbm,
-        &c.tput.bler,
-        &c.rtt.rtt_ms,
-        &c.rtt.speed_mph,
-        &c.coverage.miles,
-        &c.coverage.speed_mph,
-        &c.runs.miles,
-        &c.runs.hs5g_fraction,
-        &c.apps.off_e2e_ms,
-        &c.apps.off_hs5g,
-        &c.apps.vid_bitrate_mbps,
-        &c.apps.vid_rebuffer_s,
-        &c.apps.vid_qoe,
-        &c.apps.vid_hs5g,
-        &c.apps.gam_bitrate_mbps,
-        &c.apps.gam_latency_ms,
-        &c.apps.gam_hs5g,
-        &c.runtime_min,
-    ]
-    .into_iter()
-    .flatten()
-    .chain([&c.rx_bytes, &c.tx_bytes, &c.log_bytes])
-    .map(|v| v.to_bits())
-    .collect()
+    let tput = ds
+        .tput
+        .iter()
+        .flat_map(|s| [s.mbps, s.speed_mph, s.rsrp_dbm, s.bler]);
+    let rtt = ds
+        .rtt
+        .iter()
+        .flat_map(|s| [s.rtt_ms.unwrap_or(0.0), s.speed_mph]);
+    let coverage = ds.coverage.iter().flat_map(|s| [s.miles, s.speed_mph]);
+    let runs = ds.runs.iter().flat_map(|r| [r.miles, r.hs5g_fraction]);
+    let apps = ds.apps.iter().flat_map(|a| {
+        let off = a
+            .offload
+            .iter()
+            .flat_map(|o| o.e2e_ms.iter().copied().chain([o.high_speed_5g_fraction]));
+        let vid = a.video.iter().flat_map(|v| {
+            v.chunks
+                .iter()
+                .flat_map(|c| [c.bitrate_mbps, c.rebuffer_s, c.qoe])
+                .chain([v.high_speed_5g_fraction])
+        });
+        let gam = a.gaming.iter().flat_map(|g| {
+            g.bitrate_mbps
+                .iter()
+                .chain(&g.latency_ms)
+                .copied()
+                .chain([g.high_speed_5g_fraction])
+        });
+        off.chain(vid).chain(gam)
+    });
+    let runtime = ds.runtime_min.iter().map(|&(_, min)| min);
+    tput.chain(rtt)
+        .chain(coverage)
+        .chain(runs)
+        .chain(apps)
+        .chain(runtime)
+        .chain([ds.rx_bytes, ds.tx_bytes, ds.log_bytes])
+        .map(f64::to_bits)
+        .collect()
 }
 
 /// Bit-for-bit equality of two shard records: `PartialEq` where it can
@@ -386,45 +394,217 @@ fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
 /// operator `u8`, cell count `u32`, then its two `u32` cells.
 const IMAGE: usize = 8 + 1 + 4 + 2 * 4;
 
-/// A real shard payload, envelope stripped, and the byte ranges of its
-/// WCD1 column payloads (walked from the section headers).
-fn real_payload(rows: usize) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+/// A real sealed shard frame: job 11, T-Mobile, two cells, and
+/// [`awkward_dataset`] with `rows` rows.
+fn real_frame(rows: usize) -> Vec<u8> {
     let rec = ShardRecords {
         operator: Operator::TMobile,
         dataset: awkward_dataset(rows, Operator::TMobile),
         cells: vec![CellId(5), CellId(9)],
     };
-    let frame = encode_shard_frame(11, &rec).expect("encodes");
-    let payload = frame[ENVELOPE..].to_vec();
-    let image = IMAGE;
-    assert_eq!(&payload[image..image + 4], wcd::MAGIC);
-    let u64_at = |p: usize| {
+    encode_shard_frame(11, &rec).expect("encodes")
+}
+
+/// A real shard payload, envelope stripped, and the byte ranges of its
+/// WCD1 column payloads (walked from the section headers).
+fn real_payload(rows: usize) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    let payload = real_frame(rows)[ENVELOPE..].to_vec();
+    assert_eq!(&payload[IMAGE..IMAGE + 4], wcd::MAGIC);
+    let (_, sections) = sections_of(&payload[IMAGE..]);
+    let columns = sections
+        .iter()
+        .map(|s| IMAGE + s.at..IMAGE + s.at + s.payload.len())
+        .collect();
+    (payload, columns)
+}
+
+/// The exact bytes of one shard frame over floats JSON cannot carry
+/// (NaN, −0.0, subnormals) and `usize::MAX` counts: a codec change that
+/// moves any byte of a journal fails here.
+#[test]
+fn shard_frame_bytes_are_pinned() {
+    assert_eq!(
+        fnv1a64(&real_frame(3)),
+        0xdf02_5e1d_aedf_018b,
+        "shard frame bytes drifted"
+    );
+}
+
+/// One WCD1 section as a test can edit it: the header fields as stored
+/// and the payload bytes. [`image_of`] re-seals every checksum.
+#[derive(Clone)]
+struct Section {
+    tag: u8,
+    name: String,
+    elems: u64,
+    payload: Vec<u8>,
+    /// Offset of the payload in the image it was read from.
+    at: usize,
+}
+
+/// Split a WCD1 image into its declared column count and sections.
+fn sections_of(image: &[u8]) -> (u32, Vec<Section>) {
+    let word = |p: usize| {
         let mut b = [0u8; 8];
-        b.copy_from_slice(&payload[p..p + 8]);
-        usize::try_from(u64::from_le_bytes(b)).expect("fits")
+        b.copy_from_slice(&image[p..p + 8]);
+        u64::from_le_bytes(b)
     };
-    let mut columns = Vec::new();
+    let mut count = [0u8; 4];
+    count.copy_from_slice(&image[4..8]);
+    let mut out = Vec::new();
     let mut pos = 8; // magic + column count
-    while image + pos < payload.len() {
-        let width = match payload[image + pos] {
+    while pos < image.len() {
+        let tag = image[pos];
+        let width = match tag {
             1 => 1,
             2 => 4,
             _ => 8,
         };
-        let name_len = usize::from(payload[image + pos + 1]);
+        let name_len = usize::from(image[pos + 1]);
+        let name = String::from_utf8(image[pos + 2..pos + 2 + name_len].to_vec()).expect("ASCII");
         pos += 2 + name_len;
-        let elems = u64_at(image + pos);
-        pos += 16; // element count + checksum
-        pos = pos.next_multiple_of(8);
-        columns.push(image + pos..image + pos + elems * width);
-        pos += elems * width;
+        let elems = word(pos);
+        pos = (pos + 16).next_multiple_of(8); // element count + checksum
+        let len = usize::try_from(elems).expect("fits") * width;
+        out.push(Section {
+            tag,
+            name,
+            elems,
+            payload: image[pos..pos + len].to_vec(),
+            at: pos,
+        });
+        pos += len;
     }
+    (u32::from_le_bytes(count), out)
+}
+
+/// Lay `sections` out as a WCD1 image declaring `count` columns, with a
+/// fresh checksum over every payload.
+fn image_of(count: u32, sections: &[Section]) -> Vec<u8> {
+    let mut out = wcd::MAGIC.to_vec();
+    out.extend_from_slice(&count.to_le_bytes());
+    for s in sections {
+        out.push(s.tag);
+        out.push(u8::try_from(s.name.len()).expect("short name"));
+        out.extend_from_slice(s.name.as_bytes());
+        out.extend_from_slice(&s.elems.to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&s.payload).to_le_bytes());
+        out.resize(out.len().next_multiple_of(8), 0);
+        out.extend_from_slice(&s.payload);
+    }
+    out
+}
+
+/// An edit to a WCD1 image's declared column count and sections.
+type Mutation<'a> = Box<dyn Fn(&mut u32, &mut Vec<Section>) + 'a>;
+
+/// Every structural check behind the checksums refuses a file that does
+/// not load whole: each mutation below is re-sealed, so it reaches the
+/// decoder's name, order, tag, count, row-count, code and list-length
+/// checks, and must come back `Err` without a panic, inside the
+/// allocation bound, through both decoders.
+#[test]
+fn resealed_structural_mutations_are_errors() {
+    let (payload, _) = real_payload(3);
+    let (count, sections) = sections_of(&payload[IMAGE..]);
     assert_eq!(
-        image + pos,
-        payload.len(),
-        "section walk ends at the payload end"
+        image_of(count, &sections),
+        payload[IMAGE..],
+        "re-sealing is exact"
     );
-    (payload, columns)
+    let at = |name: &str| {
+        sections
+            .iter()
+            .position(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no column {name}"))
+    };
+    assert_eq!(
+        sections[at("apps.off_valid")].payload[0],
+        1,
+        "row 0 has offload stats"
+    );
+    let mutations: Vec<(&str, Mutation)> = vec![
+        (
+            "one row fewer in tput.mbps",
+            Box::new(|_, s| {
+                let c = &mut s[at("tput.mbps")];
+                c.elems -= 1;
+                c.payload.truncate(c.payload.len() - 8);
+            }),
+        ),
+        (
+            "enum code 7 in rtt.tech",
+            Box::new(|_, s| s[at("rtt.tech")].payload[0] = 7),
+        ),
+        (
+            "bool code 2 in tput.driving",
+            Box::new(|_, s| s[at("tput.driving")].payload[0] = 2),
+        ),
+        (
+            "two section names swapped",
+            Box::new(|_, s| {
+                let (zone, tz) = (at("tput.zone"), at("tput.tz"));
+                let name = s[zone].name.clone();
+                s[zone].name = std::mem::replace(&mut s[tz].name, name);
+            }),
+        ),
+        (
+            "an F64 column tagged U8",
+            Box::new(|_, s| {
+                // Same row count, so only the tag check stands between
+                // the decoder and reading 8-byte values from 1-byte ones.
+                let c = &mut s[at("tput.mbps")];
+                c.tag = 1;
+                c.payload.truncate(usize::try_from(c.elems).expect("small"));
+            }),
+        ),
+        (
+            "one surplus apps.vid_qoe element",
+            Box::new(|_, s| {
+                let c = &mut s[at("apps.vid_qoe")];
+                c.elems += 1;
+                c.payload.extend_from_slice(&1.5f64.to_le_bytes());
+            }),
+        ),
+        (
+            "apps.off_e2e_len overruns apps.off_e2e_ms",
+            Box::new(|_, s| {
+                let flat = u32::try_from(s[at("apps.off_e2e_ms")].elems).expect("small");
+                s[at("apps.off_e2e_len")].payload[..4].copy_from_slice(&(flat + 1).to_le_bytes());
+            }),
+        ),
+        (
+            "no row in the scalar table",
+            Box::new(|_, s| {
+                for c in s.iter_mut().filter(|c| c.name.starts_with("scalar.")) {
+                    c.elems = 0;
+                    c.payload.clear();
+                }
+            }),
+        ),
+        (
+            "one column too many declared",
+            Box::new(|count, _| *count += 1),
+        ),
+    ];
+    for (what, mutate) in &mutations {
+        let (mut count, mut mutated) = (count, sections.clone());
+        mutate(&mut count, &mut mutated);
+        let image = image_of(count, &mutated);
+        assert!(!decode_bounded(&image).1, "{what}: image decoded");
+        let framed = [&payload[..IMAGE], &image].concat();
+        assert!(!decode_bounded(&framed).0, "{what}: frame decoded");
+    }
+    let trailing = [&payload[IMAGE..], &[0u8; 8]].concat();
+    assert!(
+        !decode_bounded(&trailing).1,
+        "8 trailing bytes: image decoded"
+    );
+    let framed = [&payload[..IMAGE], &trailing].concat();
+    assert!(
+        !decode_bounded(&framed).0,
+        "8 trailing bytes: frame decoded"
+    );
 }
 
 #[test]
@@ -504,12 +684,16 @@ fn scan_bounded(dir: &Path, fp: &Fingerprint, bytes: &[u8], resume_at: u64) -> S
     ScanOutcome { ends, delivered }
 }
 
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A frame around `payload` with a correct length and FNV-1a-64
 /// checksum, so arbitrary bytes get past the scan into the decoder.
 fn seal(payload: &[u8]) -> Vec<u8> {
-    let sum = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let sum = fnv1a64(payload);
     let len = u32::try_from(payload.len()).expect("small payload");
     let mut frame = len.to_le_bytes().to_vec();
     frame.extend_from_slice(&sum.to_le_bytes());

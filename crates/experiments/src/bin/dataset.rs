@@ -40,7 +40,7 @@ fn exit_broken_pipe_quietly(e: &std::io::Error) {
 }
 
 use wheels_core::checkpoint::write_atomic;
-use wheels_core::column::{wcd, ColumnarDataset};
+use wheels_core::column::wcd;
 use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::cli::{self, Format};
 use wheels_experiments::world::{Scale, Tuning, World};
@@ -114,34 +114,31 @@ fn main() {
                 }
             }
         }
-        // Columnarize the rows once, at export time, then stream the
-        // WCD1 sections straight to the sink (temp file + atomic rename,
-        // or stdout) — the full encoded image never exists in memory.
-        Format::Bin => {
-            let cols = ColumnarDataset::from_rows(ds);
-            match out_path {
-                Some(p) => {
-                    let path = Path::new(&p);
-                    if let Err(e) = wcd::write_file(path, &cols) {
-                        eprintln!("cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                    eprintln!("wrote {p} ({} MB)", written / 1_000_000);
+        // Stream the WCD1 sections straight off the row tables to the
+        // sink (temp file + atomic rename, or stdout) — the full encoded
+        // image never exists in memory.
+        Format::Bin => match out_path {
+            Some(p) => {
+                let path = Path::new(&p);
+                if let Err(e) = wcd::write_file(path, ds) {
+                    eprintln!("cannot write {p}: {e}");
+                    std::process::exit(1);
                 }
-                None => {
-                    let mut w = std::io::BufWriter::new(std::io::stdout().lock());
-                    let streamed = wcd::encode_to(&cols, &mut w)
-                        .and_then(|()| w.flush().map_err(wcd::WcdError::from));
-                    if let Err(e) = streamed {
-                        if let wcd::WcdError::Io(io) = &e {
-                            exit_broken_pipe_quietly(io);
-                        }
-                        eprintln!("cannot write dataset to stdout: {e}");
-                        std::process::exit(1);
+                let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                eprintln!("wrote {p} ({} MB)", written / 1_000_000);
+            }
+            None => {
+                let mut w = std::io::BufWriter::new(std::io::stdout().lock());
+                let streamed = wcd::encode_to(ds, &mut w)
+                    .and_then(|()| w.flush().map_err(wcd::WcdError::from));
+                if let Err(e) = streamed {
+                    if let wcd::WcdError::Io(io) = &e {
+                        exit_broken_pipe_quietly(io);
                     }
+                    eprintln!("cannot write dataset to stdout: {e}");
+                    std::process::exit(1);
                 }
             }
-        }
+        },
     }
 }

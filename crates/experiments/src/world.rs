@@ -71,12 +71,7 @@ pub struct World {
 impl World {
     /// Build a fresh world with the reference seed, 2022 (expensive).
     pub fn build(scale: Scale) -> World {
-        Self::build_seeded(scale, 2022)
-    }
-
-    /// Build a fresh world from an arbitrary seed.
-    pub fn build_seeded(scale: Scale, seed: u64) -> World {
-        Self::build_with(scale, seed, None)
+        Self::build_with(scale, 2022, None)
     }
 
     /// Build a fresh world, optionally capping the campaign worker pool

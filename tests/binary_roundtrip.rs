@@ -1,22 +1,30 @@
-//! Pins the WCD1 binary export: `dataset --format bin` bytes must decode
-//! back to the identical normalized dataset, auto-detect correctly
-//! through [`wheels_core::column::load_dataset`], and leave the JSON
-//! interchange untouched — serializing the loaded copy reproduces the
-//! exact JSON the row tables would have produced. A world rebuilt the
-//! way `repro --load` rebuilds it (`load_dataset` → `World::from_dataset`)
-//! must also drive the analysis kernels to the same memoized results as
-//! the simulated one, so `repro --load` cannot drift from `repro`.
+//! Pins the WCD1 binary export: its exact bytes (an FNV-1a-64 per
+//! scale), which must decode back to the identical normalized dataset,
+//! auto-detect correctly through [`wheels_core::column::load_dataset`],
+//! and leave the JSON interchange untouched — serializing the loaded
+//! copy reproduces the exact JSON the row tables would have produced. A
+//! world rebuilt the way `repro --load` rebuilds it (`load_dataset` →
+//! `World::from_dataset`) must also drive the analysis kernels to the
+//! same memoized results as the simulated one, so `repro --load` cannot
+//! drift from `repro`.
 
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::{Campaign, CampaignConfig};
-use wheels_core::column::{self, wcd, ColumnarDataset};
+use wheels_core::column::{self, wcd};
 use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::world::{Scale, World};
 use wheels_ran::operator::Operator;
 
-/// Full round-trip at one campaign config: rows → columns → WCD1 bytes →
-/// columns → rows, checked against the normalized source dataset.
-fn roundtrip(cfg: &CampaignConfig) {
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Full round-trip at one campaign config: rows → WCD1 bytes → rows,
+/// checked against the normalized source dataset, with the export's
+/// bytes pinned by their FNV-1a-64 (`pin`).
+fn roundtrip(cfg: &CampaignConfig, pin: u64) {
     let campaign = Campaign::standard(cfg.seed);
     let ds = campaign.run(cfg);
     assert!(!ds.tput.is_empty(), "tput table empty");
@@ -24,10 +32,11 @@ fn roundtrip(cfg: &CampaignConfig) {
     assert!(!ds.audits.is_empty(), "audit ledger empty");
 
     // The export path: the view normalizes the tables and
-    // `dataset --format bin` columnarizes its dataset at export time.
+    // `dataset --format bin` encodes its dataset.
     let view = DatasetView::new(ds);
-    let bytes = wcd::encode(&ColumnarDataset::from_rows(view.dataset()));
+    let bytes = wcd::encode(view.dataset());
     assert_eq!(&bytes[..4], wcd::MAGIC);
+    assert_eq!(fnv1a64(&bytes), pin, "WCD1 export bytes drifted");
 
     // `repro --load` path: auto-detect, load, compare tables.
     let (loaded, fmt) = column::load_dataset(&bytes).expect("binary export loads");
@@ -75,15 +84,18 @@ fn roundtrip(cfg: &CampaignConfig) {
 /// populated, fast enough for tier 1.
 #[test]
 fn binary_export_roundtrips_at_quick_scale() {
-    roundtrip(&CampaignConfig {
-        seed: 11,
-        max_cycles: Some(2),
-        include_apps: true,
-        include_static: false,
-        cycle_stride_s: 40_000,
-        faults: FaultConfig::demo(),
-        ..CampaignConfig::default()
-    });
+    roundtrip(
+        &CampaignConfig {
+            seed: 11,
+            max_cycles: Some(2),
+            include_apps: true,
+            include_static: false,
+            cycle_stride_s: 40_000,
+            faults: FaultConfig::demo(),
+            ..CampaignConfig::default()
+        },
+        0x0ab9_936b_9dc5_7b0b,
+    );
 }
 
 /// Standard scale (the default `repro` world). Minutes in debug builds,
@@ -91,10 +103,13 @@ fn binary_export_roundtrips_at_quick_scale() {
 #[test]
 #[ignore = "standard-scale campaign; run explicitly (CI does)"]
 fn binary_export_roundtrips_at_standard_scale() {
-    roundtrip(&CampaignConfig {
-        seed: 2022,
-        include_apps: true,
-        cycle_stride_s: 800,
-        ..CampaignConfig::default()
-    });
+    roundtrip(
+        &CampaignConfig {
+            seed: 2022,
+            include_apps: true,
+            cycle_stride_s: 800,
+            ..CampaignConfig::default()
+        },
+        0x4f88_beb0_70da_7738,
+    );
 }
