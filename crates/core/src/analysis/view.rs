@@ -55,7 +55,8 @@ use crate::analysis::handover::{self, HoImpact};
 use crate::campaign::apply_table1_accounting;
 use crate::checkpoint::{self, CheckpointError, Fingerprint, TailState};
 use crate::records::{
-    merge_sorted_by_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
+    app_key, audit_key, coverage_key, handover_key, merge_sorted_by_key, rtt_key, run_key,
+    tput_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
 };
 
 const OPS: usize = Operator::ALL.len();
@@ -367,18 +368,6 @@ fn index_coverage(lists: &mut [Vec<u32>; OPS], rows: &[CoverageSample], base: us
     }
 }
 
-/// Canonical ([`Dataset::normalize`]) sort key of a throughput position.
-fn tput_key(tput: &[TputSample], i: u32) -> (u64, u32) {
-    let s = at(tput, i);
-    (s.t.as_millis(), s.test_id)
-}
-
-/// RTT counterpart of [`tput_key`].
-fn rtt_key(rtt: &[RttSample], i: u32) -> (u64, u32) {
-    let s = at(rtt, i);
-    (s.t.as_millis(), s.test_id)
-}
-
 /// Indexed view over an owned, normalized [`Dataset`]. See the module
 /// docs for the guarantees.
 pub struct DatasetView {
@@ -463,7 +452,7 @@ impl DatasetView {
                 .into_iter()
                 .map(|p| self.tput_parts[p].idx.as_slice())
                 .collect();
-            merge_indices(&runs, |i| tput_key(&self.ds.tput, i))
+            merge_indices(&runs, |i| tput_key(at(&self.ds.tput, i)))
         })
     }
 
@@ -476,7 +465,7 @@ impl DatasetView {
                 .into_iter()
                 .map(|p| self.rtt_parts[p].idx.as_slice())
                 .collect();
-            merge_indices(&runs, |i| rtt_key(&self.ds.rtt, i))
+            merge_indices(&runs, |i| rtt_key(at(&self.ds.rtt, i)))
         })
     }
 
@@ -772,7 +761,7 @@ impl DatasetView {
         self.ds.tput.extend(rows);
 
         let tput = &self.ds.tput;
-        let key = |i: u32| tput_key(tput, i);
+        let key = |i: u32| tput_key(at(tput, i));
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -807,7 +796,7 @@ impl DatasetView {
         self.ds.rtt.extend(rows);
 
         let rtt = &self.ds.rtt;
-        let key = |i: u32| rtt_key(rtt, i);
+        let key = |i: u32| rtt_key(at(rtt, i));
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -839,10 +828,7 @@ impl DatasetView {
         self.ds.coverage.extend(rows);
 
         let coverage = &self.ds.coverage;
-        let key = |i: u32| {
-            let s = at(coverage, i);
-            (s.t.as_millis(), s.operator.index())
-        };
+        let key = |i: u32| coverage_key(at(coverage, i));
         for (list, run) in self.cov_idx.iter_mut().zip(&add) {
             merge_positions(list, run, key);
         }
@@ -853,24 +839,15 @@ impl DatasetView {
     /// — thousands of times smaller than the sample tables, so the
     /// linear merge is noise.
     fn ingest_small_tables(&mut self, sd: &mut Dataset) {
-        merge_sorted_by_key(&mut self.ds.runs, std::mem::take(&mut sd.runs), |r| {
-            (r.start.as_millis(), r.id)
-        });
+        let ds = &mut self.ds;
+        merge_sorted_by_key(&mut ds.runs, std::mem::take(&mut sd.runs), run_key);
         merge_sorted_by_key(
-            &mut self.ds.handovers,
+            &mut ds.handovers,
             std::mem::take(&mut sd.handovers),
-            |h| {
-                (
-                    h.event.start.as_millis(),
-                    h.operator.index(),
-                    h.event.to_cell,
-                )
-            },
+            handover_key,
         );
-        merge_sorted_by_key(&mut self.ds.apps, std::mem::take(&mut sd.apps), |a| a.id);
-        merge_sorted_by_key(&mut self.ds.audits, std::mem::take(&mut sd.audits), |a| {
-            (a.scheduled.as_millis(), a.test_id)
-        });
+        merge_sorted_by_key(&mut ds.apps, std::mem::take(&mut sd.apps), app_key);
+        merge_sorted_by_key(&mut ds.audits, std::mem::take(&mut sd.audits), audit_key);
     }
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame

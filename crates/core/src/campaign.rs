@@ -208,22 +208,116 @@ impl CampaignMetrics {
     }
 }
 
+/// One test slot of the round-robin cycle. [`CYCLE`] lists the cycle
+/// once: the cycle's duration, the runner's clock and the rows each
+/// slot leaves all come from it.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// 30 s of backlogged nuttcp in one direction.
+    Tput(Direction),
+    /// 20 s of pings every 200 ms.
+    Rtt,
+    /// AR or CAV frame offload, raw or compressed.
+    Offload { kind: TestKind, compressed: bool },
+    /// One 360° video session.
+    Video,
+    /// One cloud-gaming session.
+    Gaming,
+}
+
+/// The cycle in run order: the instruments, then the apps.
+const CYCLE: [Slot; 9] = [
+    Slot::Tput(Direction::Downlink),
+    Slot::Tput(Direction::Uplink),
+    Slot::Rtt,
+    Slot::Offload {
+        kind: TestKind::Ar,
+        compressed: false,
+    },
+    Slot::Offload {
+        kind: TestKind::Cav,
+        compressed: false,
+    },
+    Slot::Offload {
+        kind: TestKind::Ar,
+        compressed: true,
+    },
+    Slot::Offload {
+        kind: TestKind::Cav,
+        compressed: true,
+    },
+    Slot::Video,
+    Slot::Gaming,
+];
+
+/// The slots one cycle runs: the instruments, plus the apps when
+/// `include_apps`.
+fn cycle(include_apps: bool) -> impl Iterator<Item = Slot> {
+    CYCLE
+        .into_iter()
+        .filter(move |s| include_apps || matches!(s, Slot::Tput(_) | Slot::Rtt))
+}
+
+fn offload_config(kind: TestKind) -> AppConfig {
+    if kind == TestKind::Ar {
+        AppConfig::ar()
+    } else {
+        AppConfig::cav()
+    }
+}
+
+impl Slot {
+    fn kind(self) -> TestKind {
+        match self {
+            Slot::Tput(Direction::Downlink) => TestKind::DownlinkTput,
+            Slot::Tput(Direction::Uplink) => TestKind::UplinkTput,
+            Slot::Rtt => TestKind::Rtt,
+            Slot::Offload { kind, .. } => kind,
+            Slot::Video => TestKind::Video,
+            Slot::Gaming => TestKind::Gaming,
+        }
+    }
+
+    /// Scheduled length, without the trailing [`TEST_GAP`].
+    fn duration(self) -> SimDuration {
+        match self {
+            Slot::Tput(_) => measure::TPUT_TEST,
+            Slot::Rtt => measure::RTT_TEST,
+            Slot::Offload { kind, .. } => SimDuration::from_secs(offload_config(kind).duration_s),
+            Slot::Video => SimDuration::from_secs(wheels_apps::video::SESSION_S),
+            Slot::Gaming => SimDuration::from_secs(wheels_apps::gaming::SESSION_S),
+        }
+    }
+
+    /// The traffic's dominant direction, which tags the slot's handovers
+    /// and app coverage rows (`None`: pings only).
+    fn direction(self) -> Option<Direction> {
+        match self {
+            Slot::Tput(dir) => Some(dir),
+            Slot::Rtt => None,
+            Slot::Offload { .. } => Some(Direction::Uplink),
+            Slot::Video | Slot::Gaming => Some(Direction::Downlink),
+        }
+    }
+
+    fn demand(self) -> TrafficDemand {
+        match self.direction() {
+            Some(Direction::Downlink) => TrafficDemand::BackloggedDownlink,
+            Some(Direction::Uplink) => TrafficDemand::BackloggedUplink,
+            None => TrafficDemand::IcmpOnly,
+        }
+    }
+}
+
 /// Duration of one round-robin cycle, including the trailing inter-test
 /// gaps — a pure function of the config, which is what lets the shard
 /// planner precompute every cycle start time without simulating anything.
 pub fn cycle_duration(include_apps: bool) -> SimDuration {
-    let mut ms = measure::TPUT_TEST.as_millis() + TEST_GAP.as_millis(); // DL
-    ms += measure::TPUT_TEST.as_millis() + TEST_GAP.as_millis(); // UL
-    ms += measure::RTT_TEST.as_millis() + TEST_GAP.as_millis();
-    if include_apps {
-        for cfg in [AppConfig::ar(), AppConfig::cav()] {
-            // Raw and compressed variants each.
-            ms += 2 * (cfg.duration_s * 1000 + TEST_GAP.as_millis());
-        }
-        ms += wheels_apps::video::SESSION_S * 1000 + TEST_GAP.as_millis();
-        ms += wheels_apps::gaming::SESSION_S * 1000 + TEST_GAP.as_millis();
-    }
-    SimDuration(ms)
+    SimDuration(
+        cycle(include_apps)
+            .map(|slot| slot.duration().as_millis() + TEST_GAP.as_millis())
+            .sum(),
+    )
 }
 
 /// One trace segment's worth of cycles, run as an independent shard.
@@ -856,34 +950,6 @@ impl<'a> OpRunner<'a> {
         n
     }
 
-    /// Record one audit-ledger row for a scheduled drive test.
-    #[allow(clippy::too_many_arguments)]
-    fn push_audit(
-        &mut self,
-        test_id: u32,
-        kind: TestKind,
-        scheduled: SimTime,
-        status: TestStatus,
-        attempts: u32,
-        fault: Option<FaultKind>,
-        planned: u32,
-        recorded: u32,
-    ) {
-        self.ds.audits.push(TestAudit {
-            test_id,
-            operator: self.op,
-            kind,
-            day: self.day,
-            scheduled,
-            status,
-            attempts,
-            fault,
-            planned_samples: planned,
-            recorded_samples: recorded,
-            lost_samples: planned.saturating_sub(recorded),
-        });
-    }
-
     fn run_static_stops(&mut self, dep: &'a Deployment) {
         // Group static samples into per-city stops.
         let mut stops: Vec<(SimTime, f64)> = Vec::new();
@@ -918,15 +984,7 @@ impl<'a> OpRunner<'a> {
         let mut t = SimTime(first.0.saturating_sub(WARMUP.as_millis()));
         while t < first {
             if let Some(s) = self.trace.sample_at(t) {
-                self.session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                );
+                self.session.poll(t, PollCtx::from(s));
             }
             t += SimDuration(measure::SAMPLE_MS);
         }
@@ -952,21 +1010,12 @@ impl<'a> OpRunner<'a> {
         self.ho_mark = events.len();
     }
 
-    /// Run one round-robin cycle starting at `t`; returns the end time.
-    fn run_cycle(&mut self, t: SimTime, include_apps: bool) -> SimTime {
-        let mut t = t;
-        t = self.run_tput(t, Direction::Downlink);
-        t = self.run_tput(t, Direction::Uplink);
-        t = self.run_rtt(t);
-        if include_apps {
-            for compressed in [false, true] {
-                t = self.run_offload(t, TestKind::Ar, AppConfig::ar(), compressed);
-                t = self.run_offload(t, TestKind::Cav, AppConfig::cav(), compressed);
-            }
-            t = self.run_video(t);
-            t = self.run_gaming(t);
+    /// Run one round-robin cycle starting at `t`.
+    fn run_cycle(&mut self, mut t: SimTime, include_apps: bool) {
+        for slot in cycle(include_apps) {
+            self.run_slot(slot, t);
+            t += slot.duration() + TEST_GAP;
         }
-        t
     }
 
     fn current_path(&self, t: SimTime) -> wheels_transport::servers::NetPath {
@@ -978,244 +1027,211 @@ impl<'a> OpRunner<'a> {
         }
     }
 
-    fn run_tput(&mut self, start: SimTime, dir: Direction) -> SimTime {
+    /// Run one slot scheduled at `start`. Whatever the fault layer did,
+    /// it leaves exactly one audit row; a slot that ran also leaves one
+    /// run row, and an app slot one app row.
+    fn run_slot(&mut self, slot: Slot, start: SimTime) {
         let id = self.alloc_id();
-        let kind = match dir {
-            Direction::Downlink => TestKind::DownlinkTput,
-            Direction::Uplink => TestKind::UplinkTput,
+        let kind = slot.kind();
+        let sched_end = start + slot.duration();
+        // The instruments sample a fixed grid (500 ms bins, 200 ms
+        // pings), so their planned count is a pure trace lookup. App
+        // sampling follows app behaviour: an app plans what it produced
+        // plus what logger gaps ate, and a lost app plans nothing.
+        let grid_ms = match slot {
+            Slot::Tput(_) => Some(measure::SAMPLE_MS),
+            Slot::Rtt => Some(200),
+            _ => None,
         };
-        let sched_end = start + measure::TPUT_TEST;
-        let planned = self.planned_samples(start, sched_end, measure::SAMPLE_MS);
         let plan = self.faults.plan_test(start, sched_end, &self.retry);
-        let Some(begin) = plan.begin else {
-            // Retries exhausted (or the slot is drift-poisoned): the
-            // slot produces no data, only a ledger row. The id was
-            // allocated anyway so the slot plan matches the fault-free
-            // campaign.
-            self.push_audit(
+        let mut audit = TestAudit {
+            test_id: id,
+            operator: self.op,
+            kind,
+            day: self.day,
+            scheduled: start,
+            status: TestStatus::Lost,
+            attempts: plan.attempts,
+            fault: plan.fault,
+            planned_samples: grid_ms.map_or(0, |ms| self.planned_samples(start, sched_end, ms)),
+            recorded_samples: 0,
+            lost_samples: 0,
+        };
+        // A blocked instrument salvages a late begin. An app session has
+        // fixed internal timing, so it runs from its scheduled start or
+        // not at all (mid-run faults degrade its link instead). A lost
+        // slot still used its id, so the id plan matches the fault-free
+        // campaign.
+        if let Some(begin) = plan.begin.filter(|&b| grid_ms.is_some() || b == start) {
+            let path = self.current_path(begin);
+            self.session.set_demand(slot.demand());
+            let mut app = AppRun {
+                id,
+                operator: self.op,
+                kind,
+                server: path.kind,
+                driving: true,
+                offload: None,
+                video: None,
+                gaming: None,
+            };
+            let (trace, session) = (self.trace, &mut self.session);
+            let mut poll = |t| session.poll(t, PollCtx::from(trace.sample_at(t)?));
+            let mut ctx_of = |t| trace.sample_at(t).map(VehicleCtx::from);
+            // Each arm records its rows and returns the run's end, its
+            // kept and gap-dropped counts, and its high-speed-5G share.
+            let (end, kept, dropped, hs5g) = match slot {
+                Slot::Tput(dir) => {
+                    let mut out = measure::measure_tput(
+                        &mut poll,
+                        &mut ctx_of,
+                        dir,
+                        begin,
+                        plan.cut,
+                        id,
+                        self.op,
+                        path,
+                        true,
+                    );
+                    // XCAL logger gaps eat the KPI-joined rows recorded
+                    // inside them.
+                    let before = out.coverage.len();
+                    if !self.faults.is_empty() {
+                        let faults = &self.faults;
+                        out.samples.retain(|s| !faults.in_gap(s.t));
+                        out.coverage.retain(|c| !faults.in_gap(c.t));
+                    }
+                    let kept = out.coverage.len();
+                    match dir {
+                        Direction::Downlink => self.ds.rx_bytes += out.bytes,
+                        Direction::Uplink => self.ds.tx_bytes += out.bytes,
+                    }
+                    self.ds.tput.extend(out.samples);
+                    self.ds.coverage.extend(out.coverage);
+                    // The instrument records whole 500 ms bins from
+                    // `begin` to the cut; that is the run's window.
+                    let bins = plan.cut.since(begin).as_millis() / measure::SAMPLE_MS;
+                    let end = begin + SimDuration::from_millis(bins * measure::SAMPLE_MS);
+                    (end, kept, before - kept, out.hs5g_fraction)
+                }
+                Slot::Rtt => {
+                    let (samples, mut coverage, hs5g) = measure::measure_rtt(
+                        &mut poll,
+                        &mut ctx_of,
+                        begin,
+                        plan.cut,
+                        id,
+                        self.op,
+                        path,
+                        true,
+                        self.rng.split(&format!("campaign/rtt/{id}")),
+                    );
+                    // The ping log is app-layer, so logger gaps only eat
+                    // the XCAL-derived coverage rows, never a counted
+                    // sample.
+                    if !self.faults.is_empty() {
+                        let faults = &self.faults;
+                        coverage.retain(|c| !faults.in_gap(c.t));
+                    }
+                    let kept = samples.len();
+                    self.ds.rtt.extend(samples);
+                    self.ds.coverage.extend(coverage);
+                    (plan.cut, kept, 0, hs5g)
+                }
+                Slot::Offload { compressed, .. } => {
+                    let config = offload_config(kind);
+                    let (stats, kept, dropped) = self.with_sampler(path, slot, |s| {
+                        OffloadRun::execute(&config, s, start, compressed)
+                    });
+                    let frame_kb = if compressed {
+                        config.compressed_frame_kb
+                    } else {
+                        config.raw_frame_kb
+                    };
+                    self.ds.tx_bytes += stats.frames_offloaded as f64 * frame_kb * 1024.0;
+                    let hs5g = stats.high_speed_5g_fraction;
+                    app.offload = Some(stats);
+                    (sched_end, kept, dropped, hs5g)
+                }
+                Slot::Video => {
+                    let (stats, kept, dropped) =
+                        self.with_sampler(path, slot, |s| VideoRun::execute(s, start));
+                    self.ds.rx_bytes +=
+                        stats.avg_bitrate() * 1e6 / 8.0 * stats.chunks.len() as f64 * 2.0;
+                    let hs5g = stats.high_speed_5g_fraction;
+                    app.video = Some(stats);
+                    (sched_end, kept, dropped, hs5g)
+                }
+                Slot::Gaming => {
+                    let (stats, kept, dropped) =
+                        self.with_sampler(path, slot, |s| GamingRun::execute(s, start));
+                    self.ds.rx_bytes += stats
+                        .bitrate_mbps
+                        .iter()
+                        .map(|b| b * 1e6 / 8.0)
+                        .sum::<f64>();
+                    let hs5g = stats.high_speed_5g_fraction;
+                    app.gaming = Some(stats);
+                    (sched_end, kept, dropped, hs5g)
+                }
+            };
+            // lint: allow(lossy-cast, rows per test are far below u32::MAX)
+            let (kept, dropped) = (kept as u32, dropped as u32);
+            if dropped > 0 {
+                audit.fault = audit.fault.or(Some(FaultKind::LoggerGap));
+            }
+            if grid_ms.is_none() {
+                audit.planned_samples = kept + dropped;
+            }
+            audit.recorded_samples = kept;
+            let partial = kept < audit.planned_samples;
+            audit.status = if partial {
+                TestStatus::Partial
+            } else {
+                TestStatus::Completed
+            };
+            let handovers = self.drain_handovers(id, slot.direction());
+            self.ds.runs.push(TestRun {
                 id,
                 kind,
-                start,
-                TestStatus::Lost,
-                plan.attempts,
-                plan.fault,
-                planned,
-                0,
-            );
-            return sched_end + TEST_GAP;
-        };
-        let path = self.current_path(begin);
-        self.session.set_demand(match dir {
-            Direction::Downlink => TrafficDemand::BackloggedDownlink,
-            Direction::Uplink => TrafficDemand::BackloggedUplink,
-        });
-        let trace = self.trace;
-        let session = &mut self.session;
-        let mut out = measure::measure_tput_window(
-            &mut |t| {
-                let s = trace.sample_at(t)?;
-                session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                )
-            },
-            &mut |t| {
-                trace.sample_at(t).map(|s| VehicleCtx {
-                    speed_mph: s.speed.as_mph(),
-                    zone: s.zone,
-                    tz: s.tz,
-                })
-            },
-            dir,
-            begin,
-            plan.cut,
-            id,
-            self.op,
-            path,
-            true,
-        );
-        // XCAL logger gaps eat the KPI-joined rows recorded inside them.
-        let mut fault = plan.fault;
-        if !self.faults.is_empty() {
-            let faults = &self.faults;
-            let before = out.coverage.len();
-            out.samples.retain(|s| !faults.in_gap(s.t));
-            out.coverage.retain(|c| !faults.in_gap(c.t));
-            if out.coverage.len() < before {
-                fault = fault.or(Some(FaultKind::LoggerGap));
+                operator: self.op,
+                start: begin,
+                end,
+                miles: self.trace.distance_in_window(begin, end).as_miles(),
+                tz: self
+                    .trace
+                    .sample_at(begin)
+                    .map(|s| s.tz)
+                    .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
+                server: path.kind,
+                hs5g_fraction: hs5g,
+                handovers,
+                driving: true,
+                partial,
+            });
+            if grid_ms.is_none() {
+                self.ds.apps.push(app);
             }
         }
-        // The instrument records whole 500 ms bins from `begin` to the
-        // cut; that is the run's actual window.
-        let end = begin
-            + SimDuration::from_millis(
-                plan.cut.since(begin).as_millis() / measure::SAMPLE_MS * measure::SAMPLE_MS,
-            );
-        // lint: allow(lossy-cast, at most 60 bins per test, exact in u32)
-        let recorded = out.coverage.len() as u32;
-        match dir {
-            Direction::Downlink => self.ds.rx_bytes += out.bytes,
-            Direction::Uplink => self.ds.tx_bytes += out.bytes,
-        }
-        self.ds.tput.extend(out.samples);
-        self.ds.coverage.extend(out.coverage);
-        let hos = self.drain_handovers(id, Some(dir));
-        let partial = recorded < planned;
-        self.push_audit(
-            id,
-            kind,
-            start,
-            if partial {
-                TestStatus::Partial
-            } else {
-                TestStatus::Completed
-            },
-            plan.attempts,
-            fault,
-            planned,
-            recorded,
-        );
-        self.ds.runs.push(TestRun {
-            id,
-            kind,
-            operator: self.op,
-            start: begin,
-            end,
-            miles: self.trace.distance_in_window(begin, end).as_miles(),
-            tz: self
-                .trace
-                .sample_at(begin)
-                .map(|s| s.tz)
-                .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
-            server: path.kind,
-            hs5g_fraction: out.hs5g_fraction,
-            handovers: hos,
-            driving: true,
-            partial,
-        });
-        sched_end + TEST_GAP
+        audit.lost_samples = audit.planned_samples.saturating_sub(audit.recorded_samples);
+        self.ds.audits.push(audit);
     }
 
-    fn run_rtt(&mut self, start: SimTime) -> SimTime {
-        let id = self.alloc_id();
-        let sched_end = start + measure::RTT_TEST;
-        // Pings fire on a deterministic 200 ms cadence, so the planned
-        // count is a pure trace lookup like the throughput bins.
-        let planned = self.planned_samples(start, sched_end, 200);
-        let plan = self.faults.plan_test(start, sched_end, &self.retry);
-        let Some(begin) = plan.begin else {
-            self.push_audit(
-                id,
-                TestKind::Rtt,
-                start,
-                TestStatus::Lost,
-                plan.attempts,
-                plan.fault,
-                planned,
-                0,
-            );
-            return sched_end + TEST_GAP;
-        };
-        let path = self.current_path(begin);
-        self.session.set_demand(TrafficDemand::IcmpOnly);
-        let trace = self.trace;
-        let session = &mut self.session;
-        let (samples, mut coverage, hs5g) = measure::measure_rtt_window(
-            &mut |t| {
-                let s = trace.sample_at(t)?;
-                session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                )
-            },
-            &mut |t| {
-                trace.sample_at(t).map(|s| VehicleCtx {
-                    speed_mph: s.speed.as_mph(),
-                    zone: s.zone,
-                    tz: s.tz,
-                })
-            },
-            begin,
-            plan.cut,
-            id,
-            self.op,
-            path,
-            true,
-            self.rng.split(&format!("campaign/rtt/{id}")),
-        );
-        // The ping log is app-layer, so logger gaps only eat the
-        // XCAL-derived coverage rows, not the RTT samples.
-        if !self.faults.is_empty() {
-            let faults = &self.faults;
-            coverage.retain(|c| !faults.in_gap(c.t));
-        }
-        let end = plan.cut;
-        // lint: allow(lossy-cast, at most 100 pings per test, exact in u32)
-        let recorded = samples.len() as u32;
-        self.ds.rtt.extend(samples);
-        self.ds.coverage.extend(coverage);
-        let hos = self.drain_handovers(id, None);
-        let partial = recorded < planned;
-        self.push_audit(
-            id,
-            TestKind::Rtt,
-            start,
-            if partial {
-                TestStatus::Partial
-            } else {
-                TestStatus::Completed
-            },
-            plan.attempts,
-            plan.fault,
-            planned,
-            recorded,
-        );
-        self.ds.runs.push(TestRun {
-            id,
-            kind: TestKind::Rtt,
-            operator: self.op,
-            start: begin,
-            end,
-            miles: self.trace.distance_in_window(begin, end).as_miles(),
-            tz: self
-                .trace
-                .sample_at(begin)
-                .map(|s| s.tz)
-                .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
-            server: path.kind,
-            hs5g_fraction: hs5g,
-            handovers: hos,
-            driving: true,
-            partial,
-        });
-        sched_end + TEST_GAP
-    }
-
-    /// Adapt the phone into the apps' link abstraction for one test.
+    /// Adapt the phone into the apps' link abstraction for one app slot.
     ///
     /// XCAL keeps logging during the app tests, so every 500 ms bin the
-    /// sampler touches also yields a coverage row (the direction tagging
-    /// follows the app's dominant traffic direction). Under an injected
-    /// blocking fault the link reads as dead (`None`) — the modem still
-    /// logs, so the coverage row is recorded first — and rows falling in
-    /// logger gaps are dropped afterwards. Returns the closure's result
-    /// plus (kept, gap-dropped) coverage-row counts for the audit ledger.
+    /// sampler touches also yields a coverage row, tagged with the
+    /// slot's traffic direction. Under an injected blocking fault the
+    /// link reads as dead (`None`) — the modem still logs, so the
+    /// coverage row is recorded first — and rows falling in logger gaps
+    /// are dropped afterwards. Returns the closure's result plus (kept,
+    /// gap-dropped) coverage-row counts for the audit ledger.
     fn with_sampler<R>(
         &mut self,
         path: wheels_transport::servers::NetPath,
-        app_direction: Direction,
+        slot: Slot,
         f: impl FnOnce(&mut dyn wheels_apps::link::LinkSampler) -> R,
-    ) -> (R, u32, u32) {
+    ) -> (R, usize, usize) {
         let trace = self.trace;
         let session = &mut self.session;
         let op = self.op;
@@ -1226,15 +1242,7 @@ impl<'a> OpRunner<'a> {
             let coverage = &coverage;
             let mut sampler = move |t: SimTime| -> Option<LinkState> {
                 let s = trace.sample_at(t)?;
-                let snap = session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                );
+                let snap = session.poll(t, PollCtx::from(s));
                 let bin = t.as_millis() / 500;
                 if bin != last_bin {
                     last_bin = bin;
@@ -1242,7 +1250,7 @@ impl<'a> OpRunner<'a> {
                         t,
                         operator: op,
                         tech: snap.as_ref().map(|x| x.tech),
-                        direction: Some(app_direction),
+                        direction: slot.direction(),
                         miles: s.speed.as_mph() * (500.0 / 3_600_000.0),
                         speed_mph: s.speed.as_mph(),
                         tz: s.tz,
@@ -1269,221 +1277,9 @@ impl<'a> OpRunner<'a> {
             let faults = &self.faults;
             rows.retain(|c| !faults.in_gap(c.t));
         }
-        // lint: allow(lossy-cast, bins per app run are far below u32::MAX)
-        let (kept, dropped) = (rows.len() as u32, (before - rows.len()) as u32);
+        let kept = rows.len();
         self.ds.coverage.extend(rows);
-        (r, kept, dropped)
-    }
-
-    /// Resolve an app slot against the fault schedule. App sessions have
-    /// fixed internal durations, so a blocked start cannot be salvaged by
-    /// a late begin the way a throughput test can: the slot is either run
-    /// in full (mid-run faults degrade the link instead of truncating) or
-    /// lost. Returns the plan when the app runs, or `None` after pushing
-    /// the lost-slot audit row.
-    fn plan_app(
-        &mut self,
-        id: u32,
-        kind: TestKind,
-        start: SimTime,
-        sched_end: SimTime,
-    ) -> Option<crate::disrupt::TestPlan> {
-        let plan = self.faults.plan_test(start, sched_end, &self.retry);
-        if plan.begin == Some(start) {
-            return Some(plan);
-        }
-        self.push_audit(
-            id,
-            kind,
-            start,
-            TestStatus::Lost,
-            plan.attempts,
-            plan.fault,
-            0,
-            0,
-        );
-        None
-    }
-
-    /// Audit row for an app run that executed. App sampling times depend
-    /// on app behaviour, so "planned" is defined as the rows the run
-    /// produced plus the rows logger gaps ate — conservation holds by
-    /// construction, and with faults off the row is a clean `Completed`.
-    fn audit_app(
-        &mut self,
-        id: u32,
-        kind: TestKind,
-        start: SimTime,
-        plan: &crate::disrupt::TestPlan,
-        kept: u32,
-        dropped: u32,
-    ) {
-        let mut fault = plan.fault;
-        if dropped > 0 {
-            fault = fault.or(Some(FaultKind::LoggerGap));
-        }
-        self.push_audit(
-            id,
-            kind,
-            start,
-            if dropped > 0 {
-                TestStatus::Partial
-            } else {
-                TestStatus::Completed
-            },
-            plan.attempts,
-            fault,
-            kept + dropped,
-            kept,
-        );
-    }
-
-    fn run_offload(
-        &mut self,
-        start: SimTime,
-        kind: TestKind,
-        config: AppConfig,
-        compressed: bool,
-    ) -> SimTime {
-        let id = self.alloc_id();
-        let end = start + SimDuration::from_secs(config.duration_s);
-        let Some(plan) = self.plan_app(id, kind, start, end) else {
-            return end + TEST_GAP;
-        };
-        let path = self.current_path(start);
-        self.session.set_demand(TrafficDemand::BackloggedUplink);
-        let (stats, kept, dropped) = self.with_sampler(path, Direction::Uplink, |s| {
-            OffloadRun::execute(&config, s, start, compressed)
-        });
-        let frame_kb = if compressed {
-            config.compressed_frame_kb
-        } else {
-            config.raw_frame_kb
-        };
-        self.ds.tx_bytes += stats.frames_offloaded as f64 * frame_kb * 1024.0;
-        let hos = self.drain_handovers(id, Some(Direction::Uplink));
-        self.audit_app(id, kind, start, &plan, kept, dropped);
-        self.ds.runs.push(TestRun {
-            id,
-            kind,
-            operator: self.op,
-            start,
-            end,
-            miles: self.trace.distance_in_window(start, end).as_miles(),
-            tz: self
-                .trace
-                .sample_at(start)
-                .map(|s| s.tz)
-                .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
-            server: path.kind,
-            hs5g_fraction: stats.high_speed_5g_fraction,
-            handovers: hos,
-            driving: true,
-            partial: dropped > 0,
-        });
-        self.ds.apps.push(AppRun {
-            id,
-            operator: self.op,
-            kind,
-            server: path.kind,
-            driving: true,
-            offload: Some(stats),
-            video: None,
-            gaming: None,
-        });
-        end + TEST_GAP
-    }
-
-    fn run_video(&mut self, start: SimTime) -> SimTime {
-        let id = self.alloc_id();
-        let end = start + SimDuration::from_secs(wheels_apps::video::SESSION_S);
-        let Some(plan) = self.plan_app(id, TestKind::Video, start, end) else {
-            return end + TEST_GAP;
-        };
-        let path = self.current_path(start);
-        self.session.set_demand(TrafficDemand::BackloggedDownlink);
-        let (stats, kept, dropped) =
-            self.with_sampler(path, Direction::Downlink, |s| VideoRun::execute(s, start));
-        self.ds.rx_bytes += stats.avg_bitrate() * 1e6 / 8.0 * stats.chunks.len() as f64 * 2.0;
-        let hos = self.drain_handovers(id, Some(Direction::Downlink));
-        self.audit_app(id, TestKind::Video, start, &plan, kept, dropped);
-        self.ds.runs.push(TestRun {
-            id,
-            kind: TestKind::Video,
-            operator: self.op,
-            start,
-            end,
-            miles: self.trace.distance_in_window(start, end).as_miles(),
-            tz: self
-                .trace
-                .sample_at(start)
-                .map(|s| s.tz)
-                .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
-            server: path.kind,
-            hs5g_fraction: stats.high_speed_5g_fraction,
-            handovers: hos,
-            driving: true,
-            partial: dropped > 0,
-        });
-        self.ds.apps.push(AppRun {
-            id,
-            operator: self.op,
-            kind: TestKind::Video,
-            server: path.kind,
-            driving: true,
-            offload: None,
-            video: Some(stats),
-            gaming: None,
-        });
-        end + TEST_GAP
-    }
-
-    fn run_gaming(&mut self, start: SimTime) -> SimTime {
-        let id = self.alloc_id();
-        let end = start + SimDuration::from_secs(wheels_apps::gaming::SESSION_S);
-        let Some(plan) = self.plan_app(id, TestKind::Gaming, start, end) else {
-            return end + TEST_GAP;
-        };
-        let path = self.current_path(start);
-        self.session.set_demand(TrafficDemand::BackloggedDownlink);
-        let (stats, kept, dropped) =
-            self.with_sampler(path, Direction::Downlink, |s| GamingRun::execute(s, start));
-        self.ds.rx_bytes += stats
-            .bitrate_mbps
-            .iter()
-            .map(|b| b * 1e6 / 8.0)
-            .sum::<f64>();
-        let hos = self.drain_handovers(id, Some(Direction::Downlink));
-        self.audit_app(id, TestKind::Gaming, start, &plan, kept, dropped);
-        self.ds.runs.push(TestRun {
-            id,
-            kind: TestKind::Gaming,
-            operator: self.op,
-            start,
-            end,
-            miles: self.trace.distance_in_window(start, end).as_miles(),
-            tz: self
-                .trace
-                .sample_at(start)
-                .map(|s| s.tz)
-                .unwrap_or(wheels_sim_core::time::Timezone::Pacific),
-            server: path.kind,
-            hs5g_fraction: stats.high_speed_5g_fraction,
-            handovers: hos,
-            driving: true,
-            partial: dropped > 0,
-        });
-        self.ds.apps.push(AppRun {
-            id,
-            operator: self.op,
-            kind: TestKind::Gaming,
-            server: path.kind,
-            driving: true,
-            offload: None,
-            video: None,
-            gaming: Some(stats),
-        });
-        end + TEST_GAP
+        (r, kept, before - kept)
     }
 }
 

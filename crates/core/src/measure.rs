@@ -9,6 +9,7 @@
 //! produces typed records for the consolidated dataset.
 
 use wheels_geo::route::ZoneClass;
+use wheels_geo::trace::TraceSample;
 use wheels_radio::tech::Direction;
 use wheels_ran::operator::Operator;
 use wheels_ran::session::RanSnapshot;
@@ -30,6 +31,16 @@ pub struct VehicleCtx {
     pub zone: ZoneClass,
     /// Timezone.
     pub tz: Timezone,
+}
+
+impl From<&TraceSample> for VehicleCtx {
+    fn from(s: &TraceSample) -> Self {
+        VehicleCtx {
+            speed_mph: s.speed.as_mph(),
+            zone: s.zone,
+            tz: s.tz,
+        }
+    }
 }
 
 /// Closure types used by the instruments.
@@ -66,38 +77,13 @@ pub fn base_rtt_ms(snap: &RanSnapshot, path: &NetPath) -> f64 {
     2.0 * snap.tech.ran_latency_ms() + 2.0 * path.core_owd_ms
 }
 
-/// Run one backlogged TCP throughput test over the full scheduled window.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_tput(
-    poll: &mut Poller,
-    ctx_of: &mut CtxOf,
-    dir: Direction,
-    start: SimTime,
-    test_id: u32,
-    operator: Operator,
-    path: NetPath,
-    driving: bool,
-) -> TputTestOut {
-    measure_tput_window(
-        poll,
-        ctx_of,
-        dir,
-        start,
-        start + TPUT_TEST,
-        test_id,
-        operator,
-        path,
-        driving,
-    )
-}
-
 /// Run a (possibly truncated) backlogged TCP throughput test over
 /// `[start, cut)`. Only **complete** 500 ms bins are recorded — a run
 /// cut short mid-bin salvages its finished samples and discards the
 /// partial bin, the paper's "keep what the disruption left us" rule.
-/// With `cut = start + TPUT_TEST` this is exactly [`measure_tput`].
+/// A full test is `cut = start + TPUT_TEST`.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_tput_window(
+pub fn measure_tput(
     poll: &mut Poller,
     ctx_of: &mut CtxOf,
     dir: Direction,
@@ -204,36 +190,11 @@ pub fn measure_tput_window(
     out
 }
 
-/// Run one RTT test (20 s of 200 ms pings).
+/// Run a (possibly truncated) RTT test over `[start, cut)`: pings keep
+/// their deterministic 200 ms cadence and simply stop at the cut. A full
+/// test (20 s of 200 ms pings) is `cut = start + RTT_TEST`.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_rtt(
-    poll: &mut Poller,
-    ctx_of: &mut CtxOf,
-    start: SimTime,
-    test_id: u32,
-    operator: Operator,
-    path: NetPath,
-    driving: bool,
-    rng: SimRng,
-) -> (Vec<RttSample>, Vec<CoverageSample>, f64) {
-    measure_rtt_window(
-        poll,
-        ctx_of,
-        start,
-        start + RTT_TEST,
-        test_id,
-        operator,
-        path,
-        driving,
-        rng,
-    )
-}
-
-/// Run a (possibly truncated) RTT test over `[start, cut)`: pings keep
-/// their deterministic 200 ms cadence and simply stop at the cut. With
-/// `cut = start + RTT_TEST` this is exactly [`measure_rtt`].
-#[allow(clippy::too_many_arguments)]
-pub fn measure_rtt_window(
     poll: &mut Poller,
     ctx_of: &mut CtxOf,
     start: SimTime,
@@ -345,6 +306,7 @@ mod tests {
             &mut c,
             Direction::Downlink,
             SimTime::EPOCH,
+            SimTime::EPOCH + TPUT_TEST,
             1,
             Operator::TMobile,
             NetPath {
@@ -371,6 +333,7 @@ mod tests {
             &mut c,
             Direction::Uplink,
             SimTime::EPOCH,
+            SimTime::EPOCH + TPUT_TEST,
             2,
             Operator::TMobile,
             NetPath {
@@ -393,6 +356,7 @@ mod tests {
             &mut c,
             Direction::Downlink,
             SimTime::EPOCH,
+            SimTime::EPOCH + TPUT_TEST,
             3,
             Operator::Att,
             NetPath {
@@ -414,6 +378,7 @@ mod tests {
             &mut poll,
             &mut c,
             SimTime::EPOCH,
+            SimTime::EPOCH + RTT_TEST,
             4,
             Operator::TMobile,
             NetPath {
@@ -434,7 +399,7 @@ mod tests {
         let mut c = |_t: SimTime| Some(ctx());
         // Cut mid-bin at 10.25 s: 20 complete 500 ms bins survive, the
         // half-filled 21st is discarded.
-        let out = measure_tput_window(
+        let out = measure_tput(
             &mut poll,
             &mut c,
             Direction::Downlink,
@@ -457,7 +422,7 @@ mod tests {
     fn truncated_rtt_stops_at_cut() {
         let mut poll = |t: SimTime| Some(snap(t, 50.0, 10.0, Technology::LteA));
         let mut c = |_t: SimTime| Some(ctx());
-        let (samples, _cov, _f) = measure_rtt_window(
+        let (samples, _cov, _f) = measure_rtt(
             &mut poll,
             &mut c,
             SimTime::EPOCH,

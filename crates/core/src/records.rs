@@ -11,6 +11,7 @@ use wheels_apps::gaming::GamingStats;
 use wheels_apps::video::VideoStats;
 use wheels_geo::route::ZoneClass;
 use wheels_radio::tech::{Direction, Technology};
+use wheels_ran::cells::CellId;
 use wheels_ran::operator::Operator;
 use wheels_ran::session::HandoverEvent;
 use wheels_sim_core::time::{SimTime, Timezone};
@@ -334,6 +335,48 @@ pub(crate) fn merge_sorted_by_key<T, K: Ord>(dst: &mut Vec<T>, src: Vec<T>, key:
     dst.extend(b);
 }
 
+// The canonical order, one sort key per table: `normalize` sorts by
+// these, and every run merge (the campaign drain, the view splice) and
+// order check reads them from here.
+
+pub(crate) fn tput_key(s: &TputSample) -> (u64, u32) {
+    (s.t.as_millis(), s.test_id)
+}
+
+pub(crate) fn rtt_key(s: &RttSample) -> (u64, u32) {
+    (s.t.as_millis(), s.test_id)
+}
+
+pub(crate) fn coverage_key(s: &CoverageSample) -> (u64, usize) {
+    (s.t.as_millis(), s.operator.index())
+}
+
+pub(crate) fn run_key(r: &TestRun) -> (u64, u32) {
+    (r.start.as_millis(), r.id)
+}
+
+pub(crate) fn handover_key(h: &TaggedHandover) -> (u64, usize, CellId) {
+    (
+        h.event.start.as_millis(),
+        h.operator.index(),
+        h.event.to_cell,
+    )
+}
+
+pub(crate) fn app_key(a: &AppRun) -> u32 {
+    a.id
+}
+
+pub(crate) fn audit_key(a: &TestAudit) -> (u64, u32) {
+    (a.scheduled.as_millis(), a.test_id)
+}
+
+/// Key of the per-operator aggregate tables (`unique_cells`,
+/// `runtime_min`).
+fn operator_key<T>(row: &(Operator, T)) -> usize {
+    row.0.index()
+}
+
 /// True when `v` is sorted (non-strictly) by `key`.
 fn sorted_by_key<T, K: Ord>(v: &[T], key: impl Fn(&T) -> K) -> bool {
     v.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
@@ -361,23 +404,15 @@ impl Dataset {
     /// stable and keyed on values that are themselves deterministic
     /// (times, test ids, operators).
     pub fn normalize(&mut self) {
-        self.tput.sort_by_key(|s| (s.t.as_millis(), s.test_id));
-        self.rtt.sort_by_key(|s| (s.t.as_millis(), s.test_id));
-        self.coverage
-            .sort_by_key(|s| (s.t.as_millis(), s.operator.index()));
-        self.runs.sort_by_key(|r| (r.start.as_millis(), r.id));
-        self.handovers.sort_by_key(|h| {
-            (
-                h.event.start.as_millis(),
-                h.operator.index(),
-                h.event.to_cell,
-            )
-        });
-        self.apps.sort_by_key(|a| a.id);
-        self.audits
-            .sort_by_key(|a| (a.scheduled.as_millis(), a.test_id));
-        self.unique_cells.sort_by_key(|(op, _)| op.index());
-        self.runtime_min.sort_by_key(|(op, _)| op.index());
+        self.tput.sort_by_key(tput_key);
+        self.rtt.sort_by_key(rtt_key);
+        self.coverage.sort_by_key(coverage_key);
+        self.runs.sort_by_key(run_key);
+        self.handovers.sort_by_key(handover_key);
+        self.apps.sort_by_key(app_key);
+        self.audits.sort_by_key(audit_key);
+        self.unique_cells.sort_by_key(operator_key);
+        self.runtime_min.sort_by_key(operator_key);
     }
 
     /// Merge another **normalized** dataset into this **normalized**
@@ -388,52 +423,32 @@ impl Dataset {
     /// re-sort, which is what lets the campaign engine drain shards
     /// incrementally instead of sorting at the end.
     pub fn merge_normalized(&mut self, other: Dataset) {
-        merge_sorted_by_key(&mut self.tput, other.tput, |s| (s.t.as_millis(), s.test_id));
-        merge_sorted_by_key(&mut self.rtt, other.rtt, |s| (s.t.as_millis(), s.test_id));
-        merge_sorted_by_key(&mut self.coverage, other.coverage, |s| {
-            (s.t.as_millis(), s.operator.index())
-        });
-        merge_sorted_by_key(&mut self.runs, other.runs, |r| (r.start.as_millis(), r.id));
-        merge_sorted_by_key(&mut self.handovers, other.handovers, |h| {
-            (
-                h.event.start.as_millis(),
-                h.operator.index(),
-                h.event.to_cell,
-            )
-        });
-        merge_sorted_by_key(&mut self.apps, other.apps, |a| a.id);
-        merge_sorted_by_key(&mut self.audits, other.audits, |a| {
-            (a.scheduled.as_millis(), a.test_id)
-        });
+        merge_sorted_by_key(&mut self.tput, other.tput, tput_key);
+        merge_sorted_by_key(&mut self.rtt, other.rtt, rtt_key);
+        merge_sorted_by_key(&mut self.coverage, other.coverage, coverage_key);
+        merge_sorted_by_key(&mut self.runs, other.runs, run_key);
+        merge_sorted_by_key(&mut self.handovers, other.handovers, handover_key);
+        merge_sorted_by_key(&mut self.apps, other.apps, app_key);
+        merge_sorted_by_key(&mut self.audits, other.audits, audit_key);
         self.rx_bytes += other.rx_bytes;
         self.tx_bytes += other.tx_bytes;
         self.log_bytes += other.log_bytes;
-        merge_sorted_by_key(&mut self.unique_cells, other.unique_cells, |(op, _)| {
-            op.index()
-        });
-        merge_sorted_by_key(&mut self.runtime_min, other.runtime_min, |(op, _)| {
-            op.index()
-        });
+        merge_sorted_by_key(&mut self.unique_cells, other.unique_cells, operator_key);
+        merge_sorted_by_key(&mut self.runtime_min, other.runtime_min, operator_key);
     }
 
     /// True when every table is already in [`Dataset::normalize`]'s
     /// canonical order (so `normalize` would be a no-op permutation).
     pub fn is_normalized(&self) -> bool {
-        sorted_by_key(&self.tput, |s| (s.t.as_millis(), s.test_id))
-            && sorted_by_key(&self.rtt, |s| (s.t.as_millis(), s.test_id))
-            && sorted_by_key(&self.coverage, |s| (s.t.as_millis(), s.operator.index()))
-            && sorted_by_key(&self.runs, |r| (r.start.as_millis(), r.id))
-            && sorted_by_key(&self.handovers, |h| {
-                (
-                    h.event.start.as_millis(),
-                    h.operator.index(),
-                    h.event.to_cell,
-                )
-            })
-            && sorted_by_key(&self.apps, |a| a.id)
-            && sorted_by_key(&self.audits, |a| (a.scheduled.as_millis(), a.test_id))
-            && sorted_by_key(&self.unique_cells, |(op, _)| op.index())
-            && sorted_by_key(&self.runtime_min, |(op, _)| op.index())
+        sorted_by_key(&self.tput, tput_key)
+            && sorted_by_key(&self.rtt, rtt_key)
+            && sorted_by_key(&self.coverage, coverage_key)
+            && sorted_by_key(&self.runs, run_key)
+            && sorted_by_key(&self.handovers, handover_key)
+            && sorted_by_key(&self.apps, app_key)
+            && sorted_by_key(&self.audits, audit_key)
+            && sorted_by_key(&self.unique_cells, operator_key)
+            && sorted_by_key(&self.runtime_min, operator_key)
     }
 
     /// Throughput samples filtered the way most figures need.

@@ -169,6 +169,7 @@ pub fn run_city(
                     &mut |_| Some(vctx),
                     d,
                     t,
+                    t + measure::TPUT_TEST,
                     id,
                     dep.operator,
                     path,
@@ -190,6 +191,7 @@ pub fn run_city(
                     &mut |pt| session.poll(pt, ctx),
                     &mut |_| Some(vctx),
                     t,
+                    t + measure::RTT_TEST,
                     id,
                     dep.operator,
                     path,

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use wheels_geo::route::ZoneClass;
+use wheels_geo::trace::TraceSample;
 use wheels_radio::ca::{aggregate, CarrierAllocation, CarrierComponent};
 use wheels_radio::channel::LinkChannel;
 use wheels_radio::tech::{Direction, TechSet, Technology};
@@ -165,6 +166,17 @@ pub struct PollCtx {
     pub zone: ZoneClass,
     /// Local timezone.
     pub tz: Timezone,
+}
+
+impl From<&TraceSample> for PollCtx {
+    fn from(s: &TraceSample) -> Self {
+        PollCtx {
+            odo: s.odo,
+            speed: s.speed,
+            zone: s.zone,
+            tz: s.tz,
+        }
+    }
 }
 
 /// Ordering of technologies by expected throughput, used to decide whether

@@ -73,15 +73,7 @@ impl HandoverLogger {
         for s in samples {
             for k in 0..(1000 / LOG_INTERVAL_MS) {
                 let t = s.t + SimDuration::from_millis(k * LOG_INTERVAL_MS);
-                let snap = session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                );
+                let snap = session.poll(t, PollCtx::from(s));
                 rows.push(HoLogRow {
                     utc_ms: WallClock::utc_ms(t),
                     lat: s.pos.lat,

@@ -49,15 +49,7 @@ impl<'a> Phone<'a> {
     /// (overnight) or the operator has no coverage.
     pub fn poll(&mut self, t: SimTime) -> Option<RanSnapshot> {
         let s = self.trace.sample_at(t)?;
-        self.session.poll(
-            t,
-            PollCtx {
-                odo: s.odo,
-                speed: s.speed,
-                zone: s.zone,
-                tz: s.tz,
-            },
-        )
+        self.session.poll(t, PollCtx::from(s))
     }
 
     /// Completed handovers.

@@ -62,15 +62,7 @@ fn main() {
         let mut active = vec![Vec::new(); nsegs];
         let mut session = RanSession::new(&dep, TrafficDemand::BackloggedDownlink, rng.split("a"));
         for s in trace.samples().iter().step_by(20) {
-            let snap = session.poll(
-                s.t,
-                PollCtx {
-                    odo: s.odo,
-                    speed: s.speed,
-                    zone: s.zone,
-                    tz: s.tz,
-                },
-            );
+            let snap = session.poll(s.t, PollCtx::from(s));
             active[(s.odo.as_km() / SEG_KM) as usize].push(snap.map(|x| x.tech));
         }
 

@@ -313,10 +313,51 @@ fn count_fault(ds: &Dataset, kind: FaultKind) -> usize {
     ds.audits.iter().filter(|a| a.fault == Some(kind)).count()
 }
 
+const TPUT: &[TestKind] = &[TestKind::DownlinkTput, TestKind::UplinkTput];
+const RTT: &[TestKind] = &[TestKind::Rtt];
+const APPS: &[TestKind] = &[
+    TestKind::Ar,
+    TestKind::Cav,
+    TestKind::Video,
+    TestKind::Gaming,
+];
+
+/// True when some audit row of one of `kinds` ended with `status`.
+fn has_outcome(ds: &Dataset, kinds: &[TestKind], status: TestStatus) -> bool {
+    ds.audits
+        .iter()
+        .any(|a| a.status == status && kinds.contains(&a.kind))
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pin every byte of a faulted dataset by the FNV-1a-64 of its JSON
+/// export: which rows each disrupted slot leaves, their counts, times,
+/// fault tags and the byte counters all feed it.
+fn assert_pinned(ds: &Dataset, pin: u64, what: &str) {
+    let json = serde_json::to_string(ds).expect("dataset serializes");
+    let got = fnv1a64(json.as_bytes());
+    assert_eq!(got, pin, "{what}: dataset bytes drifted (now {got:#018x})");
+}
+
 #[test]
 fn matrix_server_outage_blocks_retries_and_truncates() {
     let ds = faulted_campaign(only(FaultKind::ServerOutage), false);
     check_accounting(&ds);
+    assert_pinned(&ds, 0x1584_6679_ce3f_9e68, "server outage");
+    // Blocked starts retry late (partial) or run out of retries (lost),
+    // for the throughput and the RTT instruments alike.
+    for kinds in [TPUT, RTT] {
+        assert!(has_outcome(&ds, kinds, TestStatus::Lost), "{kinds:?} lost");
+        assert!(
+            has_outcome(&ds, kinds, TestStatus::Partial),
+            "{kinds:?} partial"
+        );
+    }
     assert!(
         count_fault(&ds, FaultKind::ServerOutage) > 0,
         "outages never hit a test"
@@ -333,6 +374,8 @@ fn matrix_server_outage_blocks_retries_and_truncates() {
 fn matrix_app_crash_loses_or_truncates_app_tests() {
     let ds = faulted_campaign(only(FaultKind::AppCrash), true);
     check_accounting(&ds);
+    assert_pinned(&ds, 0xa56b_169c_ac86_71c9, "app crash");
+    assert!(has_outcome(&ds, APPS, TestStatus::Lost), "no app slot lost");
     assert!(
         count_fault(&ds, FaultKind::AppCrash) > 0,
         "crashes never hit a test"
@@ -351,6 +394,7 @@ fn matrix_app_crash_loses_or_truncates_app_tests() {
 fn matrix_logger_gap_salvages_partials_without_blocking() {
     let ds = faulted_campaign(only(FaultKind::LoggerGap), false);
     check_accounting(&ds);
+    assert_pinned(&ds, 0x812a_0b1f_e81f_3943, "logger gap");
     assert!(
         count_fault(&ds, FaultKind::LoggerGap) > 0,
         "gaps never hit a test"
@@ -373,10 +417,30 @@ fn matrix_logger_gap_salvages_partials_without_blocking() {
 }
 
 #[test]
+fn matrix_logger_gap_marks_app_runs_partial() {
+    // Apps keep their scheduled slot under a gap; the coverage rows the
+    // gap ate are counted as planned-but-lost, and the run is partial.
+    let ds = faulted_campaign(only(FaultKind::LoggerGap), true);
+    check_accounting(&ds);
+    assert_pinned(&ds, 0xfc54_1bb5_36a3_83c4, "logger gap with apps");
+    assert!(
+        has_outcome(&ds, APPS, TestStatus::Partial),
+        "no app partial"
+    );
+    for a in ds.audits.iter().filter(|a| APPS.contains(&a.kind)) {
+        assert_eq!(a.attempts, 1, "app test {} retried", a.test_id);
+        if a.status == TestStatus::Partial {
+            assert_eq!(a.fault, Some(FaultKind::LoggerGap), "app {}", a.test_id);
+        }
+    }
+}
+
+#[test]
 fn matrix_clock_drift_poisons_only_uncorrectable_slots() {
     // All drifts above the correctable threshold: affected slots are lost.
     let ds = faulted_campaign(only(FaultKind::ClockDrift), false);
     check_accounting(&ds);
+    assert_pinned(&ds, 0x410c_9f4d_2615_73a0, "clock drift");
     let lost = ds
         .audits
         .iter()
@@ -395,6 +459,7 @@ fn matrix_clock_drift_poisons_only_uncorrectable_slots() {
     correctable.drift_correctable_ms = 200_000;
     let ds = faulted_campaign(correctable, false);
     check_accounting(&ds);
+    assert_pinned(&ds, 0x585d_89f2_8497_f09a, "correctable clock drift");
     assert!(ds
         .audits
         .iter()
@@ -414,8 +479,37 @@ fn matrix_demo_mix_flows_through_the_full_pipeline() {
     // gapped dataset — no panics, every experiment renders.
     let world = World::build_with_faults(Scale::Quick, 2022, None, FaultConfig::demo());
     check_accounting(world.dataset());
+    // The bytes `dataset --quick --faults` writes (sha256 ffcb9b8f…).
+    assert_pinned(world.dataset(), 0x9451_a6bc_4dde_f821, "quick demo mix");
+    // Every disrupted outcome the model has shows up in the mix.
+    for (kinds, status) in [
+        (TPUT, TestStatus::Lost),
+        (TPUT, TestStatus::Partial),
+        (RTT, TestStatus::Lost),
+        (APPS, TestStatus::Lost),
+        (APPS, TestStatus::Partial),
+    ] {
+        assert!(
+            has_outcome(world.dataset(), kinds, status),
+            "{kinds:?} {status:?}"
+        );
+    }
     let exps = wheels::experiments::registry();
     let report = wheels::experiments::render_report(&world, &exps, None);
     assert_eq!(report.matches(&"=".repeat(78)).count(), exps.len());
     assert!(report.contains("Data quality"), "quality report missing");
+}
+
+/// The demo mix at Standard scale, the default `repro` world: the bytes
+/// `dataset --standard --faults` writes (sha256 7bcc03d9…). Minutes in
+/// debug builds, so ignored by default; CI runs it in release with
+/// `-- --ignored`.
+#[test]
+#[ignore = "standard-scale campaign; run explicitly (CI does)"]
+fn demo_mix_pinned_at_standard_scale() {
+    use wheels::experiments::world::{Scale, World};
+
+    let world = World::build_with_faults(Scale::Standard, 2022, None, FaultConfig::demo());
+    check_accounting(world.dataset());
+    assert_pinned(world.dataset(), 0x9188_01e5_8979_b0e7, "standard demo mix");
 }

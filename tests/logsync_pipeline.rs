@@ -35,15 +35,7 @@ fn build_drms() -> (Vec<DrmFile>, Vec<SimTime>) {
         for k in 0..60u64 {
             let t = s0.t + SimDuration::from_millis(k * 500);
             if let Some(s) = trace.sample_at(t) {
-                if let Some(snap) = session.poll(
-                    t,
-                    PollCtx {
-                        odo: s.odo,
-                        speed: s.speed,
-                        zone: s.zone,
-                        tz: s.tz,
-                    },
-                ) {
+                if let Some(snap) = session.poll(t, PollCtx::from(s)) {
                     logger.log(&snap);
                 }
             }
