@@ -432,16 +432,28 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Build the standard campaign world from a seed.
+    /// Build the standard campaign world from a seed. The deployments
+    /// are generated on a second thread while this one generates the
+    /// trace: each draws only from its own labelled split of the seed, so
+    /// the overlap cannot change a value.
     pub fn standard(seed: u64) -> Self {
         let route = Route::standard();
         let rng = SimRng::seed(seed);
-        let trace = DrivePlan::default().generate(&route, &mut rng.split("campaign/drive-plan"));
-        let deployments = Operator::ALL
-            .into_iter()
-            // lint: allow(rng-stream-labels, the operator display names seed the deployment streams; relabeling to an area/rest scheme would change every FNV child seed and break the published byte-identical dataset pin in EXPERIMENTS.md)
-            .map(|op| Deployment::generate(&route, op, &mut rng.split(op.label())))
-            .collect();
+        let (trace, deployments) = std::thread::scope(|s| {
+            let deployments = s.spawn(|| {
+                Operator::ALL
+                    .into_iter()
+                    // lint: allow(rng-stream-labels, the operator display names seed the deployment streams; relabeling to an area/rest scheme would change every FNV child seed and break the published byte-identical dataset pin in EXPERIMENTS.md)
+                    .map(|op| Deployment::generate(&route, op, &mut rng.split(op.label())))
+                    .collect()
+            });
+            let trace =
+                DrivePlan::default().generate(&route, &mut rng.split("campaign/drive-plan"));
+            let deployments = deployments
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (trace, deployments)
+        });
         Campaign {
             route,
             trace,

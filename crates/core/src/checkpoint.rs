@@ -59,7 +59,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -308,45 +308,85 @@ pub fn decode_shard_frame(
     ))
 }
 
-/// One frame-scan step.
-enum Scan<'a> {
-    /// A complete, checksum-verified frame; `end` is the offset just
-    /// past it.
-    Frame { payload: &'a [u8], end: usize },
-    /// The bytes at `pos` are not a complete valid frame (torn tail).
-    Torn,
-    /// Exactly at end of journal.
-    End,
+/// A journal file read front to back, one frame at a time: the frame
+/// scan every reader shares. It holds one frame's payload and reads no
+/// further than the frame it is on.
+struct Frames {
+    file: File,
+    /// File offset of the next unread frame.
+    pos: usize,
+    /// Payload of the frame [`Frames::next`] last returned.
+    payload: Vec<u8>,
 }
 
-/// Scan one frame at `pos`.
-fn scan_frame(bytes: &[u8], pos: usize) -> Scan<'_> {
-    if pos == bytes.len() {
-        return Scan::End;
+impl Frames {
+    /// Start reading `file`, the journal at `path`, after its magic.
+    fn start(path: &Path, mut file: File) -> Result<Frames, CheckpointError> {
+        let mut magic = [0u8; MAGIC.len()];
+        let head: &[u8] = match file.read_exact(&mut magic) {
+            Ok(()) => &magic,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => &[],
+            Err(e) => return Err(e.into()),
+        };
+        check_magic(path, head)?;
+        Ok(Frames {
+            file,
+            pos: MAGIC.len(),
+            payload: Vec::new(),
+        })
     }
-    if bytes.len() - pos < FRAME_HEADER {
-        return Scan::Torn;
+
+    /// Read the journal at `path` from byte `pos`, a frame boundary an
+    /// earlier walk returned.
+    fn resume(path: &Path, pos: u64) -> Result<Frames, CheckpointError> {
+        use std::io::{Seek, SeekFrom};
+        let mut file = File::open(path)?;
+        file.seek(SeekFrom::Start(pos))?;
+        Ok(Frames {
+            file,
+            pos: usize::try_from(pos).map_err(|_| too_long())?,
+            payload: Vec::new(),
+        })
     }
-    let mut len4 = [0u8; 4];
-    len4.copy_from_slice(&bytes[pos..pos + 4]);
-    let Ok(len) = usize::try_from(u32::from_le_bytes(len4)) else {
-        return Scan::Torn;
-    };
-    let mut sum8 = [0u8; 8];
-    sum8.copy_from_slice(&bytes[pos + 4..pos + FRAME_HEADER]);
-    let stored = u64::from_le_bytes(sum8);
-    let body = pos + FRAME_HEADER;
-    if bytes.len() - body < len {
-        return Scan::Torn;
+
+    /// Read the next frame into `payload` and return its start offset.
+    /// `None` at the end of the file and at a torn frame (cut short, or
+    /// failing its checksum); `pos` then stays at that frame's start.
+    fn next(&mut self) -> Result<Option<usize>, CheckpointError> {
+        let mut head = [0u8; FRAME_HEADER];
+        match self.file.read_exact(&mut head) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
+        let (len4, sum8) = head.split_at(4);
+        let len = u64::from(u32::from_le_bytes(len4.try_into().expect("4-byte length")));
+        let stored = u64::from_le_bytes(sum8.try_into().expect("8-byte checksum"));
+        // Room for the claimed payload, capped by what the file still
+        // holds: one read fills it, and a corrupt length costs nothing.
+        let body = file_offset(self.pos + FRAME_HEADER)?;
+        let left = self.file.metadata()?.len().saturating_sub(body);
+        self.payload.clear();
+        self.payload
+            .reserve(usize::try_from(len.min(left)).map_err(|_| too_long())?);
+        (&mut self.file).take(len).read_to_end(&mut self.payload)?;
+        if file_offset(self.payload.len())? != len || fnv1a64(&self.payload) != stored {
+            return Ok(None);
+        }
+        let start = self.pos;
+        self.pos += FRAME_HEADER + self.payload.len();
+        Ok(Some(start))
     }
-    let payload = &bytes[body..body + len];
-    if fnv1a64(payload) != stored {
-        return Scan::Torn;
-    }
-    Scan::Frame {
-        payload,
-        end: body + len,
-    }
+}
+
+/// The error for a file offset that does not fit the other integer type.
+fn too_long() -> CheckpointError {
+    CheckpointError::Invalid("journal length exceeds u64".to_string())
+}
+
+/// A file offset as `u64`.
+fn file_offset(pos: usize) -> Result<u64, CheckpointError> {
+    u64::try_from(pos).map_err(|_| too_long())
 }
 
 /// Split the job index off a shard-frame payload's fixed prefix (its
@@ -382,17 +422,14 @@ fn check_magic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     )))
 }
 
-/// Read `dir`'s journal and verify its magic and identity header
-/// against `fp`. Returns the journal path, its raw bytes, and the
-/// offset of the first shard frame. Shared by the resume paths and the
-/// read-only [`tail`] replay.
-fn open_verified(
-    dir: &Path,
-    fp: &Fingerprint,
-) -> Result<(PathBuf, Vec<u8>, usize), CheckpointError> {
+/// Open `dir`'s journal, check its magic and verify its identity
+/// header against `fp`. Returns the journal path and the walk, left at
+/// the first shard frame. Shared by the resume paths and the read-only
+/// [`tail`] replay.
+fn open_verified(dir: &Path, fp: &Fingerprint) -> Result<(PathBuf, Frames), CheckpointError> {
     let path = Journal::file_path(dir);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
+    let file = match File::open(&path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Err(CheckpointError::Invalid(format!(
                 "no journal at {} — start the run with --checkpoint first",
@@ -401,26 +438,23 @@ fn open_verified(
         }
         Err(e) => return Err(e.into()),
     };
-    check_magic(&path, &bytes)?;
+    let mut frames = Frames::start(&path, file)?;
     // The header must be intact: a journal whose identity cannot be
     // verified cannot be trusted at all.
-    let (header, pos) = match scan_frame(&bytes, MAGIC.len()) {
-        Scan::Frame { payload, end } => (payload, end),
-        Scan::Torn | Scan::End => {
-            return Err(CheckpointError::Invalid(format!(
-                "{}: identity header is torn or missing — the journal cannot be verified",
-                path.display()
-            )));
-        }
-    };
-    let header_str = std::str::from_utf8(header)
+    if frames.next()?.is_none() {
+        return Err(CheckpointError::Invalid(format!(
+            "{}: identity header is torn or missing — the journal cannot be verified",
+            path.display()
+        )));
+    }
+    let header_str = std::str::from_utf8(&frames.payload)
         .map_err(|_| CheckpointError::Invalid("identity header is not valid UTF-8".to_string()))?;
     let recorded: Fingerprint = serde_json::from_str(header_str)
         .map_err(|e| CheckpointError::Invalid(format!("unreadable identity header: {e}")))?;
     if recorded != *fp {
         return Err(CheckpointError::Mismatch(fp.diff(&recorded).join("; ")));
     }
-    Ok((path, bytes, pos))
+    Ok((path, frames))
 }
 
 /// Where a journal tail stopped: the resume cursor a live follower
@@ -439,7 +473,8 @@ pub struct TailState {
 }
 
 /// Replay `dir`'s journal frame-by-frame into `sink`, in append order,
-/// without ever holding more than one decoded frame in memory. The
+/// reading the file as it goes: it never holds more than one frame's
+/// bytes and one decoded frame in memory. The
 /// identity header is verified against `fp` exactly like a resume, but
 /// the walk is strictly **read-only**: a torn tail stops the replay
 /// (every intact frame before it is delivered) and is *not* truncated
@@ -474,38 +509,18 @@ pub fn tail_from(
     resume_at: Option<u64>,
     mut sink: impl FnMut(usize, ShardRecords) -> Result<(), CheckpointError>,
 ) -> Result<TailState, CheckpointError> {
-    // `bytes[start..]` holds the unconsumed journal suffix; `base` is
-    // the absolute file offset of `bytes[0]`.
-    let (bytes, mut pos, base) = match resume_at {
-        None => {
-            let (_path, bytes, pos) = open_verified(dir, fp)?;
-            (bytes, pos, 0u64)
-        }
-        Some(off) => {
-            use std::io::{Read, Seek, SeekFrom};
-            let mut f = File::open(Journal::file_path(dir))?;
-            f.seek(SeekFrom::Start(off))?;
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            (bytes, 0usize, off)
-        }
+    let mut frames = match resume_at {
+        None => open_verified(dir, fp)?.1,
+        Some(off) => Frames::resume(&Journal::file_path(dir), off)?,
     };
     let mut delivered = 0usize;
-    loop {
-        match scan_frame(&bytes, pos) {
-            Scan::End | Scan::Torn => break,
-            Scan::Frame { payload, end } => {
-                let (job, records) = decode_shard_frame(payload, pos)?;
-                sink(job, records)?;
-                delivered += 1;
-                pos = end;
-            }
-        }
+    while let Some(start) = frames.next()? {
+        let (job, records) = decode_shard_frame(&frames.payload, start)?;
+        sink(job, records)?;
+        delivered += 1;
     }
-    let consumed = u64::try_from(pos)
-        .map_err(|_| CheckpointError::Invalid("journal length exceeds u64".to_string()))?;
     Ok(TailState {
-        next_offset: base + consumed,
+        next_offset: file_offset(frames.pos)?,
         delivered,
     })
 }
@@ -622,35 +637,22 @@ impl Journal {
         dir: &Path,
         fp: &Fingerprint,
     ) -> Result<(Journal, BTreeMap<usize, FrameSpan>), CheckpointError> {
-        let (path, bytes, mut pos) = open_verified(dir, fp)?;
+        let (path, mut frames) = open_verified(dir, fp)?;
         let mut completed = BTreeMap::new();
-        let valid_end = loop {
-            match scan_frame(&bytes, pos) {
-                Scan::End | Scan::Torn => break pos,
-                Scan::Frame { payload, end } => {
-                    let (job, _) = frame_job(payload, pos)?;
-                    completed.insert(
-                        job,
-                        FrameSpan {
-                            start: u64::try_from(pos).map_err(|_| {
-                                CheckpointError::Invalid("journal length exceeds u64".to_string())
-                            })?,
-                            end: u64::try_from(end).map_err(|_| {
-                                CheckpointError::Invalid("journal length exceeds u64".to_string())
-                            })?,
-                        },
-                    );
-                    pos = end;
-                }
-            }
-        };
-        if valid_end < bytes.len() {
+        while let Some(start) = frames.next()? {
+            let (job, _) = frame_job(&frames.payload, start)?;
+            let span = FrameSpan {
+                start: file_offset(start)?,
+                end: file_offset(frames.pos)?,
+            };
+            completed.insert(job, span);
+        }
+        let valid_end = file_offset(frames.pos)?;
+        if valid_end < frames.file.metadata()?.len() {
             // Torn tail: cut the journal back to its valid prefix so the
             // resumed run appends after the last intact frame.
             let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(u64::try_from(valid_end).map_err(|_| {
-                CheckpointError::Invalid("journal length exceeds u64".to_string())
-            })?)?;
+            f.set_len(valid_end)?;
             f.sync_all()?;
         }
         Ok((
@@ -740,26 +742,16 @@ pub struct JournalReader {
 impl JournalReader {
     /// Decode the shard frame at `span`, verifying its checksum.
     pub fn read_frame(&self, span: FrameSpan) -> Result<ShardRecords, CheckpointError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(span.start))?;
-        let len = usize::try_from(span.end.saturating_sub(span.start))
-            .map_err(|_| CheckpointError::Invalid("frame span exceeds usize".to_string()))?;
-        let mut buf = vec![0u8; len];
-        f.read_exact(&mut buf)?;
-        let verified = match scan_frame(&buf, 0) {
-            Scan::Frame { payload, end } if end == len => Some(payload),
-            _ => None,
-        };
-        let Some(payload) = verified else {
-            return Err(CheckpointError::Invalid(format!(
+        let mut frames = Frames::resume(&self.path, span.start)?;
+        match frames.next()? {
+            Some(start) if file_offset(frames.pos)? == span.end => {
+                Ok(decode_shard_frame(&frames.payload, start)?.1)
+            }
+            _ => Err(CheckpointError::Invalid(format!(
                 "journal frame at bytes {}..{} failed re-verification — the file changed under a live run",
                 span.start, span.end
-            )));
-        };
-        let pos = usize::try_from(span.start)
-            .map_err(|_| CheckpointError::Invalid("frame span exceeds usize".to_string()))?;
-        Ok(decode_shard_frame(payload, pos)?.1)
+            ))),
+        }
     }
 }
 
@@ -769,16 +761,10 @@ impl JournalReader {
 /// tear-free; the crash harness truncates at (and between) them.
 pub fn frame_ends(dir: &Path) -> Result<Vec<u64>, CheckpointError> {
     let path = Journal::file_path(dir);
-    let bytes = std::fs::read(&path)?;
-    check_magic(&path, &bytes)?;
+    let mut frames = Frames::start(&path, File::open(&path)?)?;
     let mut ends = Vec::new();
-    let mut pos = MAGIC.len();
-    while let Scan::Frame { end, .. } = scan_frame(&bytes, pos) {
-        ends.push(
-            u64::try_from(end)
-                .map_err(|_| CheckpointError::Invalid("journal length exceeds u64".to_string()))?,
-        );
-        pos = end;
+    while frames.next()?.is_some() {
+        ends.push(file_offset(frames.pos)?);
     }
     Ok(ends)
 }

@@ -9,7 +9,7 @@
 //! panicking, and its largest allocation must stay within a small
 //! multiple of the input length; a counting allocator measures that.
 //!
-//! The frame scan in front of them (`checkpoint::scan_frame`, private)
+//! The frame scan in front of them (`checkpoint`'s private `Frames`)
 //! is fuzzed through `frame_ends` and `tail_from` on whole journal
 //! files: a valid WCJ2 header followed by arbitrary bytes, every
 //! truncation of a real journal, and bit flips in each frame's length
@@ -388,6 +388,37 @@ fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
         assert_eq!(*job, i, "tail delivers in append order");
         assert_same(got, want, &format!("tail of job {job}"));
     }
+}
+
+/// A replay reads the journal a frame at a time: over 32 equal frames,
+/// its largest allocation (one frame's bytes, or the rows decoded from
+/// them) stays well below the file's length, which reading the whole
+/// file first would take.
+#[test]
+fn tail_holds_one_frame_at_a_time() {
+    let dir = tmpdir("tail_one_frame");
+    let fp = fingerprint();
+    let mut journal = Journal::create(&dir, &fp).expect("create journal");
+    let rec = ShardRecords {
+        operator: Operator::Verizon,
+        dataset: awkward_dataset(7, Operator::Verizon),
+        cells: vec![CellId(1), CellId(2)],
+    };
+    let frames = 32;
+    for job in 0..frames {
+        journal.append(job, &rec).expect("append");
+    }
+    let file_len = std::fs::metadata(Journal::file_path(&dir))
+        .expect("journal exists")
+        .len();
+    LARGEST.with(|l| l.set(0));
+    let state = tail(&dir, &fp, |_, _| Ok(())).expect("tail replays");
+    let peak = u64::try_from(LARGEST.with(Cell::get)).expect("fits");
+    assert_eq!(state.delivered, frames);
+    assert!(
+        4 * peak < file_len,
+        "tail of a {file_len}-byte journal allocated {peak} bytes at once"
+    );
 }
 
 /// Offset of the WCD1 image inside [`real_payload`]: job `u64`,

@@ -79,10 +79,10 @@ pub fn realistic_mptcp_samples(tri: &[TriSample]) -> Vec<f64> {
     let rtts = [60.0, 60.0, 60.0];
     let mut out = Vec::with_capacity(tri.len());
     for s in tri {
-        let links: Vec<DataRate> = s.mbps.iter().map(|m| DataRate::from_mbps(*m)).collect();
+        let links = s.mbps.map(DataRate::from_mbps);
         let mut bytes = 0.0;
         for _ in 0..50 {
-            bytes += bond.advance(10.0, &links, &rtts).delivered_bytes;
+            bytes += bond.advance(10.0, &links, &rtts);
         }
         out.push(bytes * 8.0 / 1e6 / 0.5);
     }

@@ -22,7 +22,7 @@
 //! - [`process`] — the stochastic processes used by the channel and speed
 //!   models (Gauss-Markov, AR(1), two-state Markov, lognormal).
 //! - [`stats`] — the statistics toolkit behind every figure and table:
-//!   empirical CDFs, quantiles, Pearson correlation, histograms, binning.
+//!   empirical CDFs, quantiles, Pearson correlation, binning.
 //! - [`series`] — timestamped sample series, alignment and resampling.
 
 #![forbid(unsafe_code)]

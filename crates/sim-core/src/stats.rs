@@ -2,8 +2,9 @@
 //!
 //! Every figure in the paper is one of: an empirical CDF, a quantile
 //! summary, a scatter with binned overlays, a stacked coverage breakdown, or
-//! a Pearson correlation table. This module implements those primitives once
-//! so that the per-figure experiment code stays declarative.
+//! a Pearson correlation table. This module implements the numeric
+//! primitives once so that the per-figure experiment code stays declarative;
+//! the coverage breakdown is `TechShare` in the analysis layer.
 
 use serde::{Deserialize, Serialize};
 
@@ -228,62 +229,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// A histogram over fixed-width bins, used for coverage-by-miles style
-/// breakdowns where samples carry a weight (miles driven).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WeightedShare<K: Eq + std::hash::Hash> {
-    totals: std::collections::HashMap<K, f64>,
-    total: f64,
-}
-
-impl<K: Eq + std::hash::Hash + Clone> Default for WeightedShare<K> {
-    fn default() -> Self {
-        WeightedShare {
-            totals: Default::default(),
-            total: 0.0,
-        }
-    }
-}
-
-impl<K: Eq + std::hash::Hash + Clone> WeightedShare<K> {
-    /// New empty share accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `weight` to key `k`.
-    pub fn add(&mut self, k: K, weight: f64) {
-        if weight <= 0.0 {
-            return;
-        }
-        *self.totals.entry(k).or_insert(0.0) += weight;
-        self.total += weight;
-    }
-
-    /// Fraction of total weight held by `k` (0.0 if unseen or empty).
-    pub fn fraction(&self, k: &K) -> f64 {
-        if self.total <= 0.0 {
-            return 0.0;
-        }
-        self.totals.get(k).copied().unwrap_or(0.0) / self.total
-    }
-
-    /// Percentage (0–100) of total weight held by `k`.
-    pub fn percent(&self, k: &K) -> f64 {
-        self.fraction(k) * 100.0
-    }
-
-    /// Absolute accumulated weight for `k`.
-    pub fn weight(&self, k: &K) -> f64 {
-        self.totals.get(k).copied().unwrap_or(0.0)
-    }
-
-    /// Total accumulated weight.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-}
-
 /// Linear binner: maps `x` to `floor((x - origin) / width)` with clamping,
 /// used for the E2E-latency → frame-time bins of Table 5.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -447,19 +392,6 @@ mod tests {
         let ys: Vec<f64> = (0..20_000).map(|_| rng.std_normal()).collect();
         let r = pearson(&xs, &ys).unwrap();
         assert!(r.abs() < 0.03, "r {r}");
-    }
-
-    #[test]
-    fn weighted_share_percentages() {
-        let mut w = WeightedShare::new();
-        w.add("lte", 30.0);
-        w.add("nr", 70.0);
-        w.add("nr", 0.0); // ignored
-        w.add("nr", -5.0); // ignored
-        assert!((w.percent(&"lte") - 30.0).abs() < 1e-12);
-        assert!((w.percent(&"nr") - 70.0).abs() < 1e-12);
-        assert_eq!(w.percent(&"unknown"), 0.0);
-        assert!((w.total() - 100.0).abs() < 1e-12);
     }
 
     #[test]

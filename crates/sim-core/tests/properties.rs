@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wheels_sim_core::rng::SimRng;
-use wheels_sim_core::stats::{pearson, Cdf, LinearBins, WeightedShare};
+use wheels_sim_core::stats::{pearson, Cdf, LinearBins};
 use wheels_sim_core::time::{SimDuration, SimTime, Timezone, WallClock};
 use wheels_sim_core::units::{DataRate, Db, Dbm, Distance, Speed, SpeedBin};
 
@@ -185,15 +185,5 @@ proptest! {
             prop_assert!(x >= lo - 1e-9 && x < hi + 1e-9);
         }
         let _ = Distance::from_m(1.0); // keep the import exercised
-    }
-
-    #[test]
-    fn weighted_share_fractions_sum_to_one(ws in prop::collection::vec(0.01f64..100.0, 1..20)) {
-        let mut share = WeightedShare::new();
-        for (i, w) in ws.iter().enumerate() {
-            share.add(i, *w);
-        }
-        let total: f64 = (0..ws.len()).map(|i| share.fraction(&i)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -15,16 +15,7 @@
 use serde::{Deserialize, Serialize};
 use wheels_sim_core::units::DataRate;
 
-use crate::tcp::{CubicFlow, FlowTick};
-
-/// One tick of the bonded connection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MptcpTick {
-    /// Total bytes delivered across subflows.
-    pub delivered_bytes: f64,
-    /// Per-subflow ticks (same order as construction).
-    pub subflows: Vec<FlowTick>,
-}
+use crate::tcp::CubicFlow;
 
 /// A bonded connection over N subflows.
 ///
@@ -34,8 +25,8 @@ pub struct MptcpTick {
 ///
 /// let mut bond = MptcpFlow::new(2);
 /// let links = [DataRate::from_mbps(20.0), DataRate::from_mbps(30.0)];
-/// let tick = bond.advance(10.0, &links, &[60.0, 60.0]);
-/// assert_eq!(tick.subflows.len(), 2);
+/// let bytes = bond.advance(10.0, &links, &[60.0, 60.0]);
+/// assert!(bytes > 0.0); // both legs deliver from the first tick
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MptcpFlow {
@@ -56,22 +47,18 @@ impl MptcpFlow {
         self.subflows.len()
     }
 
-    /// Advance all subflows by `dt_ms`. `links` and `base_rtts_ms` give
-    /// each subflow's current bottleneck rate and path RTT; their lengths
-    /// must equal the bond width.
-    pub fn advance(&mut self, dt_ms: f64, links: &[DataRate], base_rtts_ms: &[f64]) -> MptcpTick {
+    /// Advance all subflows by `dt_ms` and return the bytes delivered
+    /// across them, summed in subflow order. `links` and `base_rtts_ms`
+    /// give each subflow's current bottleneck rate and path RTT; their
+    /// lengths must equal the bond width.
+    pub fn advance(&mut self, dt_ms: f64, links: &[DataRate], base_rtts_ms: &[f64]) -> f64 {
         assert_eq!(links.len(), self.subflows.len(), "one link per subflow");
         assert_eq!(base_rtts_ms.len(), self.subflows.len());
-        let subflows: Vec<FlowTick> = self
-            .subflows
+        self.subflows
             .iter_mut()
             .zip(links.iter().zip(base_rtts_ms))
-            .map(|(f, (l, r))| f.advance(dt_ms, *l, *r))
-            .collect();
-        MptcpTick {
-            delivered_bytes: subflows.iter().map(|t| t.delivered_bytes).sum(),
-            subflows,
-        }
+            .map(|(f, (l, r))| f.advance(dt_ms, *l, *r).delivered_bytes)
+            .sum()
     }
 }
 
@@ -83,9 +70,9 @@ mod tests {
         let mut bond = MptcpFlow::new(3);
         let mut bytes = 0.0;
         for step in rates {
-            let links: Vec<DataRate> = step.iter().map(|m| DataRate::from_mbps(*m)).collect();
+            let links = step.map(DataRate::from_mbps);
             for _ in 0..ticks_per_step {
-                bytes += bond.advance(tick_ms, &links, &rtts).delivered_bytes;
+                bytes += bond.advance(tick_ms, &links, &rtts);
             }
         }
         bytes
@@ -140,13 +127,15 @@ mod tests {
     fn width_and_validation() {
         let mut bond = MptcpFlow::new(2);
         assert_eq!(bond.width(), 2);
-        let t = bond.advance(
-            10.0,
-            &[DataRate::from_mbps(10.0), DataRate::ZERO],
-            &[50.0, 50.0],
-        );
-        assert_eq!(t.subflows.len(), 2);
-        assert_eq!(t.subflows[1].delivered_bytes, 0.0);
+        // A bond with one dead leg delivers exactly what a lone flow
+        // delivers on the live leg, tick by tick.
+        let mut lone = CubicFlow::new();
+        let live = DataRate::from_mbps(10.0);
+        for _ in 0..500 {
+            let bonded = bond.advance(10.0, &[live, DataRate::ZERO], &[50.0, 50.0]);
+            let single = lone.advance(10.0, live, 50.0).delivered_bytes;
+            assert_eq!(bonded.to_bits(), single.to_bits());
+        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ const RTO_MIN_MS: f64 = 1000.0;
 /// Initial congestion window (segments).
 const INIT_CWND_SEGS: f64 = 10.0;
 
+/// CUBIC's K (RFC 8312 §4.1) in seconds for a window of `w_max` bytes.
+fn cubic_k(w_max: f64) -> f64 {
+    (w_max / MSS * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt()
+}
+
 /// Output of one simulation tick of the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowTick {
@@ -75,6 +80,9 @@ pub struct CubicFlow {
     ssthresh: f64,
     /// Window before the last decrease (bytes).
     w_max: f64,
+    /// CUBIC's K for `w_max`: seconds from the last decrease until the
+    /// cubic curve regains `w_max`. Set wherever `w_max` is.
+    k_s: f64,
     /// Milliseconds since the last congestion event.
     epoch_ms: f64,
     /// Bottleneck queue occupancy (bytes).
@@ -108,6 +116,7 @@ impl CubicFlow {
             cwnd: INIT_CWND_SEGS * MSS,
             ssthresh: f64::INFINITY,
             w_max: 0.0,
+            k_s: cubic_k(0.0),
             epoch_ms: 0.0,
             queue: 0.0,
             stall_ms: 0.0,
@@ -130,14 +139,14 @@ impl CubicFlow {
     /// CUBIC window target `epoch_ms` after the last loss (RFC 8312 §4.1).
     fn cubic_target(&self) -> f64 {
         let wmax_segs = self.w_max / MSS;
-        let k = (wmax_segs * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
         let t = self.epoch_ms / 1000.0;
-        let target_segs = CUBIC_C * (t - k).powi(3) + wmax_segs;
+        let target_segs = CUBIC_C * (t - self.k_s).powi(3) + wmax_segs;
         target_segs * MSS
     }
 
     fn on_loss(&mut self) {
         self.w_max = self.cwnd;
+        self.k_s = cubic_k(self.w_max);
         self.cwnd = (self.cwnd * CUBIC_BETA).max(2.0 * MSS);
         self.ssthresh = self.cwnd;
         self.epoch_ms = 0.0;
@@ -146,6 +155,7 @@ impl CubicFlow {
     fn on_rto(&mut self) {
         self.ssthresh = (self.cwnd / 2.0).max(2.0 * MSS);
         self.w_max = self.cwnd;
+        self.k_s = cubic_k(self.w_max);
         self.cwnd = MSS;
         self.epoch_ms = 0.0;
         self.queue = 0.0; // queued data is retransmitted, buffer flushed
@@ -236,6 +246,7 @@ impl CubicFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Run a flow over a constant link, returning per-tick results.
     fn run_constant(mbps: f64, base_rtt: f64, ms: u64, tick: u64) -> (CubicFlow, Vec<FlowTick>) {
@@ -382,6 +393,175 @@ mod tests {
     fn zero_tick_panics() {
         let mut f = CubicFlow::new();
         f.advance(0.0, DataRate::from_mbps(10.0), 50.0);
+    }
+
+    /// Reference stepper with no cached K: CUBIC's K is recomputed from
+    /// `w_max` on every congestion-avoidance tick, and the decrease paths
+    /// leave `k_s` alone. The cached flow must match it bit for bit.
+    fn reference_advance(
+        f: &mut CubicFlow,
+        dt_ms: f64,
+        link_rate: DataRate,
+        base_rtt_ms: f64,
+    ) -> FlowTick {
+        fn on_loss(f: &mut CubicFlow) {
+            f.w_max = f.cwnd;
+            f.cwnd = (f.cwnd * CUBIC_BETA).max(2.0 * MSS);
+            f.ssthresh = f.cwnd;
+            f.epoch_ms = 0.0;
+        }
+        let link_bps = link_rate.as_bps();
+        if link_bps <= 1.0 {
+            f.stall_ms += dt_ms;
+            let rto = f.stall_ms >= RTO_MIN_MS.max(2.0 * f.srtt_ms.max(base_rtt_ms));
+            if rto {
+                f.ssthresh = (f.cwnd / 2.0).max(2.0 * MSS);
+                f.w_max = f.cwnd;
+                f.cwnd = MSS;
+                f.epoch_ms = 0.0;
+                f.queue = 0.0;
+                f.stall_ms = 0.0;
+            }
+            f.srtt_ms = base_rtt_ms + 0.0;
+            return FlowTick {
+                delivered_bytes: 0.0,
+                rtt_ms: f.srtt_ms,
+                lost: false,
+                rto,
+            };
+        }
+        f.stall_ms = 0.0;
+        let queue_delay_ms = f.queue / link_bps * 8.0 * 1000.0;
+        let rtt_ms = base_rtt_ms + queue_delay_ms;
+        f.srtt_ms = rtt_ms;
+        f.epoch_ms += dt_ms;
+        let rtts_in_tick = dt_ms / rtt_ms.max(1.0);
+        if f.in_slow_start() {
+            f.cwnd = (f.cwnd * 2f64.powf(rtts_in_tick)).min(f.ssthresh.max(f.cwnd));
+        } else {
+            let wmax_segs = f.w_max / MSS;
+            let k = (wmax_segs * (1.0 - CUBIC_BETA) / CUBIC_C).cbrt();
+            let t = f.epoch_ms / 1000.0;
+            let target = (CUBIC_C * (t - k).powi(3) + wmax_segs) * MSS;
+            if target > f.cwnd {
+                f.cwnd = target.min(f.cwnd * 1.5f64.powf(rtts_in_tick));
+            }
+        }
+        f.cwnd = f.cwnd.max(MSS);
+        let offered_bps = f.cwnd * 8.0 / (rtt_ms / 1000.0);
+        let link_bytes = link_bps / 8.0 * (dt_ms / 1000.0);
+        let offered_bytes = offered_bps / 8.0 * (dt_ms / 1000.0);
+        let bdp_bytes = link_bps / 8.0 * (base_rtt_ms / 1000.0);
+        let buffer = (bdp_bytes * f.buffer_bdp_mult).max(f.min_buffer_bytes);
+        let mut lost = false;
+        let drained;
+        if offered_bytes >= link_bytes {
+            drained = link_bytes;
+            f.queue += offered_bytes - link_bytes;
+            if f.queue >= buffer {
+                f.queue = buffer * 0.85;
+                on_loss(f);
+                lost = true;
+            }
+        } else {
+            let from_queue = (link_bytes - offered_bytes).min(f.queue);
+            f.queue -= from_queue;
+            drained = offered_bytes + from_queue;
+        }
+        FlowTick {
+            delivered_bytes: drained,
+            rtt_ms,
+            lost,
+            rto: false,
+        }
+    }
+
+    fn tick_bits(t: FlowTick) -> (u64, u64, bool, bool) {
+        (
+            t.delivered_bytes.to_bits(),
+            t.rtt_ms.to_bits(),
+            t.lost,
+            t.rto,
+        )
+    }
+
+    /// Drive a cached-K flow and the reference over `(Mbps, ticks)` legs,
+    /// requiring bit-equal ticks. A zero-rate leg is stretched to outlast
+    /// `RTO_MIN_MS`. Returns the (loss, RTO) counts seen.
+    fn cached_vs_reference(
+        legs: &[(f64, usize)],
+        base_rtt: f64,
+        dt_ms: f64,
+        small_buffer: bool,
+    ) -> (usize, usize) {
+        let fresh = || {
+            if small_buffer {
+                CubicFlow::with_buffer(1.0, 30_000.0)
+            } else {
+                CubicFlow::new()
+            }
+        };
+        let (mut cached, mut reference) = (fresh(), fresh());
+        let stall_ticks = (RTO_MIN_MS / dt_ms).ceil() as usize + 5;
+        let (mut losses, mut rtos) = (0, 0);
+        for &(mbps, ticks) in legs {
+            let ticks = if mbps == 0.0 {
+                ticks.max(stall_ticks)
+            } else {
+                ticks
+            };
+            let link = DataRate::from_mbps(mbps);
+            for i in 0..ticks {
+                let got = cached.advance(dt_ms, link, base_rtt);
+                let want = reference_advance(&mut reference, dt_ms, link, base_rtt);
+                assert_eq!(tick_bits(got), tick_bits(want), "{mbps} Mbps, tick {i}");
+                losses += usize::from(got.lost);
+                rtos += usize::from(got.rto);
+            }
+        }
+        assert_eq!(cached.cwnd.to_bits(), reference.cwnd.to_bits());
+        (losses, rtos)
+    }
+
+    #[test]
+    fn cached_k_matches_reference_through_losses_and_rtos() {
+        let legs = [
+            (80.0, 1500),
+            (0.0, 150),
+            (3.0, 800),
+            (400.0, 900),
+            (0.0, 0),
+            (20.0, 600),
+        ];
+        for small_buffer in [false, true] {
+            let (losses, rtos) = cached_vs_reference(&legs, 60.0, 10.0, small_buffer);
+            assert!(losses > 0 && rtos > 0, "losses {losses}, RTOs {rtos}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random link trajectories mixing stalls, slow legs that bloat the
+        /// buffer and fast legs that overflow it: leg kind 0 is a stall,
+        /// 1 a 0.05–5 Mbps leg, 2 a 5–800 Mbps leg.
+        #[test]
+        fn cached_k_matches_per_tick_k(
+            legs in prop::collection::vec((0u8..3, 0.0f64..1.0, 1usize..400), 1..24),
+            base_rtt in 5.0f64..300.0,
+            dt_ms in prop::sample::select(vec![10.0, 1.0, 3.7, 25.0, 50.0]),
+            small_buffer in any::<bool>(),
+        ) {
+            let legs: Vec<(f64, usize)> = legs
+                .into_iter()
+                .map(|(kind, x, ticks)| match kind {
+                    0 => (0.0, ticks),
+                    1 => (0.05 + x * 4.95, ticks),
+                    _ => (5.0 + x * 795.0, ticks),
+                })
+                .collect();
+            cached_vs_reference(&legs, base_rtt, dt_ms, small_buffer);
+        }
     }
 
     #[test]

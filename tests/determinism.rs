@@ -106,15 +106,43 @@ fn merge_is_order_independent_after_normalize() {
     assert_datasets_identical(&a, &d, "merge order 012 vs 120");
 }
 
+/// Index and both values of the first element where two slices differ.
+fn first_difference<'a, T: PartialEq>(a: &'a [T], b: &'a [T]) -> Option<(usize, &'a T, &'a T)> {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .find(|(_, (x, y))| x != y)
+        .map(|(i, (x, y))| (i, x, y))
+}
+
 #[test]
 fn world_build_is_deterministic() {
-    let a = Campaign::standard(9);
-    let b = Campaign::standard(9);
-    assert_eq!(a.trace.samples().len(), b.trace.samples().len());
-    for (da, db) in a.deployments.iter().zip(&b.deployments) {
-        assert_eq!(da.cells().len(), db.cells().len());
-        assert_eq!(da.cells().first(), db.cells().first());
-        assert_eq!(da.cells().last(), db.cells().last());
+    // `Campaign::standard` generates the deployments on a second thread
+    // while it generates the trace. It must equal a sequential build from
+    // the same labelled streams, sample for sample and cell for cell.
+    use wheels::geo::route::Route;
+    use wheels::geo::trace::DrivePlan;
+    use wheels::ran::cells::Deployment;
+    use wheels::ran::operator::Operator;
+    use wheels::sim_core::rng::SimRng;
+
+    let seed = 9;
+    let built = Campaign::standard(seed);
+    let route = Route::standard();
+    let rng = SimRng::seed(seed);
+    let trace = DrivePlan::default().generate(&route, &mut rng.split("campaign/drive-plan"));
+    assert_eq!(built.trace.samples().len(), trace.samples().len());
+    if let Some((i, got, want)) = first_difference(built.trace.samples(), trace.samples()) {
+        panic!("trace sample {i} differs: {got:?} vs {want:?}");
+    }
+    assert_eq!(built.deployments.len(), Operator::ALL.len());
+    for (got, op) in built.deployments.iter().zip(Operator::ALL) {
+        let want = Deployment::generate(&route, op, &mut rng.split(op.label()));
+        assert_eq!(got.operator, want.operator);
+        assert_eq!(got.cells().len(), want.cells().len(), "{op:?} cell count");
+        if let Some((i, g, w)) = first_difference(got.cells(), want.cells()) {
+            panic!("{op:?} cell {i} differs: {g:?} vs {w:?}");
+        }
     }
 }
 
