@@ -2,8 +2,8 @@
 //!
 //! Apps do not talk to the RAN directly; they sample a [`LinkSampler`]
 //! which yields the current achievable rates, RTT, and handover state.
-//! The experiments crate adapts a `Phone` + server path into this trait;
-//! unit tests use synthetic shapes.
+//! The campaign runner adapts a RAN session + server path into this
+//! trait; unit tests use synthetic shapes.
 
 use wheels_sim_core::time::SimTime;
 use wheels_sim_core::units::DataRate;

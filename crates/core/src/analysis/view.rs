@@ -34,9 +34,12 @@
 //! (runs, handovers, apps, audits) stay *physically* canonical (the
 //! handover-impact kernel and the figure code iterate them raw), which
 //! is cheap because they are thousands of times smaller than the
-//! sample tables. [`DatasetView::from_journal`] replays a checkpoint
-//! journal frame-by-frame through the same path, so `run_checkpointed`,
-//! `--resume`, and a future `wheels-serve` share one pipeline.
+//! sample tables. It is the only shard fold: the campaign engine drains
+//! every shard through it in plan order, [`DatasetView::from_journal`]
+//! replays a checkpoint journal frame-by-frame through it, and
+//! `wheels-serve` splices live shards with it.
+//! [`DatasetView::into_dataset`] restores physical canonical order for
+//! export.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -368,8 +371,8 @@ fn index_coverage(lists: &mut [Vec<u32>; OPS], rows: &[CoverageSample], base: us
     }
 }
 
-/// Indexed view over an owned, normalized [`Dataset`]. See the module
-/// docs for the guarantees.
+/// Indexed view over an owned [`Dataset`]. See the module docs for the
+/// guarantees.
 pub struct DatasetView {
     ds: Dataset,
     tput_parts: Vec<TputPart>,
@@ -396,6 +399,18 @@ pub struct DatasetView {
     /// runtime-derived XCAL volume accumulates on top of (zero in
     /// practice; shards derive no log volume of their own).
     log_base: f64,
+}
+
+/// Row counts only: the indices and memos are derived state.
+impl std::fmt::Debug for DatasetView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DatasetView")
+            .field("tput", &self.ds.tput.len())
+            .field("rtt", &self.ds.rtt.len())
+            .field("coverage", &self.ds.coverage.len())
+            .field("runs", &self.ds.runs.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl DatasetView {
@@ -430,8 +445,12 @@ impl DatasetView {
         }
     }
 
-    /// The owned, normalized dataset (for tables the view does not index:
-    /// runs, handovers, apps, Table-1 aggregates).
+    /// The owned dataset, for the tables the view does not index (runs,
+    /// handovers, apps, audits, Table-1 aggregates), which are in
+    /// canonical order. The sample tables (tput, rtt, coverage) are in
+    /// ingest order — canonical only for a view built by
+    /// [`DatasetView::new`]; read them through the accessors, or export
+    /// with [`DatasetView::into_dataset`].
     pub fn dataset(&self) -> &Dataset {
         &self.ds
     }
@@ -684,7 +703,7 @@ impl DatasetView {
     /// combos and Cdfs are re-armed only where the shard actually
     /// landed. The small tables stay physically canonical (the raw-scan
     /// consumers need them so), and Table 1 accounting is recomputed
-    /// with the same f64 accumulation order as the campaign merger.
+    /// over every shard ingested so far, in ingest order.
     ///
     /// Preconditions (both guaranteed by the simulator): each shard is
     /// ingested at most once, and shard canonical keys (test ids,
@@ -740,8 +759,8 @@ impl DatasetView {
         }
         self.impacts = OnceLock::new();
 
-        // Table 1 accounting, identical accumulation order to the
-        // campaign merger's finish pass.
+        // Table 1 accounting over every shard so far, byte sums in
+        // ingest order.
         self.cell_sets[operator.index()].extend(cells.iter().copied());
         self.log_base += sd.log_bytes;
         self.ds.rx_bytes += sd.rx_bytes;
@@ -851,12 +870,11 @@ impl DatasetView {
     }
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame
-    /// through [`DatasetView::ingest_shard`] — the one incremental
-    /// pipeline `run_checkpointed`, `--resume` and `wheels-serve`
-    /// share. Strictly read-only (`checkpoint::tail` stops at a torn
-    /// tail without truncating it); returns the view and the
-    /// [`TailState`] resume cursor, so a live follower can keep
-    /// polling from `TailState::next_offset` via
+    /// through [`DatasetView::ingest_shard`], the fold the campaign
+    /// engine and `wheels-serve` use too. Strictly read-only
+    /// (`checkpoint::tail` stops at a torn tail without truncating it);
+    /// returns the view and the [`TailState`] resume cursor, so a live
+    /// follower can keep polling from `TailState::next_offset` via
     /// `checkpoint::tail_from` without re-reading the replayed prefix.
     pub fn from_journal(
         dir: &Path,
@@ -872,9 +890,9 @@ impl DatasetView {
 
     /// Surrender the dataset, restoring physical canonical order first
     /// (ingest leaves the sample tables arrival-ordered). The stable
-    /// re-sort makes the export byte-identical to a plan-order campaign
-    /// merge whenever canonical keys are shard-unique — which the
-    /// simulator guarantees.
+    /// re-sort leaves rows with equal keys in ingest order, so the export
+    /// is independent of arrival order whenever canonical keys are
+    /// shard-unique — which the simulator guarantees.
     pub fn into_dataset(mut self) -> Dataset {
         self.ds.normalize();
         self.ds

@@ -21,15 +21,17 @@
 //! overnight gaps (one segment per drive day, optionally sub-split via
 //! [`CampaignConfig::shard_cycles`]), each shard runs independently on a
 //! worker pool with its own RNG stream (`campaign/{op}/{segment}`) and its
-//! own test-id range, and the shard datasets **stream** into the merged
-//! result in a fixed plan order: each shard normalizes itself into sorted
-//! runs, a shard that finishes ahead of the drain front parks until its
-//! turn, and each drains via an incremental sorted-run merge
-//! ([`Dataset::merge_normalized`]) — no terminal sort, and the result is
-//! bit-identical at any thread count. One drain loop serves plain,
-//! checkpointed and resumed runs alike: a checkpointed run journals each
-//! shard before parking it, and a resumed run decodes its replayed
-//! journal frames one at a time as the drain front reaches them.
+//! own test-id range, and the shard datasets **stream** into one
+//! [`DatasetView`] in a fixed plan order: each shard normalizes itself
+//! into sorted runs, a shard that finishes ahead of the drain front parks
+//! until its turn, and each drains through
+//! [`DatasetView::ingest_shard`], the same fold `wheels-serve` and
+//! [`DatasetView::from_journal`] use — no terminal sort and no index
+//! rebuild, and the result is bit-identical at any thread count. One
+//! drain loop serves plain, checkpointed and resumed runs alike: a
+//! checkpointed run journals each shard before parking it, and a resumed
+//! run decodes its replayed journal frames one at a time as the drain
+//! front reaches them.
 //!
 //! Each drive shard cold-starts its [`RanSession`] a [`WARMUP`] window
 //! before its first cycle so the serving state (grant, A3 filter state) at
@@ -56,6 +58,7 @@ use wheels_sim_core::rng::SimRng;
 use wheels_sim_core::time::{SimDuration, SimTime};
 use wheels_transport::servers::ServerFleet;
 
+use crate::analysis::view::DatasetView;
 use crate::checkpoint::{
     encode_shard_frame, CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics,
 };
@@ -336,67 +339,13 @@ struct ShardJob {
     segment: Option<Segment>,
 }
 
-/// The streaming append-target of a campaign run: shard outputs drain
-/// into it one at a time, in plan order, each folding in via the linear
-/// run merge ([`Dataset::merge_normalized`]) — so the engine never pays
-/// the old terminal O(n log n) `normalize` sort.
-struct Merger<'o> {
-    ops: &'o [Operator],
-    out: Dataset,
-    /// Per-operator served-cell unions (Table 1's unique-cell counts
-    /// must not double count a cell seen by two shards).
-    cells: Vec<BTreeSet<CellId>>,
-}
-
-impl<'o> Merger<'o> {
-    fn new(ops: &'o [Operator]) -> Self {
-        Merger {
-            ops,
-            out: Dataset::default(),
-            cells: vec![BTreeSet::new(); ops.len()],
-        }
-    }
-
-    /// Fold the next shard (plan order) into the accumulator.
-    fn drain(&mut self, shard: ShardRecords) {
-        if let Some(i) = self.ops.iter().position(|o| *o == shard.operator) {
-            self.cells[i].extend(shard.cells.iter().copied());
-        }
-        let mut ds = shard.dataset;
-        if !ds.is_normalized() {
-            // Shards normalize before handing off, but a replayed frame
-            // is outside input: its checksum vouches that it was written
-            // whole, not that its tables are sorted, and the merge needs
-            // sorted runs.
-            ds.normalize();
-        }
-        self.out.merge_normalized(ds);
-    }
-
-    /// Post-merge Table 1 accounting (per-operator unique-cell unions,
-    /// runtimes, runtime-derived XCAL log volume) and the final dataset.
-    /// Byte-identical to the old merge-everything-then-`normalize` path:
-    /// the incremental run merges reproduce the stable sort's
-    /// permutation, and the shared accounting pass reproduces its exact
-    /// f64 accumulation order.
-    fn finish(mut self) -> Dataset {
-        let log_base = self.out.log_bytes;
-        apply_table1_accounting(&mut self.out, self.ops, &self.cells, log_base);
-        debug_assert!(
-            self.out.is_normalized(),
-            "streaming merge left a table out of canonical order"
-        );
-        self.out
-    }
-}
-
 /// Table 1 accounting over an assembled dataset: per-operator
 /// unique-cell counts, runtimes, and the runtime-derived XCAL log
 /// volume accumulated in `ops` order on top of `log_base` (the summed
-/// per-shard log bytes, zero in practice). Shared by [`Merger::finish`]
-/// and the incremental `DatasetView::ingest_shard` path so both
-/// reproduce the exact f64 accumulation order of the pre-streaming
-/// terminal merge. Replaces any aggregates already present.
+/// per-shard log bytes, zero in practice). Shared by
+/// [`DatasetView::ingest_shard`] and [`Campaign::run_operator`], so both
+/// accumulate in the same f64 order. Replaces any aggregates already
+/// present.
 pub(crate) fn apply_table1_accounting(
     ds: &mut Dataset,
     ops: &[Operator],
@@ -548,7 +497,7 @@ impl Campaign {
         segs
     }
 
-    /// The full shard plan, in the fixed merge order.
+    /// The full shard plan, in the fixed drain order.
     fn plan(&self, cfg: &CampaignConfig) -> Vec<ShardJob> {
         let segments = self.segments(cfg);
         let mut jobs = Vec::new();
@@ -566,10 +515,17 @@ impl Campaign {
         jobs
     }
 
-    /// Run the full campaign: execute the shard plan on a worker pool and
-    /// stream the results into the merged dataset in plan order.
-    /// Bit-identical at any thread count.
+    /// Run the full campaign and export the consolidated dataset in
+    /// canonical order: [`Campaign::run_view`], then
+    /// [`DatasetView::into_dataset`]. Bit-identical at any thread count.
     pub fn run(&self, cfg: &CampaignConfig) -> Dataset {
+        self.run_view(cfg).into_dataset()
+    }
+
+    /// Run the full campaign: execute the shard plan on a worker pool and
+    /// ingest the results into one view in plan order. Bit-identical at
+    /// any thread count.
+    pub fn run_view(&self, cfg: &CampaignConfig) -> DatasetView {
         let jobs = self.plan(cfg);
         self.run_jobs(
             &jobs,
@@ -614,20 +570,20 @@ impl Campaign {
     }
 
     /// Run the campaign with crash-safe checkpointing: each completed
-    /// shard is journalled to `dir` before its result is merged. With
+    /// shard is journalled to `dir` before it is ingested. With
     /// `resume = false` a fresh journal replaces whatever was in `dir`;
     /// with `resume = true` the existing journal is verified against this
     /// run's [`Fingerprint`], its intact frames replay as already-done
     /// shards (any torn tail from a crash is truncated away), and only
-    /// the missing shards are re-simulated. Either way the merged dataset
-    /// is bit-identical to [`Campaign::run`] with the same config, at any
-    /// thread count.
+    /// the missing shards are re-simulated. Either way the view is
+    /// bit-identical to [`Campaign::run_view`] with the same config, at
+    /// any thread count.
     pub fn run_checkpointed(
         &self,
         cfg: &CampaignConfig,
         dir: &Path,
         resume: bool,
-    ) -> Result<Dataset, CheckpointError> {
+    ) -> Result<DatasetView, CheckpointError> {
         self.run_checkpointed_observed(cfg, dir, resume, &CampaignMetrics::default())
     }
 
@@ -642,7 +598,7 @@ impl Campaign {
         dir: &Path,
         resume: bool,
         metrics: &CampaignMetrics,
-    ) -> Result<Dataset, CheckpointError> {
+    ) -> Result<DatasetView, CheckpointError> {
         let fp = self.fingerprint(cfg);
         let jobs = self.plan(cfg);
         let (journal, completed) = if resume {
@@ -666,23 +622,24 @@ impl Campaign {
     }
 
     /// Run the campaign for one operator (sequentially, same shard plan —
-    /// the result matches that operator's slice of [`Campaign::run`]).
+    /// the result matches that operator's slice of [`Campaign::run`],
+    /// with Table 1 rows for that operator alone).
     pub fn run_operator(&self, op: Operator, cfg: &CampaignConfig) -> Dataset {
-        let ops = [op];
-        let mut merger = Merger::new(&ops);
-        if cfg.include_static {
-            merger.drain(self.run_shard(&ShardJob { op, segment: None }, cfg));
+        let static_job = cfg.include_static.then_some(ShardJob { op, segment: None });
+        let drive_jobs = self.segments(cfg).into_iter().map(|seg| ShardJob {
+            op,
+            segment: Some(seg),
+        });
+        let mut out = Dataset::default();
+        let mut cells = BTreeSet::new();
+        for job in static_job.into_iter().chain(drive_jobs) {
+            let shard = self.run_shard(&job, cfg);
+            cells.extend(shard.cells);
+            out.merge_normalized(shard.dataset);
         }
-        for seg in self.segments(cfg) {
-            merger.drain(self.run_shard(
-                &ShardJob {
-                    op,
-                    segment: Some(seg),
-                },
-                cfg,
-            ));
-        }
-        merger.finish()
+        let log_base = out.log_bytes;
+        apply_table1_accounting(&mut out, &[op], &[cells], log_base);
+        out
     }
 
     /// Worker count for a plan: `cfg.threads`, defaulting to one per
@@ -698,11 +655,12 @@ impl Campaign {
     }
 
     /// Execute jobs on a pool of `cfg.threads` workers (default: one per
-    /// core), draining finished shards into the streaming [`Merger`] in
-    /// plan order. Workers pull jobs from a shared counter; a freshly
-    /// simulated shard parks until the drain front reaches it, and a
-    /// frame in `replayed` (indexed by `--resume`) is decoded only then,
-    /// so a resume holds one replayed shard at a time. Because the drain
+    /// core), draining finished shards into one [`DatasetView`] through
+    /// [`DatasetView::ingest_shard`] in plan order. Workers pull jobs
+    /// from a shared counter; a freshly simulated shard parks until the
+    /// drain front reaches it, and a frame in `replayed` (indexed by
+    /// `--resume`) is decoded only then, so a resume holds one replayed
+    /// shard at a time. Because the drain
     /// order is the plan order no matter which worker ran what, the
     /// output is byte-identical at any thread count.
     ///
@@ -720,9 +678,9 @@ impl Campaign {
         journal: Option<Journal>,
         replayed: BTreeMap<usize, FrameSpan>,
         metrics: &CampaignMetrics,
-    ) -> Result<Dataset, CheckpointError> {
-        struct Reorder<'o> {
-            merger: Merger<'o>,
+    ) -> Result<DatasetView, CheckpointError> {
+        struct Reorder {
+            view: DatasetView,
             parked: BTreeMap<usize, ShardRecords>,
             next_drain: usize,
             failed: Option<CheckpointError>,
@@ -755,14 +713,14 @@ impl Campaign {
                     }
                     _ => return Ok(()),
                 };
-                st.merger.drain(shard);
+                st.view.ingest_shard(shard);
                 st.next_drain += 1;
             }
         };
         let threads = Self::worker_threads(cfg, jobs.len());
         let next_job = AtomicUsize::new(0);
         let state = Mutex::new(Reorder {
-            merger: Merger::new(&Operator::ALL),
+            view: DatasetView::new(Dataset::default()),
             parked: BTreeMap::new(),
             next_drain: 0,
             failed: None,
@@ -819,7 +777,7 @@ impl Campaign {
         // complete journal) drain here.
         drain(&mut st)?;
         debug_assert_eq!(st.next_drain, jobs.len(), "every shard drained");
-        Ok(st.merger.finish())
+        Ok(st.view)
     }
 
     /// Run one shard: the operator's static baselines (segment = None) or
@@ -884,11 +842,11 @@ impl Campaign {
             None => runner.run_static_stops(dep),
             Some(seg) => runner.run_segment(seg, cfg.include_apps),
         }
-        // Hand each shard off as a set of sorted runs: merging
-        // stably-sorted runs in plan order reproduces the permutation of
-        // the old terminal stable sort over the concatenation (the
+        // Hand each shard off as a set of sorted runs: the view splices
+        // them in plan order, and merging stably-sorted runs reproduces
+        // the permutation of a stable sort over the concatenation (the
         // classic mergesort identity), which is what keeps the streaming
-        // engine byte-identical to the buffering one.
+        // engine byte-identical to a terminal sort.
         runner.ds.normalize();
         // The session's cell set is unordered; the frame carries it
         // ascending so its encoding is order-stable.
@@ -1440,14 +1398,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let baseline = c.run(&cfg);
         assert!(baseline.is_normalized(), "streamed output is canonical");
-        let fresh = c.run_checkpointed(&cfg, &dir, false).unwrap();
+        let fresh = c
+            .run_checkpointed(&cfg, &dir, false)
+            .unwrap()
+            .into_dataset();
         assert_eq!(
             serde_json::to_string(&fresh).unwrap(),
             serde_json::to_string(&baseline).unwrap()
         );
         // Every shard is journalled: a resume replays all of them and
         // must reproduce the same bytes without re-simulating anything.
-        let resumed = c.run_checkpointed(&cfg, &dir, true).unwrap();
+        let resumed = c.run_checkpointed(&cfg, &dir, true).unwrap().into_dataset();
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
             serde_json::to_string(&baseline).unwrap()
@@ -1489,7 +1450,7 @@ mod tests {
         assert_eq!(fresh.shards_replayed.get(), 0);
         assert_eq!(fresh.journal.frames_appended.get(), jobs);
         assert!(fresh.journal.bytes_appended.get() > 0);
-        let audits = ds.audits.len() as u64;
+        let audits = ds.dataset().audits.len() as u64;
         assert_eq!(
             fresh.tests_completed.get() + fresh.tests_partial.get() + fresh.tests_lost.get(),
             audits,

@@ -478,10 +478,12 @@ pub struct TailState {
 /// identity header is verified against `fp` exactly like a resume, but
 /// the walk is strictly **read-only**: a torn tail stops the replay
 /// (every intact frame before it is delivered) and is *not* truncated
-/// away. This is the one incremental pipeline shared by
-/// `run_checkpointed --resume`, `DatasetView::from_journal`, and the
-/// `wheels-serve` live follower. Returns the [`TailState`] cursor;
-/// follow-up polls continue from it via [`tail_from`].
+/// away. `DatasetView::from_journal` and the `wheels-serve` live
+/// follower read through it; a resumed campaign does not (it indexes the
+/// journal with [`Journal::resume_indexed`], truncating any torn tail,
+/// and decodes each frame when its drain reaches it). Returns the
+/// [`TailState`] cursor; follow-up polls continue from it via
+/// [`tail_from`].
 pub fn tail(
     dir: &Path,
     fp: &Fingerprint,
@@ -664,23 +666,6 @@ impl Journal {
         ))
     }
 
-    /// [`Journal::resume_indexed`], then decode every indexed frame — a
-    /// convenience for tests and small tools that want the shards in
-    /// hand. The campaign engine itself resumes via the index and decodes
-    /// each frame only when its merge reaches it.
-    pub fn resume(
-        dir: &Path,
-        fp: &Fingerprint,
-    ) -> Result<(Journal, BTreeMap<usize, ShardRecords>), CheckpointError> {
-        let (journal, spans) = Self::resume_indexed(dir, fp)?;
-        let reader = journal.reader();
-        let mut completed = BTreeMap::new();
-        for (job, span) in spans {
-            completed.insert(job, reader.read_frame(span)?);
-        }
-        Ok((journal, completed))
-    }
-
     /// Attach append-traffic counters; every subsequent
     /// [`Journal::append`] bumps them. Counters are shared ([`Arc`])
     /// because the observer usually outlives the journal — e.g. the
@@ -815,7 +800,7 @@ mod tests {
     fn create_then_resume_empty() {
         let dir = tmpdir("ckpt_empty");
         Journal::create(&dir, &fp(1)).unwrap();
-        let (_, done) = Journal::resume(&dir, &fp(1)).unwrap();
+        let (_, done) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
         assert!(done.is_empty());
     }
 
@@ -825,10 +810,11 @@ mod tests {
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
         j.append(0, &rec(Operator::Verizon)).unwrap();
         j.append(3, &rec(Operator::Att)).unwrap();
-        let (_, done) = Journal::resume(&dir, &fp(1)).unwrap();
+        let (j2, done) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
+        let reader = j2.reader();
         assert_eq!(done.len(), 2);
-        assert_eq!(done[&0], rec(Operator::Verizon));
-        assert_eq!(done[&3], rec(Operator::Att));
+        assert_eq!(reader.read_frame(done[&0]).unwrap(), rec(Operator::Verizon));
+        assert_eq!(reader.read_frame(done[&3]).unwrap(), rec(Operator::Att));
     }
 
     #[test]
@@ -961,14 +947,14 @@ mod tests {
     fn fingerprint_mismatch_is_refused_with_field_names() {
         let dir = tmpdir("ckpt_mismatch");
         Journal::create(&dir, &fp(1)).unwrap();
-        let err = Journal::resume(&dir, &fp(2)).unwrap_err();
+        let err = Journal::resume_indexed(&dir, &fp(2)).unwrap_err();
         match err {
             CheckpointError::Mismatch(d) => assert!(d.contains("seed"), "{d}"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
         let mut other = fp(1);
         other.faults = FaultConfig::demo();
-        let err = Journal::resume(&dir, &other).unwrap_err();
+        let err = Journal::resume_indexed(&dir, &other).unwrap_err();
         match err {
             CheckpointError::Mismatch(d) => assert!(d.contains("faults"), "{d}"),
             other => panic!("expected Mismatch, got {other:?}"),
@@ -987,7 +973,7 @@ mod tests {
         // recover exactly frame 0 and truncate back to `keep`.
         for cut in keep.len()..full.len() {
             std::fs::write(Journal::file_path(&dir), &full[..cut]).unwrap();
-            let (_, done) = Journal::resume(&dir, &fp(1)).unwrap();
+            let (_, done) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
             assert_eq!(done.len(), 1, "cut at byte {cut}");
             assert!(done.contains_key(&0), "cut at byte {cut}");
             let after = std::fs::read(Journal::file_path(&dir)).unwrap();
@@ -1007,7 +993,7 @@ mod tests {
         let idx = usize::try_from(keep_len).unwrap() + FRAME_HEADER + 2;
         bytes[idx] ^= 0x40;
         std::fs::write(Journal::file_path(&dir), &bytes).unwrap();
-        let (_, done) = Journal::resume(&dir, &fp(1)).unwrap();
+        let (_, done) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
         assert_eq!(done.len(), 1);
         assert_eq!(
             std::fs::metadata(Journal::file_path(&dir)).unwrap().len(),
@@ -1018,19 +1004,19 @@ mod tests {
     #[test]
     fn missing_and_torn_header_journals_are_invalid() {
         let dir = tmpdir("ckpt_missing");
-        match Journal::resume(&dir, &fp(1)) {
+        match Journal::resume_indexed(&dir, &fp(1)) {
             Err(CheckpointError::Invalid(d)) => assert!(d.contains("--checkpoint"), "{d}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
         Journal::create(&dir, &fp(1)).unwrap();
         let bytes = std::fs::read(Journal::file_path(&dir)).unwrap();
         std::fs::write(Journal::file_path(&dir), &bytes[..bytes.len() - 1]).unwrap();
-        match Journal::resume(&dir, &fp(1)) {
+        match Journal::resume_indexed(&dir, &fp(1)) {
             Err(CheckpointError::Invalid(d)) => assert!(d.contains("header"), "{d}"),
             other => panic!("expected Invalid, got {other:?}"),
         }
         std::fs::write(Journal::file_path(&dir), b"not a journal").unwrap();
-        match Journal::resume(&dir, &fp(1)) {
+        match Journal::resume_indexed(&dir, &fp(1)) {
             Err(CheckpointError::Invalid(d)) => assert!(d.contains("magic"), "{d}"),
             other => panic!("expected Invalid, got {other:?}"),
         }

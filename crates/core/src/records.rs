@@ -294,8 +294,9 @@ pub struct Dataset {
 pub struct ShardRecords {
     /// Operator the shard simulated.
     pub operator: Operator,
-    /// The shard's slice of the dataset (tables un-normalized, incl. its
-    /// `TestAudit` ledger rows).
+    /// The shard's slice of the dataset, incl. its `TestAudit` ledger
+    /// rows. The campaign normalizes it before hand-off; ingest re-sorts
+    /// one that arrives out of order.
     pub dataset: Dataset,
     /// Cells served during the shard, ascending.
     pub cells: Vec<wheels_ran::cells::CellId>,
@@ -420,8 +421,7 @@ impl Dataset {
     /// [`Dataset::merge`] followed by [`Dataset::normalize`] — the run
     /// merge keeps `self`'s rows first on ties, exactly like the stable
     /// sort — but costs one linear pass per table instead of a full
-    /// re-sort, which is what lets the campaign engine drain shards
-    /// incrementally instead of sorting at the end.
+    /// re-sort. `Campaign::run_operator` folds its shards with it.
     pub fn merge_normalized(&mut self, other: Dataset) {
         merge_sorted_by_key(&mut self.tput, other.tput, tput_key);
         merge_sorted_by_key(&mut self.rtt, other.rtt, rtt_key);

@@ -41,48 +41,26 @@ fn exit_broken_pipe_quietly(e: &std::io::Error) {
 
 use wheels_core::checkpoint::write_atomic;
 use wheels_core::column::wcd;
-use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::cli::{self, Format};
-use wheels_experiments::world::{Scale, Tuning, World};
+use wheels_experiments::world::Scale;
 
 fn main() {
     let args = cli::parse_args(Scale::Quick, std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let out_path = args.rest.into_iter().last();
+    let out_path = args.rest.last().cloned();
 
     eprintln!(
         "building world at scale {:?} (seed {})...",
         args.scale, args.seed
     );
-    let faults = if args.faults {
-        FaultConfig::demo()
-    } else {
-        FaultConfig::default()
-    };
-    let tuning = Tuning {
-        threads: args.threads,
-    };
-    let world = match (&args.checkpoint, &args.resume) {
-        (Some(dir), _) => {
-            World::build_checkpointed(args.scale, args.seed, tuning, faults, Path::new(dir), false)
-        }
-        (_, Some(dir)) => {
-            World::build_checkpointed(args.scale, args.seed, tuning, faults, Path::new(dir), true)
-        }
-        _ => Ok(World::build_with_faults(
-            args.scale,
-            args.seed,
-            args.threads,
-            faults,
-        )),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
-    let ds = world.dataset();
+    let ds = cli::build_world(&args)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        })
+        .into_dataset();
     eprintln!(
         "serializing {} tput / {} rtt / {} coverage / {} runs / {} handovers / {} app runs",
         ds.tput.len(),
@@ -94,7 +72,7 @@ fn main() {
     );
     match args.format {
         Format::Json => {
-            let bytes = serde_json::to_string(ds)
+            let bytes = serde_json::to_string(&ds)
                 .expect("dataset serializes")
                 .into_bytes();
             match out_path {
@@ -120,7 +98,7 @@ fn main() {
         Format::Bin => match out_path {
             Some(p) => {
                 let path = Path::new(&p);
-                if let Err(e) = wcd::write_file(path, ds) {
+                if let Err(e) = wcd::write_file(path, &ds) {
                     eprintln!("cannot write {p}: {e}");
                     std::process::exit(1);
                 }
@@ -129,7 +107,7 @@ fn main() {
             }
             None => {
                 let mut w = std::io::BufWriter::new(std::io::stdout().lock());
-                let streamed = wcd::encode_to(ds, &mut w)
+                let streamed = wcd::encode_to(&ds, &mut w)
                     .and_then(|()| w.flush().map_err(wcd::WcdError::from));
                 if let Err(e) = streamed {
                     if let wcd::WcdError::Io(io) = &e {

@@ -30,8 +30,7 @@
 
 use std::io::Write;
 
-use wheels_core::disrupt::FaultConfig;
-use wheels_experiments::world::{Scale, Tuning, World};
+use wheels_experiments::world::{Scale, World};
 use wheels_experiments::{cli, registry, render_report, resolve};
 
 /// Write report output to stdout, exiting 0 quietly on a broken pipe
@@ -78,55 +77,24 @@ fn main() {
         args.scale, args.seed
     );
     let t0 = std::time::Instant::now();
-    let faults = if args.faults {
-        FaultConfig::demo()
-    } else {
-        FaultConfig::default()
-    };
-    let world = if let Some(path) = &args.load {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let (ds, fmt) = wheels_core::column::load_dataset(&bytes).unwrap_or_else(|e| {
-            eprintln!("cannot load {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("loaded {path} ({fmt} format, {} bytes)", bytes.len());
-        Ok(World::from_dataset(args.scale, args.seed, ds))
-    } else {
-        let tuning = Tuning {
-            threads: args.threads,
-        };
-        match (&args.checkpoint, &args.resume) {
-            (Some(dir), _) => World::build_checkpointed(
-                args.scale,
-                args.seed,
-                tuning,
-                faults,
-                std::path::Path::new(dir),
-                false,
-            ),
-            (_, Some(dir)) => World::build_checkpointed(
-                args.scale,
-                args.seed,
-                tuning,
-                faults,
-                std::path::Path::new(dir),
-                true,
-            ),
-            _ => Ok(World::build_with_faults(
-                args.scale,
-                args.seed,
-                args.threads,
-                faults,
-            )),
+    let world = match &args.load {
+        Some(path) => {
+            let bytes = std::fs::read(path).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(1);
+            });
+            let (ds, fmt) = wheels_core::column::load_dataset(&bytes).unwrap_or_else(|e| {
+                eprintln!("cannot load {path}: {e}");
+                std::process::exit(1);
+            });
+            eprintln!("loaded {path} ({fmt} format, {} bytes)", bytes.len());
+            World::from_dataset(args.scale, args.seed, ds)
         }
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+        None => cli::build_world(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }),
+    };
     let ds = world.dataset();
     eprintln!(
         "world ready in {:.1}s: {} tput samples, {} rtt samples, {} app runs, {} handovers",

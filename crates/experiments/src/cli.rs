@@ -1,10 +1,15 @@
-//! Shared, fallible command-line parsing for the `repro` and `dataset`
-//! binaries.
+//! Shared, fallible command-line parsing and world building for the
+//! `repro` and `dataset` binaries.
 //!
 //! Parsing returns `Result` instead of exiting, so bad/missing flag
 //! values are unit-testable; the binaries map `Err` to an exit code.
 
-use crate::world::Scale;
+use std::path::Path;
+
+use wheels_core::checkpoint::CheckpointError;
+use wheels_core::disrupt::FaultConfig;
+
+use crate::world::{Scale, Tuning, World};
 
 /// Dataset export format (`--format json|bin`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -150,6 +155,38 @@ pub fn parse_args(
         );
     }
     Ok(args)
+}
+
+/// Build the world the simulation flags ask for: a plain run, a fresh
+/// journal under `--checkpoint DIR`, or a replay of `--resume DIR` (the
+/// two are exclusive, see [`parse_args`]), with the demo disruption mix
+/// under `--faults`. `--load` is `repro`'s own path: it simulates
+/// nothing.
+pub fn build_world(args: &Args) -> Result<World, CheckpointError> {
+    let faults = if args.faults {
+        FaultConfig::demo()
+    } else {
+        FaultConfig::default()
+    };
+    let tuning = Tuning {
+        threads: args.threads,
+    };
+    match args.checkpoint.as_ref().or(args.resume.as_ref()) {
+        Some(dir) => World::build_checkpointed(
+            args.scale,
+            args.seed,
+            tuning,
+            faults,
+            Path::new(dir),
+            args.resume.is_some(),
+        ),
+        None => Ok(World::build_with_faults(
+            args.scale,
+            args.seed,
+            args.threads,
+            faults,
+        )),
+    }
 }
 
 #[cfg(test)]

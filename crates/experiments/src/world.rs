@@ -10,9 +10,10 @@
 //! - [`Scale::Full`] — continuous testing for the whole trip, the paper's
 //!   actual protocol. Minutes to build in release mode.
 //!
-//! The dataset lives inside a [`DatasetView`] built once per world, so
-//! every experiment shares the same partition indices and memoized Cdfs
-//! (and, being `Sync`, the same view backs the parallel runner).
+//! The dataset lives inside a [`DatasetView`] the campaign ingests its
+//! shards into, so every experiment shares the same partition indices
+//! and memoized Cdfs (and, being `Sync`, the same view backs the
+//! parallel runner).
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -90,10 +91,10 @@ impl World {
         faults: FaultConfig,
     ) -> World {
         let (campaign, cfg) = Self::campaign_for(scale, seed, Tuning { threads }, faults);
-        let dataset = campaign.run(&cfg);
+        let view = campaign.run_view(&cfg);
         World {
             campaign,
-            view: DatasetView::new(dataset),
+            view,
             scale,
         }
     }
@@ -113,10 +114,10 @@ impl World {
         resume: bool,
     ) -> Result<World, CheckpointError> {
         let (campaign, cfg) = Self::campaign_for(scale, seed, tuning, faults);
-        let dataset = campaign.run_checkpointed(&cfg, dir, resume)?;
+        let view = campaign.run_checkpointed(&cfg, dir, resume)?;
         Ok(World {
             campaign,
-            view: DatasetView::new(dataset),
+            view,
             scale,
         })
     }
@@ -178,9 +179,20 @@ impl World {
         (campaign, cfg)
     }
 
-    /// The consolidated dataset (normalized).
+    /// The consolidated dataset as the view holds it: runs, handovers,
+    /// apps, audits and the Table 1 aggregates in canonical order, the
+    /// sample tables (tput, rtt, coverage) in the order their shards
+    /// were ingested (plan order for a simulated or resumed world;
+    /// canonical for a [`World::from_dataset`] world). Read samples
+    /// through [`World::view`]; export with [`World::into_dataset`].
     pub fn dataset(&self) -> &Dataset {
         self.view.dataset()
+    }
+
+    /// The consolidated dataset in canonical order (the `dataset`
+    /// export): every table sorted as [`Dataset::normalize`] leaves it.
+    pub fn into_dataset(self) -> Dataset {
+        self.view.into_dataset()
     }
 
     /// The indexed view over the dataset.
@@ -229,7 +241,8 @@ mod tests {
     #[test]
     fn view_matches_brute_force_on_quick_world() {
         let w = World::quick();
-        let ds = w.dataset();
+        let mut ds = w.dataset().clone();
+        ds.normalize();
         let view_dl: Vec<f64> = w
             .view()
             .tput_iter(None, Some(Direction::Downlink), Some(true))

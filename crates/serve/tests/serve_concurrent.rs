@@ -83,6 +83,7 @@ fn live_tail_matches_offline_replay_across_threads_and_faults() {
                 Campaign::standard(42)
                     .run_checkpointed(&writer_cfg, &writer_dir, false)
                     .expect("checkpointed campaign")
+                    .into_dataset()
             });
             let dataset = writer.join().expect("writer thread");
             assert!(!dataset.tput.is_empty());

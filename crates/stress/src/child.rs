@@ -6,8 +6,8 @@
 //! failure mode a crash-safety soak must *not* rely on. The child runs
 //! the campaign through the ordinary checkpointed path (no special
 //! hooks — it must die the way a real run dies), then publishes its
-//! dataset and metrics atomically so the supervisor can trust whatever
-//! files exist.
+//! dataset (the canonical export) and metrics atomically so the
+//! supervisor can trust whatever files exist.
 
 use wheels_core::campaign::{Campaign, CampaignMetrics};
 use wheels_core::checkpoint::write_atomic;
@@ -23,7 +23,7 @@ pub fn run(opts: &ChildOptions) -> i32 {
     let campaign = Campaign::standard(opts.seed);
     let metrics = CampaignMetrics::default();
     let dataset = match campaign.run_checkpointed_observed(&cfg, &opts.dir, opts.resume, &metrics) {
-        Ok(dataset) => dataset,
+        Ok(view) => view.into_dataset(),
         Err(e) => {
             eprintln!("wheels-stress child: campaign failed: {e}");
             return 3;

@@ -92,7 +92,33 @@ impl HandoverLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phone::tests::fixture;
+    use std::sync::OnceLock;
+    use wheels_geo::route::Route;
+    use wheels_geo::trace::DrivePlan;
+    use wheels_ran::operator::Operator;
+
+    struct Fixture {
+        trace: DriveTrace,
+        deployments: Vec<Deployment>,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIX: OnceLock<Fixture> = OnceLock::new();
+        FIX.get_or_init(|| {
+            let route = Route::standard();
+            let rng = SimRng::seed(7);
+            let plan = DrivePlan {
+                city_stop: SimDuration::from_mins(2),
+                ..DrivePlan::default()
+            };
+            let trace = plan.generate(&route, &mut rng.split("trace"));
+            let deployments = Operator::ALL
+                .into_iter()
+                .map(|op| Deployment::generate(&route, op, &mut rng.split(op.label())))
+                .collect();
+            Fixture { trace, deployments }
+        })
+    }
 
     #[test]
     fn logs_five_rows_per_second() {

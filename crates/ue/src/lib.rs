@@ -1,10 +1,8 @@
 //! # wheels-ue
 //!
-//! The user-equipment layer: the phones of the paper's testbed (Appendix
-//! B) and the two loggers that produced its dataset.
+//! The user-equipment layer: the two phone-side loggers of the paper's
+//! testbed (Appendix B) that produced its dataset.
 //!
-//! - [`phone`] — a phone bound to one operator, pulling mobility ground
-//!   truth from the drive trace and radio state from a RAN session.
 //! - [`xcal`] — the XCAL-Solo-style cross-layer logger: 500 ms KPI records
 //!   written into `.drm`-like files whose *names* carry local-time stamps
 //!   while their *contents* carry EDT stamps — the exact timestamp mess
@@ -19,9 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod hologger;
-pub mod phone;
 pub mod xcal;
 
 pub use hologger::{HandoverLogger, HoLogRow};
-pub use phone::Phone;
 pub use xcal::{DrmFile, XcalLogger, XcalRecord};

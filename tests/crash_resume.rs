@@ -57,7 +57,8 @@ fn kill_point_matrix_resumes_byte_identical() {
         let full_dir = tmpdir(&format!("full_faults_{}", faults.enabled));
         let ds = campaign
             .run_checkpointed(&cfg(faults, Some(2)), &full_dir, false)
-            .unwrap();
+            .unwrap()
+            .into_dataset();
         assert_eq!(json(&ds), baseline, "checkpointing must not change output");
         let bytes = std::fs::read(full_dir.join(JOURNAL_FILE)).unwrap();
         let ends: Vec<usize> = frame_ends(&full_dir)
@@ -82,7 +83,8 @@ fn kill_point_matrix_resumes_byte_identical() {
                 plant_truncated(&bytes, cut, &dir);
                 let resumed = campaign
                     .run_checkpointed(&cfg(faults, Some(threads)), &dir, true)
-                    .unwrap_or_else(|e| panic!("resume at cut {cut}, {threads} threads: {e}"));
+                    .unwrap_or_else(|e| panic!("resume at cut {cut}, {threads} threads: {e}"))
+                    .into_dataset();
                 assert_eq!(
                     json(&resumed),
                     baseline,
@@ -103,7 +105,12 @@ fn torn_header_is_refused_and_fresh_checkpoint_recovers() {
     let campaign = Campaign::standard(42);
     let c = cfg(FaultConfig::default(), Some(2));
     let full_dir = tmpdir("header_full");
-    let baseline = json(&campaign.run_checkpointed(&c, &full_dir, false).unwrap());
+    let baseline = json(
+        &campaign
+            .run_checkpointed(&c, &full_dir, false)
+            .unwrap()
+            .into_dataset(),
+    );
     let bytes = std::fs::read(full_dir.join(JOURNAL_FILE)).unwrap();
     let header_end = usize::try_from(frame_ends(&full_dir).unwrap()[0]).unwrap();
     // A kill anywhere inside journal creation (before the header frame is
@@ -120,7 +127,10 @@ fn torn_header_is_refused_and_fresh_checkpoint_recovers() {
         );
         // Nothing was salvageable; a fresh --checkpoint run in the same
         // directory replaces the wreck and completes normally.
-        let ds = campaign.run_checkpointed(&c, &dir, false).unwrap();
+        let ds = campaign
+            .run_checkpointed(&c, &dir, false)
+            .unwrap()
+            .into_dataset();
         assert_eq!(json(&ds), baseline);
     }
     // --resume with no journal at all: a clear error, not a silent fresh
@@ -175,7 +185,12 @@ fn mismatched_fingerprints_are_refused_with_diagnostics() {
     let campaign = Campaign::standard(42);
     let c = cfg(FaultConfig::default(), Some(2));
     let dir = tmpdir("mismatch");
-    let baseline = json(&campaign.run_checkpointed(&c, &dir, false).unwrap());
+    let baseline = json(
+        &campaign
+            .run_checkpointed(&c, &dir, false)
+            .unwrap()
+            .into_dataset(),
+    );
 
     let refuse =
         |other: &CampaignConfig, field: &str| match campaign.run_checkpointed(other, &dir, true) {
@@ -202,6 +217,9 @@ fn mismatched_fingerprints_are_refused_with_diagnostics() {
     // fine at 4 — and still reproduces the baseline bytes.
     let mut other = c.clone();
     other.threads = Some(4);
-    let ds = campaign.run_checkpointed(&other, &dir, true).unwrap();
+    let ds = campaign
+        .run_checkpointed(&other, &dir, true)
+        .unwrap()
+        .into_dataset();
     assert_eq!(json(&ds), baseline);
 }

@@ -168,6 +168,36 @@ fn repro_report_identical_across_thread_counts() {
     );
 }
 
+/// `repro_full.txt` is what `repro --full` prints (sha256 9b023a70…):
+/// the paper's continuous protocol, checked in as the record of how the
+/// generated dataset compares with the paper's measurements. ~7 s to
+/// build in release and far longer in debug, so ignored by default; CI
+/// runs it in release with `-- --ignored`.
+#[test]
+#[ignore = "full-scale campaign; run explicitly (CI does)"]
+fn full_report_matches_checked_in_file() {
+    use wheels::experiments::world::{Scale, World};
+    use wheels::experiments::{registry, render_report};
+    let report = render_report(&World::build(Scale::Full), &registry(), None);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/repro_full.txt");
+    let want = std::fs::read_to_string(path).expect("repro_full.txt is checked in");
+    if let Some((n, (got, want))) = report
+        .lines()
+        .zip(want.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+    {
+        panic!(
+            "repro_full.txt line {}: file has {want:?}, report has {got:?}",
+            n + 1
+        );
+    }
+    assert!(
+        report == want,
+        "repro_full.txt differs in its line count or line endings"
+    );
+}
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -478,9 +478,14 @@ fn matrix_demo_mix_flows_through_the_full_pipeline() {
     // entire experiment registry: analysis must degrade gracefully on a
     // gapped dataset — no panics, every experiment renders.
     let world = World::build_with_faults(Scale::Quick, 2022, None, FaultConfig::demo());
-    check_accounting(world.dataset());
+    let exps = wheels::experiments::registry();
+    let report = wheels::experiments::render_report(&world, &exps, None);
+    assert_eq!(report.matches(&"=".repeat(78)).count(), exps.len());
+    assert!(report.contains("Data quality"), "quality report missing");
+    let ds = world.into_dataset();
+    check_accounting(&ds);
     // The bytes `dataset --quick --faults` writes (sha256 ffcb9b8f…).
-    assert_pinned(world.dataset(), 0x9451_a6bc_4dde_f821, "quick demo mix");
+    assert_pinned(&ds, 0x9451_a6bc_4dde_f821, "quick demo mix");
     // Every disrupted outcome the model has shows up in the mix.
     for (kinds, status) in [
         (TPUT, TestStatus::Lost),
@@ -489,15 +494,8 @@ fn matrix_demo_mix_flows_through_the_full_pipeline() {
         (APPS, TestStatus::Lost),
         (APPS, TestStatus::Partial),
     ] {
-        assert!(
-            has_outcome(world.dataset(), kinds, status),
-            "{kinds:?} {status:?}"
-        );
+        assert!(has_outcome(&ds, kinds, status), "{kinds:?} {status:?}");
     }
-    let exps = wheels::experiments::registry();
-    let report = wheels::experiments::render_report(&world, &exps, None);
-    assert_eq!(report.matches(&"=".repeat(78)).count(), exps.len());
-    assert!(report.contains("Data quality"), "quality report missing");
 }
 
 /// The demo mix at Standard scale, the default `repro` world: the bytes
@@ -509,7 +507,8 @@ fn matrix_demo_mix_flows_through_the_full_pipeline() {
 fn demo_mix_pinned_at_standard_scale() {
     use wheels::experiments::world::{Scale, World};
 
-    let world = World::build_with_faults(Scale::Standard, 2022, None, FaultConfig::demo());
-    check_accounting(world.dataset());
-    assert_pinned(world.dataset(), 0x9188_01e5_8979_b0e7, "standard demo mix");
+    let ds =
+        World::build_with_faults(Scale::Standard, 2022, None, FaultConfig::demo()).into_dataset();
+    check_accounting(&ds);
+    assert_pinned(&ds, 0x9188_01e5_8979_b0e7, "standard demo mix");
 }
