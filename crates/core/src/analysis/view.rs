@@ -5,11 +5,15 @@
 //! timezone / speed bin below that) and then sorts the surviving samples
 //! into a fresh [`Cdf`]. On a Standard/Full campaign that is dozens of
 //! full-table scans and re-sorts per `repro` run. A [`DatasetView`] is
-//! built once per world: it partitions each table by those dimensions
-//! into permutation indices (positions into the owned tables, ascending,
-//! so iteration order is exactly the order a linear `*_where` scan would
-//! visit), and memoizes per-query sorted-sample [`Cdf`]s so quantile and
-//! summary queries are O(1) after a single shared sort.
+//! built once per world. It keeps one index per partition of each
+//! sample table (operator × direction × driving for throughput,
+//! operator × driving for RTT, operator for coverage): positions into
+//! the owned tables in canonical order, so iteration order is exactly
+//! the order a linear `*_where` scan would visit. The finer slices
+//! (technology, timezone, speed bin) are filtered from the partition
+//! index on demand, which keeps that order. Per-query sorted-sample
+//! [`Cdf`]s are memoized, so quantile and summary queries are O(1)
+//! after a single shared sort.
 //!
 //! Figure values are unchanged: the view yields the same samples in the
 //! same order as [`Dataset::tput_where`]/[`Dataset::rtt_where`] on the
@@ -25,8 +29,8 @@
 //!
 //! [`DatasetView::ingest_shard`] folds one completed campaign shard
 //! into a live view without a rebuild: the big sample tables (tput,
-//! rtt, coverage) are *appended* to the raw storage and every affected
-//! permutation index is extended by a binary-splice merge of the
+//! rtt, coverage) are *appended* to the raw storage and each partition
+//! index the shard lands in is extended by a binary-splice merge of the
 //! shard's pre-sorted position run — so the raw tables end up in
 //! arrival order while every indexed accessor keeps yielding canonical
 //! `normalize` order, and `OnceLock` memos are re-armed only for the
@@ -42,6 +46,8 @@
 //! export.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
+use std::mem::take;
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -58,30 +64,26 @@ use crate::analysis::handover::{self, HoImpact};
 use crate::campaign::apply_table1_accounting;
 use crate::checkpoint::{self, CheckpointError, Fingerprint, TailState};
 use crate::records::{
-    app_key, audit_key, coverage_key, handover_key, merge_sorted_by_key, rtt_key, run_key,
-    tput_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
+    app_key, audit_key, coverage_key, handover_key, merge_runs, merge_sorted_by_key, rtt_key,
+    run_key, tput_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
 };
 
 const OPS: usize = Operator::ALL.len();
-const DIRS: usize = Direction::ALL.len();
-const TECHS: usize = Technology::ALL.len();
-const TZS: usize = Timezone::ALL.len();
-const BINS: usize = SpeedBin::ALL.len();
-
-/// Fully-specified throughput partitions: operator × direction × driving.
-const TPUT_PARTS: usize = OPS * DIRS * 2;
-/// Throughput query combos including wildcard (`None`) dimensions.
-const TPUT_COMBOS: usize = (OPS + 1) * (DIRS + 1) * 3;
-/// Fully-specified RTT partitions: operator × driving.
-const RTT_PARTS: usize = OPS * 2;
-/// RTT query combos including wildcards.
-const RTT_COMBOS: usize = (OPS + 1) * 3;
 
 /// Index a table by a u32 position produced at view-build time.
 #[inline]
 pub(crate) fn at<T>(table: &[T], pos: u32) -> &T {
     // lint: allow(lossy-cast, u32 position to usize is widening on every supported target)
     &table[pos as usize]
+}
+
+/// The rows of `table` at `positions`, in that order.
+fn select<'a, T>(table: &'a [T], positions: &'a [u32]) -> impl Iterator<Item = &'a T> {
+    positions.iter().map(|&i| at(table, i))
+}
+
+fn push_pos(list: &mut Vec<u32>, i: usize) {
+    list.push(u32::try_from(i).expect("table exceeds u32 rows"));
 }
 
 fn dir_index(d: Direction) -> usize {
@@ -91,303 +93,248 @@ fn dir_index(d: Direction) -> usize {
     }
 }
 
-fn tz_index(tz: Timezone) -> usize {
-    Timezone::ALL
-        .iter()
-        .position(|&t| t == tz)
-        .expect("Timezone::ALL covers every variant")
+/// Partition id of a fully-specified coordinate: mixed radix over `dims`.
+fn part_of(dims: &[usize], coords: &[usize]) -> usize {
+    dims.iter().zip(coords).fold(0, |acc, (&n, &c)| acc * n + c)
 }
 
-fn bin_index(b: SpeedBin) -> usize {
-    match b {
-        SpeedBin::Low => 0,
-        SpeedBin::Mid => 1,
-        SpeedBin::High => 2,
+/// Memo slot of a query: mixed radix over `dims + 1`, each wildcard
+/// (`None`) taking its dimension's one-past-the-end value.
+fn combo_of(dims: &[usize], filter: &[Option<usize>]) -> usize {
+    dims.iter()
+        .zip(filter)
+        .fold(0, |acc, (&n, f)| acc * (n + 1) + f.unwrap_or(n))
+}
+
+/// Whether the query in memo slot `combo` matches partition `part`.
+fn covers(dims: &[usize], mut combo: usize, mut part: usize) -> bool {
+    dims.iter().rev().all(|&n| {
+        let (c, p) = (combo % (n + 1), part % n);
+        combo /= n + 1;
+        part /= n;
+        c == n || c == p
+    })
+}
+
+/// A sample table the view partitions: throughput by operator ×
+/// direction × driving, RTT by the same without the direction.
+trait Sample {
+    /// Partition dimensions, outermost first.
+    const DIMS: &'static [usize];
+    /// The row's partition ([`part_of`] over `DIMS`).
+    fn part(&self) -> usize;
+    /// The canonical (`normalize`) sort key.
+    fn key(&self) -> (u64, u32);
+    fn test_id(&self) -> u32;
+    /// The value the memoized Cdfs sort, if the row has one.
+    fn value(&self) -> Option<f64>;
+}
+
+impl Sample for TputSample {
+    const DIMS: &'static [usize] = &[OPS, Direction::ALL.len(), 2];
+    fn part(&self) -> usize {
+        let coords = [
+            self.operator.index(),
+            dir_index(self.direction),
+            usize::from(self.driving),
+        ];
+        part_of(Self::DIMS, &coords)
+    }
+    fn key(&self) -> (u64, u32) {
+        tput_key(self)
+    }
+    fn test_id(&self) -> u32 {
+        self.test_id
+    }
+    fn value(&self) -> Option<f64> {
+        Some(self.mbps)
     }
 }
 
-fn tpart(op: usize, dir: usize, driving: usize) -> usize {
-    (op * DIRS + dir) * 2 + driving
+impl Sample for RttSample {
+    const DIMS: &'static [usize] = &[OPS, 2];
+    fn part(&self) -> usize {
+        part_of(
+            Self::DIMS,
+            &[self.operator.index(), usize::from(self.driving)],
+        )
+    }
+    fn key(&self) -> (u64, u32) {
+        rtt_key(self)
+    }
+    fn test_id(&self) -> u32 {
+        self.test_id
+    }
+    /// Lost pings carry no value.
+    fn value(&self) -> Option<f64> {
+        self.rtt_ms
+    }
 }
 
-fn rpart(op: usize, driving: usize) -> usize {
-    op * 2 + driving
+/// One fully-specified partition of a sample table.
+#[derive(Default)]
+struct Part {
+    /// Positions into the sample table, in canonical order.
+    idx: Vec<u32>,
+    /// Finite values of this partition, sorted ascending.
+    sorted: OnceLock<Vec<f64>>,
 }
 
-/// Combo slot for a (possibly wildcard) throughput query; wildcards take
-/// the one-past-the-end index of their dimension.
-fn tcombo(op: Option<Operator>, dir: Option<Direction>, driving: Option<bool>) -> usize {
-    let o = op.map_or(OPS, Operator::index);
-    let d = dir.map_or(DIRS, dir_index);
-    let dr = driving.map_or(2, usize::from);
-    (o * (DIRS + 1) + d) * 3 + dr
+/// The memos of one (possibly wildcard) query.
+struct Combo {
+    /// Partitions the query matches, ascending.
+    parts: Vec<usize>,
+    /// The matched partitions' indexes merged in canonical order
+    /// (wildcard queries only: one partition is its own index).
+    merged: OnceLock<Vec<u32>>,
+    cdf: OnceLock<Cdf>,
 }
 
-fn rcombo(op: Option<Operator>, driving: Option<bool>) -> usize {
-    let o = op.map_or(OPS, Operator::index);
-    let dr = driving.map_or(2, usize::from);
-    o * 3 + dr
+/// The index over one sample table, whose rows the view's [`Dataset`]
+/// owns: one canonical-order position list per partition, the per-test
+/// groups, and lazy per-query memos.
+struct Table<S> {
+    parts: Vec<Part>,
+    /// Indexed by [`combo_of`].
+    combos: Vec<Combo>,
+    /// Per-test positions, time-ascending (normalize sorts by
+    /// `(t, test_id)` and a test's samples share one `test_id`).
+    by_test: BTreeMap<u32, Vec<u32>>,
+    rows: PhantomData<S>,
 }
 
-/// Partition ids whose (operator, direction, driving) match the filter.
-fn tput_part_ids(
+impl<S: Sample> Table<S> {
+    fn new() -> Table<S> {
+        let parts: usize = S::DIMS.iter().product();
+        let combos: usize = S::DIMS.iter().map(|n| n + 1).product();
+        Table {
+            parts: (0..parts).map(|_| Part::default()).collect(),
+            combos: (0..combos)
+                .map(|c| Combo {
+                    parts: (0..parts).filter(|&p| covers(S::DIMS, c, p)).collect(),
+                    merged: OnceLock::new(),
+                    cdf: OnceLock::new(),
+                })
+                .collect(),
+            by_test: BTreeMap::new(),
+            rows: PhantomData,
+        }
+    }
+
+    /// Index `rows[base..]`, a canonically-ordered run appended since
+    /// the last call: splice each partition's share of it into that
+    /// partition's index and re-arm every memo over a partition the run
+    /// landed in.
+    fn index_from(&mut self, rows: &[S], base: usize) {
+        let mut runs = vec![Vec::new(); self.parts.len()];
+        for (i, s) in (base..).zip(&rows[base..]) {
+            push_pos(&mut runs[s.part()], i);
+            push_pos(self.by_test.entry(s.test_id()).or_default(), i);
+        }
+        for combo in &mut self.combos {
+            if combo.parts.iter().any(|&p| !runs[p].is_empty()) {
+                combo.merged = OnceLock::new();
+                combo.cdf = OnceLock::new();
+            }
+        }
+        for (part, run) in self.parts.iter_mut().zip(runs) {
+            if !run.is_empty() {
+                merge_sorted_by_key(&mut part.idx, run, |&i| at(rows, i).key());
+                part.sorted = OnceLock::new();
+            }
+        }
+    }
+
+    /// Positions matching `filter` (one entry per dimension), in
+    /// canonical order.
+    fn index(&self, rows: &[S], filter: &[Option<usize>]) -> &[u32] {
+        let combo = &self.combos[combo_of(S::DIMS, filter)];
+        if let [p] = combo.parts[..] {
+            return &self.parts[p].idx;
+        }
+        combo.merged.get_or_init(|| {
+            let runs: Vec<&[u32]> = combo
+                .parts
+                .iter()
+                .map(|&p| self.parts[p].idx.as_slice())
+                .collect();
+            // Raw positions are in arrival order, so key ties fall back
+            // to the order the stable export sort keeps.
+            merge_runs(&runs, |&a, &b| {
+                (at(rows, a).key(), a).cmp(&(at(rows, b).key(), b))
+            })
+        })
+    }
+
+    /// Memoized Cdf of the finite values matching `filter`: each
+    /// partition sorts its values once, and the query merges them.
+    fn cdf(&self, rows: &[S], filter: &[Option<usize>]) -> &Cdf {
+        let combo = &self.combos[combo_of(S::DIMS, filter)];
+        combo.cdf.get_or_init(|| {
+            let runs: Vec<&[f64]> = combo
+                .parts
+                .iter()
+                .map(|&p| {
+                    let part = &self.parts[p];
+                    part.sorted.get_or_init(|| {
+                        let mut v: Vec<f64> = select(rows, &part.idx)
+                            .filter_map(Sample::value)
+                            .filter(|x| x.is_finite())
+                            .collect();
+                        v.sort_by(f64::total_cmp);
+                        v
+                    })
+                })
+                .map(Vec::as_slice)
+                .collect();
+            Cdf::from_sorted(merge_runs(&runs, f64::total_cmp))
+        })
+    }
+
+    /// Per-test groups matching `filter`, keyed by test id. A test's
+    /// partition is constant by construction, so the filter checks the
+    /// group's first sample.
+    fn tests<'a>(
+        &'a self,
+        rows: &'a [S],
+        filter: &[Option<usize>],
+    ) -> impl Iterator<Item = (u32, impl Iterator<Item = &'a S>)> {
+        let combo = combo_of(S::DIMS, filter);
+        self.by_test.iter().filter_map(move |(&id, pos)| {
+            let first = at(rows, *pos.first()?);
+            covers(S::DIMS, combo, first.part()).then(|| (id, select(rows, pos)))
+        })
+    }
+}
+
+fn tput_filter(
     op: Option<Operator>,
     dir: Option<Direction>,
     driving: Option<bool>,
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    for o in 0..OPS {
-        if op.is_some_and(|x| x.index() != o) {
-            continue;
-        }
-        for d in 0..DIRS {
-            if dir.is_some_and(|x| dir_index(x) != d) {
-                continue;
-            }
-            for dr in 0..2 {
-                if driving.is_some_and(|x| usize::from(x) != dr) {
-                    continue;
-                }
-                out.push(tpart(o, d, dr));
-            }
-        }
-    }
-    out
+) -> [Option<usize>; 3] {
+    [
+        op.map(Operator::index),
+        dir.map(dir_index),
+        driving.map(usize::from),
+    ]
 }
 
-fn rtt_part_ids(op: Option<Operator>, driving: Option<bool>) -> Vec<usize> {
-    let mut out = Vec::new();
-    for o in 0..OPS {
-        if op.is_some_and(|x| x.index() != o) {
-            continue;
-        }
-        for dr in 0..2 {
-            if driving.is_some_and(|x| usize::from(x) != dr) {
-                continue;
-            }
-            out.push(rpart(o, dr));
-        }
-    }
-    out
+fn rtt_filter(op: Option<Operator>, driving: Option<bool>) -> [Option<usize>; 2] {
+    [op.map(Operator::index), driving.map(usize::from)]
 }
 
-/// K-way merge of ascending (`f64::total_cmp`) runs into one ascending
-/// vector — the identical sorted multiset a fresh sort would produce.
-fn merge_sorted(runs: &[&[f64]]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-    let mut cursors = vec![0usize; runs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let Some(&x) = run.get(cursors[i]) else {
-                continue;
-            };
-            best = match best {
-                Some(b) if runs[b][cursors[b]].total_cmp(&x).is_le() => Some(b),
-                _ => Some(i),
-            };
-        }
-        let Some(b) = best else { break };
-        out.push(runs[b][cursors[b]]);
-        cursors[b] += 1;
-    }
-    out
-}
-
-fn push_pos(list: &mut Vec<u32>, i: usize) {
-    list.push(u32::try_from(i).expect("table exceeds u32 rows"));
-}
-
-/// Merge a canonical-key-ascending run of `new` positions into the
-/// canonical-key-ascending index `idx`, existing entries first on ties
-/// — exactly the permutation a stable re-sort of the whole partition
-/// would produce. Binary splice: everything before the first affected
-/// slot is untouched, only the tail is merged, and a shard whose keys
-/// sort entirely after the index (the common in-order arrival) is a
-/// plain `extend`.
-fn merge_positions<K: Ord>(idx: &mut Vec<u32>, new: &[u32], key: impl Fn(u32) -> K) {
-    if new.is_empty() {
-        return;
-    }
-    let first = key(new[0]);
-    if idx.last().is_none_or(|&l| key(l) <= first) {
-        idx.extend_from_slice(new);
-        return;
-    }
-    let lo = idx.partition_point(|&i| key(i) <= first);
-    let tail = idx.split_off(lo);
-    idx.reserve(tail.len() + new.len());
-    let mut a = tail.into_iter().peekable();
-    let mut b = new.iter().copied().peekable();
-    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-        if key(x) <= key(y) {
-            idx.push(x);
-            a.next();
-        } else {
-            idx.push(y);
-            b.next();
-        }
-    }
-    idx.extend(a);
-    idx.extend(b);
-}
-
-/// K-way merge of canonical-key-ascending position runs, ties broken by
-/// position. On a canonically-ordered dataset (positions ascending with
-/// the key) this reproduces the plain position sort the wildcard memos
-/// used before incremental ingest existed; on an ingested view it keeps
-/// the merged index in canonical key order even though raw positions
-/// are arrival-ordered.
-fn merge_indices<K: Ord>(runs: &[&[u32]], key: impl Fn(u32) -> K) -> Vec<u32> {
-    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
-    let mut cursors = vec![0usize; runs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, run) in runs.iter().enumerate() {
-            let Some(&x) = run.get(cursors[i]) else {
-                continue;
-            };
-            best = match best {
-                Some(b) => {
-                    let y = runs[b][cursors[b]];
-                    if (key(y), y) <= (key(x), x) {
-                        Some(b)
-                    } else {
-                        Some(i)
-                    }
-                }
-                None => Some(i),
-            };
-        }
-        let Some(b) = best else { break };
-        out.push(runs[b][cursors[b]]);
-        cursors[b] += 1;
-    }
-    out
-}
-
-#[derive(Default)]
-struct TputPart {
-    /// Positions into `Dataset::tput`, ascending.
-    idx: Vec<u32>,
-    by_tech: [Vec<u32>; TECHS],
-    by_tz: [Vec<u32>; TZS],
-    by_bin_tech: [[Vec<u32>; TECHS]; BINS],
-    /// Finite `mbps` values of this partition, sorted ascending.
-    sorted_mbps: OnceLock<Vec<f64>>,
-}
-
-impl TputPart {
-    /// Gather this partition's finite `mbps` values and sort once,
-    /// shared by every Cdf that merges it.
-    fn sorted_mbps(&self, tput: &[TputSample]) -> &[f64] {
-        self.sorted_mbps.get_or_init(|| {
-            let mut v: Vec<f64> = self
-                .idx
-                .iter()
-                .map(|&i| at(tput, i).mbps)
-                .filter(|x| x.is_finite())
-                .collect();
-            v.sort_by(f64::total_cmp);
-            v
-        })
-    }
-}
-
-#[derive(Default)]
-struct RttPart {
-    /// Positions into `Dataset::rtt` (lost pings included), ascending.
-    idx: Vec<u32>,
-    by_tech: [Vec<u32>; TECHS],
-    by_bin_tech: [[Vec<u32>; TECHS]; BINS],
-    /// Finite valid RTT values of this partition, sorted ascending.
-    sorted_ms: OnceLock<Vec<f64>>,
-}
-
-impl RttPart {
-    /// Gather this partition's finite valid RTT values and sort once.
-    fn sorted_ms(&self, rtt: &[RttSample]) -> &[f64] {
-        self.sorted_ms.get_or_init(|| {
-            let mut v: Vec<f64> = self
-                .idx
-                .iter()
-                .filter_map(|&i| at(rtt, i).rtt_ms)
-                .filter(|x| x.is_finite())
-                .collect();
-            v.sort_by(f64::total_cmp);
-            v
-        })
-    }
-}
-
-/// Append positions `base..` of `rows`, in row order, to the partition
-/// lists and per-test groups each sample belongs to.
-fn index_tput(
-    parts: &mut [TputPart],
-    by_test: &mut BTreeMap<u32, Vec<u32>>,
-    rows: &[TputSample],
-    base: usize,
-) {
-    for (j, s) in rows.iter().enumerate() {
-        let i = base + j;
-        let tech = s.tech.index();
-        let p = &mut parts[tpart(
-            s.operator.index(),
-            dir_index(s.direction),
-            usize::from(s.driving),
-        )];
-        push_pos(&mut p.idx, i);
-        push_pos(&mut p.by_tech[tech], i);
-        push_pos(&mut p.by_tz[tz_index(s.tz)], i);
-        let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
-        push_pos(&mut p.by_bin_tech[b][tech], i);
-        push_pos(by_test.entry(s.test_id).or_default(), i);
-    }
-}
-
-/// RTT counterpart of [`index_tput`].
-fn index_rtt(
-    parts: &mut [RttPart],
-    by_test: &mut BTreeMap<u32, Vec<u32>>,
-    rows: &[RttSample],
-    base: usize,
-) {
-    for (j, s) in rows.iter().enumerate() {
-        let i = base + j;
-        let tech = s.tech.index();
-        let p = &mut parts[rpart(s.operator.index(), usize::from(s.driving))];
-        push_pos(&mut p.idx, i);
-        push_pos(&mut p.by_tech[tech], i);
-        let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
-        push_pos(&mut p.by_bin_tech[b][tech], i);
-        push_pos(by_test.entry(s.test_id).or_default(), i);
-    }
-}
-
-/// Coverage counterpart of [`index_tput`]: one list per operator.
-fn index_coverage(lists: &mut [Vec<u32>; OPS], rows: &[CoverageSample], base: usize) {
-    for (j, s) in rows.iter().enumerate() {
-        push_pos(&mut lists[s.operator.index()], base + j);
-    }
+fn in_bin(speed_mph: f64, bin: SpeedBin) -> bool {
+    SpeedBin::of(Speed::from_mph(speed_mph)) == bin
 }
 
 /// Indexed view over an owned [`Dataset`]. See the module docs for the
 /// guarantees.
 pub struct DatasetView {
     ds: Dataset,
-    tput_parts: Vec<TputPart>,
-    rtt_parts: Vec<RttPart>,
+    tput: Table<TputSample>,
+    rtt: Table<RttSample>,
+    /// Per-operator positions into `coverage`, in canonical order.
     cov_idx: [Vec<u32>; OPS],
-    /// Per-test positions into `tput`, time-ascending (normalize sorts by
-    /// `(t, test_id)` and a test's samples share one `test_id`).
-    tput_by_test: BTreeMap<u32, Vec<u32>>,
-    rtt_by_test: BTreeMap<u32, Vec<u32>>,
-    /// Memoized merged indices for wildcard combos.
-    tput_merged: [OnceLock<Vec<u32>>; TPUT_COMBOS],
-    rtt_merged: [OnceLock<Vec<u32>>; RTT_COMBOS],
-    /// Memoized per-combo Cdfs (throughput Mbps / valid RTT ms).
-    tput_cdfs: [OnceLock<Cdf>; TPUT_COMBOS],
-    rtt_cdfs: [OnceLock<Cdf>; RTT_COMBOS],
     /// Memoized handover impact rows (Fig. 12, findings).
     impacts: OnceLock<Vec<HoImpact>>,
     /// Per-operator served-cell unions accumulated by `ingest_shard`
@@ -414,35 +361,22 @@ impl std::fmt::Debug for DatasetView {
 }
 
 impl DatasetView {
-    /// Normalize `ds` (idempotent) and build all eager indices. Lazy
+    /// Normalize `ds` (idempotent) and index its sample tables. Lazy
     /// memos (sorted runs, merged combos, Cdfs, impacts) fill on first
     /// use.
     pub fn new(mut ds: Dataset) -> DatasetView {
         ds.normalize();
-        let mut tput_parts: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        let mut tput_by_test = BTreeMap::new();
-        index_tput(&mut tput_parts, &mut tput_by_test, &ds.tput, 0);
-        let mut rtt_parts: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        let mut rtt_by_test = BTreeMap::new();
-        index_rtt(&mut rtt_parts, &mut rtt_by_test, &ds.rtt, 0);
-        let mut cov_idx: [Vec<u32>; OPS] = Default::default();
-        index_coverage(&mut cov_idx, &ds.coverage, 0);
-
-        DatasetView {
+        let mut view = DatasetView {
             ds,
-            tput_parts,
-            rtt_parts,
-            cov_idx,
-            tput_by_test,
-            rtt_by_test,
-            tput_merged: std::array::from_fn(|_| OnceLock::new()),
-            rtt_merged: std::array::from_fn(|_| OnceLock::new()),
-            tput_cdfs: std::array::from_fn(|_| OnceLock::new()),
-            rtt_cdfs: std::array::from_fn(|_| OnceLock::new()),
+            tput: Table::new(),
+            rtt: Table::new(),
+            cov_idx: Default::default(),
             impacts: OnceLock::new(),
             cell_sets: vec![BTreeSet::new(); OPS],
             log_base: 0.0,
-        }
+        };
+        view.index_from([0; 3]);
+        view
     }
 
     /// The owned dataset, for the tables the view does not index (runs,
@@ -455,39 +389,6 @@ impl DatasetView {
         &self.ds
     }
 
-    /// Positions matching the filter, in dataset (time) order — the same
-    /// visit order as a linear `tput_where` scan.
-    fn tput_index(
-        &self,
-        op: Option<Operator>,
-        dir: Option<Direction>,
-        driving: Option<bool>,
-    ) -> &[u32] {
-        if let (Some(o), Some(d), Some(dr)) = (op, dir, driving) {
-            return &self.tput_parts[tpart(o.index(), dir_index(d), usize::from(dr))].idx;
-        }
-        self.tput_merged[tcombo(op, dir, driving)].get_or_init(|| {
-            let runs: Vec<&[u32]> = tput_part_ids(op, dir, driving)
-                .into_iter()
-                .map(|p| self.tput_parts[p].idx.as_slice())
-                .collect();
-            merge_indices(&runs, |i| tput_key(at(&self.ds.tput, i)))
-        })
-    }
-
-    fn rtt_index(&self, op: Option<Operator>, driving: Option<bool>) -> &[u32] {
-        if let (Some(o), Some(dr)) = (op, driving) {
-            return &self.rtt_parts[rpart(o.index(), usize::from(dr))].idx;
-        }
-        self.rtt_merged[rcombo(op, driving)].get_or_init(|| {
-            let runs: Vec<&[u32]> = rtt_part_ids(op, driving)
-                .into_iter()
-                .map(|p| self.rtt_parts[p].idx.as_slice())
-                .collect();
-            merge_indices(&runs, |i| rtt_key(at(&self.ds.rtt, i)))
-        })
-    }
-
     /// Equivalent of [`Dataset::tput_where`]: same samples, same order,
     /// without the full-table scan.
     pub fn tput_iter(
@@ -496,9 +397,8 @@ impl DatasetView {
         dir: Option<Direction>,
         driving: Option<bool>,
     ) -> impl Iterator<Item = &TputSample> {
-        self.tput_index(op, dir, driving)
-            .iter()
-            .map(|&i| at(&self.ds.tput, i))
+        let rows = &self.ds.tput;
+        select(rows, self.tput.index(rows, &tput_filter(op, dir, driving)))
     }
 
     /// Memoized Cdf of `mbps` over the filter — the sorted multiset
@@ -509,13 +409,7 @@ impl DatasetView {
         dir: Option<Direction>,
         driving: Option<bool>,
     ) -> &Cdf {
-        self.tput_cdfs[tcombo(op, dir, driving)].get_or_init(|| {
-            let runs: Vec<&[f64]> = tput_part_ids(op, dir, driving)
-                .into_iter()
-                .map(|p| self.tput_parts[p].sorted_mbps(&self.ds.tput))
-                .collect();
-            Cdf::from_sorted(merge_sorted(&runs))
-        })
+        self.tput.cdf(&self.ds.tput, &tput_filter(op, dir, driving))
     }
 
     /// Throughput samples of one partition on one technology (Fig. 4).
@@ -526,10 +420,8 @@ impl DatasetView {
         driving: bool,
         tech: Technology,
     ) -> impl Iterator<Item = &TputSample> {
-        self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_tech
-            [tech.index()]
-        .iter()
-        .map(|&i| at(&self.ds.tput, i))
+        self.tput_iter(Some(op), Some(dir), Some(driving))
+            .filter(move |s| s.tech == tech)
     }
 
     /// Throughput samples of one partition in one timezone (Fig. 5).
@@ -540,9 +432,8 @@ impl DatasetView {
         driving: bool,
         tz: Timezone,
     ) -> impl Iterator<Item = &TputSample> {
-        self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_tz[tz_index(tz)]
-            .iter()
-            .map(|&i| at(&self.ds.tput, i))
+        self.tput_iter(Some(op), Some(dir), Some(driving))
+            .filter(move |s| s.tz == tz)
     }
 
     /// Throughput samples of one partition in one speed bin on one
@@ -555,29 +446,20 @@ impl DatasetView {
         bin: SpeedBin,
         tech: Technology,
     ) -> impl Iterator<Item = &TputSample> {
-        self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_bin_tech
-            [bin_index(bin)][tech.index()]
-        .iter()
-        .map(|&i| at(&self.ds.tput, i))
+        self.tput_tech(op, dir, driving, tech)
+            .filter(move |s| in_bin(s.speed_mph, bin))
     }
 
     /// Per-test throughput sample groups matching the filter, keyed by
-    /// test id, each group in time order (Figs. 9–10). A test's operator,
-    /// direction and driving flag are constant by construction, so the
-    /// filter checks the group's first sample.
+    /// test id, each group in time order (Figs. 9–10).
     pub fn tput_tests(
         &self,
         op: Option<Operator>,
         dir: Option<Direction>,
         driving: Option<bool>,
     ) -> impl Iterator<Item = (u32, impl Iterator<Item = &TputSample>)> {
-        self.tput_by_test.iter().filter_map(move |(&id, pos)| {
-            let first = at(&self.ds.tput, *pos.first()?);
-            let keep = op.is_none_or(|o| first.operator == o)
-                && dir.is_none_or(|d| first.direction == d)
-                && driving.is_none_or(|dr| first.driving == dr);
-            keep.then(|| (id, pos.iter().map(|&i| at(&self.ds.tput, i))))
-        })
+        self.tput
+            .tests(&self.ds.tput, &tput_filter(op, dir, driving))
     }
 
     /// Equivalent of iterating `Dataset::rtt` with the `rtt_where`
@@ -587,9 +469,8 @@ impl DatasetView {
         op: Option<Operator>,
         driving: Option<bool>,
     ) -> impl Iterator<Item = &RttSample> {
-        self.rtt_index(op, driving)
-            .iter()
-            .map(|&i| at(&self.ds.rtt, i))
+        let rows = &self.ds.rtt;
+        select(rows, self.rtt.index(rows, &rtt_filter(op, driving)))
     }
 
     /// Equivalent of [`Dataset::rtt_where`]: valid RTT values in dataset
@@ -604,13 +485,7 @@ impl DatasetView {
 
     /// Memoized Cdf of valid RTT ms over the filter.
     pub fn rtt_cdf(&self, op: Option<Operator>, driving: Option<bool>) -> &Cdf {
-        self.rtt_cdfs[rcombo(op, driving)].get_or_init(|| {
-            let runs: Vec<&[f64]> = rtt_part_ids(op, driving)
-                .into_iter()
-                .map(|p| self.rtt_parts[p].sorted_ms(&self.ds.rtt))
-                .collect();
-            Cdf::from_sorted(merge_sorted(&runs))
-        })
+        self.rtt.cdf(&self.ds.rtt, &rtt_filter(op, driving))
     }
 
     /// RTT samples of one partition on one technology (Fig. 4).
@@ -620,9 +495,8 @@ impl DatasetView {
         driving: bool,
         tech: Technology,
     ) -> impl Iterator<Item = &RttSample> {
-        self.rtt_parts[rpart(op.index(), usize::from(driving))].by_tech[tech.index()]
-            .iter()
-            .map(|&i| at(&self.ds.rtt, i))
+        self.rtt_iter(Some(op), Some(driving))
+            .filter(move |s| s.tech == tech)
     }
 
     /// RTT samples of one partition in one speed bin on one technology
@@ -634,10 +508,8 @@ impl DatasetView {
         bin: SpeedBin,
         tech: Technology,
     ) -> impl Iterator<Item = &RttSample> {
-        self.rtt_parts[rpart(op.index(), usize::from(driving))].by_bin_tech[bin_index(bin)]
-            [tech.index()]
-        .iter()
-        .map(|&i| at(&self.ds.rtt, i))
+        self.rtt_tech(op, driving, tech)
+            .filter(move |s| in_bin(s.speed_mph, bin))
     }
 
     /// Per-test RTT sample groups matching the filter (Fig. 9).
@@ -646,32 +518,24 @@ impl DatasetView {
         op: Option<Operator>,
         driving: Option<bool>,
     ) -> impl Iterator<Item = (u32, impl Iterator<Item = &RttSample>)> {
-        self.rtt_by_test.iter().filter_map(move |(&id, pos)| {
-            let first = at(&self.ds.rtt, *pos.first()?);
-            let keep = op.is_none_or(|o| first.operator == o)
-                && driving.is_none_or(|dr| first.driving == dr);
-            keep.then(|| (id, pos.iter().map(|&i| at(&self.ds.rtt, i))))
-        })
+        self.rtt.tests(&self.ds.rtt, &rtt_filter(op, driving))
     }
 
     /// Coverage samples of one operator, in dataset order (Figs. 1–2).
     pub fn coverage_for(&self, op: Operator) -> impl Iterator<Item = &CoverageSample> {
-        self.cov_idx[op.index()]
-            .iter()
-            .map(|&i| at(&self.ds.coverage, i))
+        select(&self.ds.coverage, &self.cov_idx[op.index()])
     }
 
     /// Memoized handover throughput impacts (Fig. 12, findings), computed
     /// once over the shared by-test index.
     pub fn impacts(&self) -> &[HoImpact] {
         self.impacts
-            .get_or_init(|| handover::impacts_indexed(&self.ds, &self.tput_by_test))
+            .get_or_init(|| handover::impacts_indexed(&self.ds, &self.tput.by_test))
     }
 
     /// One Table-2 row over the partition's samples, in dataset order.
     pub fn tput_correlation(&self, op: Operator, dir: Direction, driving: bool) -> CorrelationRow {
-        let idx = &self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].idx;
-        correlation::correlate_rows(idx.iter().map(|&i| at(&self.ds.tput, i)), op, dir)
+        correlation::correlate_rows(self.tput_iter(Some(op), Some(dir), Some(driving)), op, dir)
     }
 
     /// Fig. 2a technology share.
@@ -696,9 +560,9 @@ impl DatasetView {
 
     /// Fold one completed campaign shard into the view incrementally —
     /// µs per shard instead of the full rebuild `DatasetView::new`
-    /// pays. The sample tables are appended in arrival order and every
-    /// affected permutation index is extended by a binary-splice run
-    /// merge, so all indexed accessors keep yielding exactly what a
+    /// pays. The sample tables are appended in arrival order and each
+    /// partition index the shard lands in is extended by a binary-splice
+    /// run merge, so all indexed accessors keep yielding exactly what a
     /// rebuild over the union would yield; memoized sorted runs, merged
     /// combos and Cdfs are re-armed only where the shard actually
     /// landed. The small tables stay physically canonical (the raw-scan
@@ -726,38 +590,23 @@ impl DatasetView {
             sd.normalize();
         }
 
-        let tput_touched = self.ingest_tput(std::mem::take(&mut sd.tput));
-        let rtt_touched = self.ingest_rtt(std::mem::take(&mut sd.rtt));
-        self.ingest_coverage(std::mem::take(&mut sd.coverage));
-        self.ingest_small_tables(&mut sd);
-
-        // Re-arm every memo whose partition set intersects the shard:
-        // wildcard slots merge multiple partitions, so one landed
-        // partition can dirty several combos. Fully-specified slots
-        // only carry a Cdf (their index is the partition itself).
-        let mut op_opts: Vec<Option<Operator>> = Operator::ALL.iter().copied().map(Some).collect();
-        op_opts.push(None);
-        let mut dir_opts: Vec<Option<Direction>> =
-            Direction::ALL.iter().copied().map(Some).collect();
-        dir_opts.push(None);
-        const DRV: [Option<bool>; 3] = [Some(false), Some(true), None];
-        for &o in &op_opts {
-            for &dr in &DRV {
-                for &d in &dir_opts {
-                    if tput_part_ids(o, d, dr).iter().any(|&p| tput_touched[p]) {
-                        let c = tcombo(o, d, dr);
-                        self.tput_merged[c] = OnceLock::new();
-                        self.tput_cdfs[c] = OnceLock::new();
-                    }
-                }
-                if rtt_part_ids(o, dr).iter().any(|&p| rtt_touched[p]) {
-                    let c = rcombo(o, dr);
-                    self.rtt_merged[c] = OnceLock::new();
-                    self.rtt_cdfs[c] = OnceLock::new();
-                }
-            }
-        }
-        self.impacts = OnceLock::new();
+        let base = [
+            self.ds.tput.len(),
+            self.ds.rtt.len(),
+            self.ds.coverage.len(),
+        ];
+        self.ds.tput.append(&mut sd.tput);
+        self.ds.rtt.append(&mut sd.rtt);
+        self.ds.coverage.append(&mut sd.coverage);
+        self.index_from(base);
+        // The small tables merge physically: the handover kernels and
+        // the figure code read them raw, and they are thousands of
+        // times smaller than the sample tables.
+        let ds = &mut self.ds;
+        merge_sorted_by_key(&mut ds.runs, take(&mut sd.runs), run_key);
+        merge_sorted_by_key(&mut ds.handovers, take(&mut sd.handovers), handover_key);
+        merge_sorted_by_key(&mut ds.apps, take(&mut sd.apps), app_key);
+        merge_sorted_by_key(&mut ds.audits, take(&mut sd.audits), audit_key);
 
         // Table 1 accounting over every shard so far, byte sums in
         // ingest order.
@@ -768,105 +617,21 @@ impl DatasetView {
         apply_table1_accounting(&mut self.ds, &Operator::ALL, &self.cell_sets, self.log_base);
     }
 
-    /// Append the shard's throughput run and splice-merge each touched
-    /// partition index; returns the touched-partition mask.
-    fn ingest_tput(&mut self, rows: Vec<TputSample>) -> [bool; TPUT_PARTS] {
-        let mut touched = [false; TPUT_PARTS];
-        if rows.is_empty() {
-            return touched;
-        }
-        let mut add: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        index_tput(&mut add, &mut self.tput_by_test, &rows, self.ds.tput.len());
-        self.ds.tput.extend(rows);
-
-        let tput = &self.ds.tput;
-        let key = |i: u32| tput_key(at(tput, i));
-        for (p, new) in add.iter().enumerate() {
-            if new.idx.is_empty() {
-                continue;
-            }
-            touched[p] = true;
-            let part = &mut self.tput_parts[p];
-            merge_positions(&mut part.idx, &new.idx, key);
-            for (list, run) in part.by_tech.iter_mut().zip(&new.by_tech) {
-                merge_positions(list, run, key);
-            }
-            for (list, run) in part.by_tz.iter_mut().zip(&new.by_tz) {
-                merge_positions(list, run, key);
-            }
-            for (bin, new_bin) in part.by_bin_tech.iter_mut().zip(&new.by_bin_tech) {
-                for (list, run) in bin.iter_mut().zip(new_bin) {
-                    merge_positions(list, run, key);
-                }
-            }
-            part.sorted_mbps = OnceLock::new();
-        }
-        touched
-    }
-
-    /// RTT twin of [`DatasetView::ingest_tput`].
-    fn ingest_rtt(&mut self, rows: Vec<RttSample>) -> [bool; RTT_PARTS] {
-        let mut touched = [false; RTT_PARTS];
-        if rows.is_empty() {
-            return touched;
-        }
-        let mut add: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        index_rtt(&mut add, &mut self.rtt_by_test, &rows, self.ds.rtt.len());
-        self.ds.rtt.extend(rows);
-
-        let rtt = &self.ds.rtt;
-        let key = |i: u32| rtt_key(at(rtt, i));
-        for (p, new) in add.iter().enumerate() {
-            if new.idx.is_empty() {
-                continue;
-            }
-            touched[p] = true;
-            let part = &mut self.rtt_parts[p];
-            merge_positions(&mut part.idx, &new.idx, key);
-            for (list, run) in part.by_tech.iter_mut().zip(&new.by_tech) {
-                merge_positions(list, run, key);
-            }
-            for (bin, new_bin) in part.by_bin_tech.iter_mut().zip(&new.by_bin_tech) {
-                for (list, run) in bin.iter_mut().zip(new_bin) {
-                    merge_positions(list, run, key);
-                }
-            }
-            part.sorted_ms = OnceLock::new();
-        }
-        touched
-    }
-
-    /// Coverage counterpart: per-operator index splice (coverage has no lazy
-    /// memos — the share kernels scan the index on every call).
-    fn ingest_coverage(&mut self, rows: Vec<CoverageSample>) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut add: [Vec<u32>; OPS] = Default::default();
-        index_coverage(&mut add, &rows, self.ds.coverage.len());
-        self.ds.coverage.extend(rows);
-
+    /// Index the tput, rtt and coverage rows from the given positions
+    /// on, re-arming the memos they touch. Coverage has no lazy memos:
+    /// the share kernels scan its index on every call.
+    fn index_from(&mut self, [tput, rtt, cov]: [usize; 3]) {
+        self.tput.index_from(&self.ds.tput, tput);
+        self.rtt.index_from(&self.ds.rtt, rtt);
         let coverage = &self.ds.coverage;
-        let key = |i: u32| coverage_key(at(coverage, i));
-        for (list, run) in self.cov_idx.iter_mut().zip(&add) {
-            merge_positions(list, run, key);
+        let mut runs: [Vec<u32>; OPS] = Default::default();
+        for (i, s) in (cov..).zip(&coverage[cov..]) {
+            push_pos(&mut runs[s.operator.index()], i);
         }
-    }
-
-    /// Physically merge the shard's small tables into canonical order
-    /// (raw-order consumers: the handover kernels and the figure code)
-    /// — thousands of times smaller than the sample tables, so the
-    /// linear merge is noise.
-    fn ingest_small_tables(&mut self, sd: &mut Dataset) {
-        let ds = &mut self.ds;
-        merge_sorted_by_key(&mut ds.runs, std::mem::take(&mut sd.runs), run_key);
-        merge_sorted_by_key(
-            &mut ds.handovers,
-            std::mem::take(&mut sd.handovers),
-            handover_key,
-        );
-        merge_sorted_by_key(&mut ds.apps, std::mem::take(&mut sd.apps), app_key);
-        merge_sorted_by_key(&mut ds.audits, std::mem::take(&mut sd.audits), audit_key);
+        for (idx, run) in self.cov_idx.iter_mut().zip(runs) {
+            merge_sorted_by_key(idx, run, |&i| coverage_key(at(coverage, i)));
+        }
+        self.impacts = OnceLock::new();
     }
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame

@@ -33,7 +33,7 @@
 //! run decodes its replayed journal frames one at a time as the drain
 //! front reaches them.
 //!
-//! Each drive shard cold-starts its [`RanSession`] a [`WARMUP`] window
+//! Each drive shard cold-starts its [`RanSession`] a `WARMUP` window
 //! before its first cycle so the serving state (grant, A3 filter state) at
 //! the segment boundary matches a session that had been driving all along;
 //! warm-up KPIs and handovers are discarded.

@@ -667,7 +667,7 @@ impl Journal {
     }
 
     /// Attach append-traffic counters; every subsequent
-    /// [`Journal::append`] bumps them. Counters are shared ([`Arc`])
+    /// [`Journal::append`] bumps them. Counters are shared ([`Arc`](std::sync::Arc))
     /// because the observer usually outlives the journal — e.g. the
     /// campaign's metrics bundle keeps reporting after the run ends.
     pub fn attach_metrics(&mut self, metrics: std::sync::Arc<JournalMetrics>) {

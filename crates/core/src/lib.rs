@@ -26,7 +26,7 @@
 //! - [`analysis`] — everything §4–§7 computes: coverage-by-miles,
 //!   KPI↔throughput correlations (Table 2), handover impact (ΔT₁/ΔT₂,
 //!   Fig. 12), and operator diversity (Fig. 6).
-//! - [`column`] — the WCD1 binary file format of [`records::Dataset`]:
+//! - [`column`](mod@column) — the WCD1 binary file format of [`records::Dataset`]:
 //!   a checksummed, column-by-column fixed-width layout that the codec
 //!   writes straight from the rows and loads without a parse step. JSON
 //!   stays the pinned interchange format; WCD1 is the fast

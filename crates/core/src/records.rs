@@ -4,6 +4,8 @@
 //! synthetic equivalent of the paper's "consolidated database, which
 //! includes both the XCAL and the app layer data" (§3).
 
+use std::cmp::Ordering;
+
 use crate::disrupt::FaultKind;
 use serde::{Deserialize, Serialize};
 use wheels_apps::arcav::OffloadStats;
@@ -305,35 +307,53 @@ pub struct ShardRecords {
 /// Merge a sorted run `src` into the sorted `dst`, keyed by `key`, with
 /// `dst`'s elements winning ties. This is exactly the permutation a
 /// stable sort of `dst ++ src` would produce, so repeatedly merging
-/// shard runs in plan order reproduces the old concatenate-then-
-/// `normalize` bytes without the terminal O(n log n) sort.
+/// shard runs in plan order reproduces the concatenate-then-`normalize`
+/// bytes without the terminal O(n log n) sort. Everything in `dst` keyed
+/// at or below the run's first key stays put and only the tail is
+/// merged; a run that sorts entirely after `dst` (the common in-order
+/// arrival) is a plain `extend`. [`Dataset::merge_normalized`] and the
+/// view's small tables and position indexes all splice through it.
 pub(crate) fn merge_sorted_by_key<T, K: Ord>(dst: &mut Vec<T>, src: Vec<T>, key: impl Fn(&T) -> K) {
-    if src.is_empty() {
+    let Some(first) = src.first().map(&key) else {
         return;
-    }
-    // Fast path: the incoming run sorts entirely after the existing one
-    // (common when shards cover disjoint ascending time windows).
-    if dst.last().is_none_or(|d| key(d) <= key(&src[0])) {
+    };
+    if dst.last().is_none_or(|d| key(d) <= first) {
         dst.extend(src);
         return;
     }
-    let old = std::mem::take(dst);
-    dst.reserve(old.len() + src.len());
-    let (mut a, mut b) = (old.into_iter(), src.into_iter());
-    let (mut x, mut y) = (a.next(), b.next());
-    while let (Some(xv), Some(yv)) = (x.as_ref(), y.as_ref()) {
-        if key(xv) <= key(yv) {
-            dst.extend(x.take());
-            x = a.next();
-        } else {
-            dst.extend(y.take());
-            y = b.next();
-        }
+    let tail = dst.split_off(dst.partition_point(|d| key(d) <= first));
+    dst.reserve(tail.len() + src.len());
+    let (mut a, mut b) = (tail.into_iter().peekable(), src.into_iter().peekable());
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let next = if key(x) <= key(y) { a.next() } else { b.next() };
+        dst.extend(next);
     }
-    dst.extend(x);
     dst.extend(a);
-    dst.extend(y);
     dst.extend(b);
+}
+
+/// K-way merge of runs, each ascending by `cmp`, into one ascending
+/// vector. On ties the earlier run goes first, so the result is exactly
+/// a stable sort of the runs' concatenation.
+pub(crate) fn merge_runs<T: Copy>(runs: &[&[T]], cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    let mut out = Vec::with_capacity(runs.iter().map(|r| r.len()).sum());
+    let mut cursors = vec![0usize; runs.len()];
+    loop {
+        let mut best: Option<(usize, &T)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            let Some(x) = run.get(cursors[i]) else {
+                continue;
+            };
+            if best.is_none_or(|(_, b)| cmp(x, b).is_lt()) {
+                best = Some((i, x));
+            }
+        }
+        let Some((i, &x)) = best else {
+            return out;
+        };
+        out.push(x);
+        cursors[i] += 1;
+    }
 }
 
 // The canonical order, one sort key per table: `normalize` sorts by
@@ -485,6 +505,81 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Tag each key with a distinct id and sort stably by key, so a
+    /// comparison also sees which of two equal keys came first.
+    fn sorted_run(keys: Vec<u8>, first_tag: u32) -> Vec<(u8, u32)> {
+        let mut run: Vec<(u8, u32)> = keys.into_iter().zip(first_tag..).collect();
+        run.sort_by_key(|e| e.0);
+        run
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Keys in 0..4 tie heavily and either side may be empty. With
+        /// `after`, `src` starts at `dst`'s top key (a tie) and takes
+        /// the append path; otherwise it usually splices mid-`dst`.
+        #[test]
+        fn splice_equals_stable_sort_of_concatenation(
+            dst in prop::collection::vec(0u8..4, 0..12),
+            src in prop::collection::vec(0u8..4, 0..12),
+            after in any::<bool>(),
+        ) {
+            let dst = sorted_run(dst, 0);
+            let lift = if after { dst.last().map_or(0, |e| e.0) } else { 0 };
+            let src = sorted_run(src.into_iter().map(|k| k + lift).collect(), 100);
+            let mut want = [dst.clone(), src.clone()].concat();
+            want.sort_by_key(|e| e.0);
+            let mut got = dst;
+            merge_sorted_by_key(&mut got, src, |e| e.0);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn kway_merge_of_values_equals_stable_sort(
+            runs in prop::collection::vec(prop::collection::vec(0usize..5, 0..8), 0..5),
+        ) {
+            const VALUES: [f64; 5] = [-2.5, -0.0, 0.0, 1.0, 1e9];
+            let runs: Vec<Vec<f64>> = runs
+                .into_iter()
+                .map(|run| {
+                    let mut v: Vec<f64> = run.into_iter().map(|i| VALUES[i]).collect();
+                    v.sort_by(f64::total_cmp);
+                    v
+                })
+                .collect();
+            let slices: Vec<&[f64]> = runs.iter().map(Vec::as_slice).collect();
+            let mut want = runs.concat();
+            want.sort_by(f64::total_cmp);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&merge_runs(&slices, f64::total_cmp)), bits(&want));
+        }
+
+        /// Positions keyed by `p % 4` tie on key across and within runs:
+        /// by key alone the earlier run must win, and with the position
+        /// tie-break the merge is the total (key, position) order.
+        #[test]
+        fn kway_merge_of_positions_equals_stable_sort(
+            runs in prop::collection::vec(prop::collection::vec(0u32..32, 0..8), 0..5),
+        ) {
+            let key = |p: &u32| p % 4;
+            let runs: Vec<Vec<u32>> = runs
+                .into_iter()
+                .map(|mut run| {
+                    run.sort_by_key(|p| (key(p), *p));
+                    run
+                })
+                .collect();
+            let slices: Vec<&[u32]> = runs.iter().map(Vec::as_slice).collect();
+            let mut want = runs.concat();
+            want.sort_by_key(key);
+            prop_assert_eq!(merge_runs(&slices, |a, b| key(a).cmp(&key(b))), want.clone());
+            want.sort_by_key(|p| (key(p), *p));
+            prop_assert_eq!(merge_runs(&slices, |a, b| (key(a), a).cmp(&(key(b), b))), want);
+        }
+    }
 
     #[test]
     fn merge_accumulates() {

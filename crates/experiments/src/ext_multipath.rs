@@ -68,9 +68,10 @@ pub fn median_bonding_gain(samples: &[TriSample]) -> Option<f64> {
     .median()
 }
 
-/// Replay the concurrent bins through a real [`MptcpFlow`] (one CUBIC
-/// subflow per operator, each paying its own slow start and recovery) and
-/// return 500 ms goodput samples. The per-operator throughput samples are
+/// Replay the concurrent bins through a real
+/// [`MptcpFlow`](wheels_transport::mptcp::MptcpFlow) (one CUBIC subflow
+/// per operator, each paying its own slow start and recovery) and return
+/// 500 ms goodput samples. The per-operator throughput samples are
 /// treated as the subflows' link rates, each bin lasting 500 ms.
 pub fn realistic_mptcp_samples(tri: &[TriSample]) -> Vec<f64> {
     use wheels_sim_core::units::DataRate;

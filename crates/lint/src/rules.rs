@@ -426,7 +426,7 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
 /// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
-/// an attempt budget ([`RETRY_BOUND_MARKERS`], checked across the loop
+/// an attempt budget (`RETRY_BOUND_MARKERS`, checked across the loop
 /// head and body). An unbounded sleep loop spins forever against a
 /// peer that never recovers, which on the serve path means a worker
 /// thread that survives shutdown and on the stress path a soak that

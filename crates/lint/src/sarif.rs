@@ -13,7 +13,7 @@
 //! serializes flat derive structs but has no dynamic `Value` tree, and
 //! SARIF's nesting (`locations[].physicalLocation.region`) is deep
 //! enough that dedicated structs per level would outweigh the format.
-//! Escaping is centralized in [`esc`].
+//! Escaping is centralized in `esc`.
 
 use crate::report::Report;
 use crate::rules::RULES;

@@ -371,12 +371,6 @@ impl<'a> RanSession<'a> {
         self.unique_cells.iter().copied()
     }
 
-    /// The technology most recently granted by the upgrade policy (may
-    /// differ from the serving technology while a handover executes).
-    pub fn granted_tech(&self) -> Option<Technology> {
-        self.granted
-    }
-
     fn draw_alloc(&mut self, tech: Technology) -> CarrierAllocation {
         typical_allocation(self.deployment.operator, tech, &mut self.rng)
     }

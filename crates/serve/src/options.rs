@@ -39,13 +39,16 @@ pub struct Options {
     pub serve: ServeOptions,
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+/// Parse the value following `flag`; shared with the `wheels-stress`
+/// parser so every CLI words its errors alike.
+pub fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
     let raw = v.ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse()
         .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
 }
 
-fn reject_duplicate(flag: &str, seen: &mut Vec<String>) -> Result<(), String> {
+/// Record `flag` as given, refusing a second occurrence.
+pub fn reject_duplicate(flag: &str, seen: &mut Vec<String>) -> Result<(), String> {
     if seen.iter().any(|s| s == flag) {
         return Err(format!("{flag} given more than once"));
     }

@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use wheels_core::campaign::CampaignConfig;
 use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::world::Scale;
+use wheels_serve::options::{parse_num, reject_duplicate};
 
 /// Which campaign the soak exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,20 +132,6 @@ pub enum Invocation {
     Supervise(StressOptions),
     /// Run one supervised campaign (spawned by the harness).
     Child(ChildOptions),
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
-    let raw = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
-}
-
-fn reject_duplicate(flag: &str, seen: &mut Vec<String>) -> Result<(), String> {
-    if seen.iter().any(|s| s == flag) {
-        return Err(format!("{flag} given more than once"));
-    }
-    seen.push(flag.to_string());
-    Ok(())
 }
 
 /// Parse `argv` (without the program name).
