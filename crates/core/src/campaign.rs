@@ -59,9 +59,7 @@ use wheels_sim_core::time::{SimDuration, SimTime};
 use wheels_transport::servers::ServerFleet;
 
 use crate::analysis::view::DatasetView;
-use crate::checkpoint::{
-    encode_shard_frame, CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics,
-};
+use crate::checkpoint::{encode_shard_frame, CheckpointError, Fingerprint, FrameSpan, Journal};
 use crate::disrupt::{FaultConfig, FaultKind, FaultSchedule, RetryPolicy};
 use crate::measure::{self, VehicleCtx};
 use crate::records::{
@@ -127,87 +125,6 @@ impl Default for CampaignConfig {
             shard_cycles: None,
             faults: FaultConfig::default(),
         }
-    }
-}
-
-/// Live counters a checkpointed run bumps as it goes — the campaign's
-/// face of the shared `wheels-metrics` layer. Everything here is a
-/// deterministic event count (shards, frames, audit-ledger rows); no
-/// clock is ever read, so attaching metrics cannot perturb output
-/// bytes. The `wheels-stress` soak harness polls these mid-run and
-/// checks the audit-conservation invariant over the final totals.
-#[derive(Debug, Default)]
-pub struct CampaignMetrics {
-    /// Shards freshly simulated (and journalled) by this run.
-    pub shards_completed: wheels_metrics::Counter,
-    /// Shards replayed from the journal on `--resume`.
-    pub shards_replayed: wheels_metrics::Counter,
-    /// Audit rows with [`TestStatus::Completed`].
-    pub tests_completed: wheels_metrics::Counter,
-    /// Audit rows with [`TestStatus::Partial`].
-    pub tests_partial: wheels_metrics::Counter,
-    /// Audit rows with [`TestStatus::Lost`].
-    pub tests_lost: wheels_metrics::Counter,
-    /// Audit rows that needed more than one attempt.
-    pub tests_retried: wheels_metrics::Counter,
-    /// Samples planned across all audit rows.
-    pub samples_planned: wheels_metrics::Counter,
-    /// Samples actually recorded.
-    pub samples_recorded: wheels_metrics::Counter,
-    /// Samples lost to disruptions.
-    pub samples_lost: wheels_metrics::Counter,
-    /// Journal append traffic (shared with [`Journal::attach_metrics`]).
-    pub journal: std::sync::Arc<JournalMetrics>,
-}
-
-impl CampaignMetrics {
-    /// Fold one shard's audit-ledger rows into the test counters.
-    fn count_audits(&self, audits: &[TestAudit]) {
-        for a in audits {
-            match a.status {
-                TestStatus::Completed => self.tests_completed.inc(),
-                TestStatus::Partial => self.tests_partial.inc(),
-                TestStatus::Lost => self.tests_lost.inc(),
-            }
-            if a.attempts > 1 {
-                self.tests_retried.inc();
-            }
-            self.samples_planned.add(u64::from(a.planned_samples));
-            self.samples_recorded.add(u64::from(a.recorded_samples));
-            self.samples_lost.add(u64::from(a.lost_samples));
-        }
-    }
-
-    /// The audit-ledger conservation invariant over everything counted
-    /// so far: every planned sample is accounted for as recorded or
-    /// lost. Only meaningful at a quiesce point (no run in flight).
-    pub fn conservation_holds(&self) -> bool {
-        self.samples_recorded.get() + self.samples_lost.get() == self.samples_planned.get()
-    }
-
-    /// Counters as a JSON object (for the stress report and any
-    /// metrics-out dump).
-    pub fn to_value(&self) -> serde::Value {
-        let u = |c: &wheels_metrics::Counter| serde::Value::U64(c.get());
-        serde::Value::Object(vec![
-            ("shards_completed".to_string(), u(&self.shards_completed)),
-            ("shards_replayed".to_string(), u(&self.shards_replayed)),
-            ("tests_completed".to_string(), u(&self.tests_completed)),
-            ("tests_partial".to_string(), u(&self.tests_partial)),
-            ("tests_lost".to_string(), u(&self.tests_lost)),
-            ("tests_retried".to_string(), u(&self.tests_retried)),
-            ("samples_planned".to_string(), u(&self.samples_planned)),
-            ("samples_recorded".to_string(), u(&self.samples_recorded)),
-            ("samples_lost".to_string(), u(&self.samples_lost)),
-            (
-                "frames_appended".to_string(),
-                u(&self.journal.frames_appended),
-            ),
-            (
-                "bytes_appended".to_string(),
-                u(&self.journal.bytes_appended),
-            ),
-        ])
     }
 }
 
@@ -527,14 +444,8 @@ impl Campaign {
     /// any thread count.
     pub fn run_view(&self, cfg: &CampaignConfig) -> DatasetView {
         let jobs = self.plan(cfg);
-        self.run_jobs(
-            &jobs,
-            cfg,
-            None,
-            BTreeMap::new(),
-            &CampaignMetrics::default(),
-        )
-        .expect("a run without a journal has no journal to fail")
+        self.run_jobs(&jobs, cfg, None, BTreeMap::new())
+            .expect("a run without a journal has no journal to fail")
     }
 
     /// Simulate every shard in the plan sequentially and hand back the
@@ -584,21 +495,6 @@ impl Campaign {
         dir: &Path,
         resume: bool,
     ) -> Result<DatasetView, CheckpointError> {
-        self.run_checkpointed_observed(cfg, dir, resume, &CampaignMetrics::default())
-    }
-
-    /// [`Campaign::run_checkpointed`] with live
-    /// [`CampaignMetrics`] attached: the run bumps shard, journal, and
-    /// audit-ledger counters as it goes. Counters never feed back into
-    /// the simulation, so observed and unobserved runs are
-    /// byte-identical.
-    pub fn run_checkpointed_observed(
-        &self,
-        cfg: &CampaignConfig,
-        dir: &Path,
-        resume: bool,
-        metrics: &CampaignMetrics,
-    ) -> Result<DatasetView, CheckpointError> {
         let fp = self.fingerprint(cfg);
         let jobs = self.plan(cfg);
         let (journal, completed) = if resume {
@@ -618,7 +514,7 @@ impl Campaign {
                 )));
             }
         }
-        self.run_jobs(&jobs, cfg, Some(journal), completed, metrics)
+        self.run_jobs(&jobs, cfg, Some(journal), completed)
     }
 
     /// Run the campaign for one operator (sequentially, same shard plan —
@@ -677,7 +573,6 @@ impl Campaign {
         cfg: &CampaignConfig,
         journal: Option<Journal>,
         replayed: BTreeMap<usize, FrameSpan>,
-        metrics: &CampaignMetrics,
     ) -> Result<DatasetView, CheckpointError> {
         struct Reorder {
             view: DatasetView,
@@ -685,13 +580,8 @@ impl Campaign {
             next_drain: usize,
             failed: Option<CheckpointError>,
         }
-        // lint: allow(lossy-cast, shard count is far below u64::MAX — usize widens exactly)
-        metrics.shards_replayed.add(replayed.len() as u64);
         let reader = journal.as_ref().map(Journal::reader);
-        let journal = journal.map(|mut j| {
-            j.attach_metrics(std::sync::Arc::clone(&metrics.journal));
-            Mutex::new(j)
-        });
+        let journal = journal.map(Mutex::new);
         // Fold every contiguous done shard at the drain front: parked
         // shards straight in, replayed ones decoded from their journal
         // frame (re-verifying the operator the plan expects).
@@ -758,8 +648,6 @@ impl Campaign {
                             break;
                         }
                     }
-                    metrics.shards_completed.inc();
-                    metrics.count_audits(&shard.dataset.audits);
                     let mut st = state.lock().expect("reorder state mutex poisoned");
                     st.parked.insert(i, shard);
                     if let Err(e) = drain(&mut st) {
@@ -1422,56 +1310,6 @@ mod tests {
             Err(CheckpointError::Mismatch(d)) => assert!(d.contains("seed"), "{d}"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn observed_runs_count_shards_and_conserve_the_audit_ledger() {
-        let c = Campaign::standard(7);
-        let cfg = CampaignConfig {
-            max_cycles: Some(2),
-            include_apps: false,
-            include_static: false,
-            cycle_stride_s: 40_000,
-            shard_cycles: Some(1),
-            faults: FaultConfig::demo(),
-            ..CampaignConfig::default()
-        };
-        let dir = std::env::temp_dir()
-            .join("wheels-checkpoint-tests")
-            .join("campaign_observed");
-        let _ = std::fs::remove_dir_all(&dir);
-        let jobs = c.plan(&cfg).len() as u64;
-
-        let fresh = CampaignMetrics::default();
-        let ds = c
-            .run_checkpointed_observed(&cfg, &dir, false, &fresh)
-            .unwrap();
-        assert_eq!(fresh.shards_completed.get(), jobs);
-        assert_eq!(fresh.shards_replayed.get(), 0);
-        assert_eq!(fresh.journal.frames_appended.get(), jobs);
-        assert!(fresh.journal.bytes_appended.get() > 0);
-        let audits = ds.dataset().audits.len() as u64;
-        assert_eq!(
-            fresh.tests_completed.get() + fresh.tests_partial.get() + fresh.tests_lost.get(),
-            audits,
-            "every ledger row lands in exactly one status counter"
-        );
-        assert!(
-            fresh.conservation_holds(),
-            "recorded {} + lost {} != planned {}",
-            fresh.samples_recorded.get(),
-            fresh.samples_lost.get(),
-            fresh.samples_planned.get()
-        );
-
-        // A full-journal resume replays everything and appends nothing.
-        let resumed = CampaignMetrics::default();
-        c.run_checkpointed_observed(&cfg, &dir, true, &resumed)
-            .unwrap();
-        assert_eq!(resumed.shards_replayed.get(), jobs);
-        assert_eq!(resumed.shards_completed.get(), 0);
-        assert_eq!(resumed.journal.frames_appended.get(), 0);
-        assert!(resumed.conservation_holds(), "vacuous on a full replay");
     }
 
     #[test]

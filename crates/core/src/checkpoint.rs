@@ -62,7 +62,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use wheels_ran::cells::CellId;
 
 use crate::column::{op_code, op_from, wcd};
@@ -113,57 +113,27 @@ pub struct Fingerprint {
 
 impl Fingerprint {
     /// Human-readable field-by-field differences, for the refusal
-    /// diagnostic (`self` = requested run, `other` = journal header).
+    /// diagnostic (`self` = requested run, `other` = journal header),
+    /// values rendered as JSON. Walks the serialized fields, so a field
+    /// added to the struct is compared without being listed here.
     fn diff(&self, other: &Fingerprint) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut field = |name: &str, want: String, got: String| {
-            if want != got {
-                out.push(format!("{name}: run has {want}, journal has {got}"));
-            }
+        let fields = |fp: &Fingerprint| match fp.to_value() {
+            Value::Object(fields) => fields,
+            _ => Vec::new(),
         };
-        field("seed", format!("{}", self.seed), format!("{}", other.seed));
-        field(
-            "max_cycles",
-            format!("{:?}", self.max_cycles),
-            format!("{:?}", other.max_cycles),
-        );
-        field(
-            "include_apps",
-            format!("{}", self.include_apps),
-            format!("{}", other.include_apps),
-        );
-        field(
-            "include_static",
-            format!("{}", self.include_static),
-            format!("{}", other.include_static),
-        );
-        field(
-            "start_at_sample",
-            format!("{}", self.start_at_sample),
-            format!("{}", other.start_at_sample),
-        );
-        field(
-            "cycle_stride_s",
-            format!("{}", self.cycle_stride_s),
-            format!("{}", other.cycle_stride_s),
-        );
-        field(
-            "shard_cycles",
-            format!("{:?}", self.shard_cycles),
-            format!("{:?}", other.shard_cycles),
-        );
-        field(
-            "faults",
-            format!("{:?}", self.faults),
-            format!("{:?}", other.faults),
-        );
-        field(
-            "segments",
-            format!("{}", self.segments),
-            format!("{}", other.segments),
-        );
-        field("jobs", format!("{}", self.jobs), format!("{}", other.jobs));
-        out
+        let json = |v: &Value| serde_json::to_string(v).unwrap_or_default();
+        fields(self)
+            .into_iter()
+            .zip(fields(other))
+            .filter(|((_, want), (_, got))| want != got)
+            .map(|((name, want), (_, got))| {
+                format!(
+                    "{name}: run has {}, journal has {}",
+                    json(&want),
+                    json(&got)
+                )
+            })
+            .collect()
     }
 }
 
@@ -581,25 +551,11 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Append-traffic counters the journal bumps when a [`JournalMetrics`]
-/// is attached ([`Journal::attach_metrics`]). Pure event counts — no
-/// clocks — so checkpointed runs stay deterministic; the shared
-/// primitives come from `wheels-metrics` (the same layer `wheels-serve`
-/// and `wheels-stress` report through).
-#[derive(Debug, Default)]
-pub struct JournalMetrics {
-    /// Shard frames appended (excludes the identity header).
-    pub frames_appended: wheels_metrics::Counter,
-    /// Frame bytes appended, framing included.
-    pub bytes_appended: wheels_metrics::Counter,
-}
-
 /// An open shard journal: created fresh (`--checkpoint`) or recovered
 /// (`--resume`), then appended to as shards complete.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    metrics: Option<std::sync::Arc<JournalMetrics>>,
 }
 
 impl Journal {
@@ -622,10 +578,7 @@ impl Journal {
         bytes.extend_from_slice(&seal_frame(header)?);
         let path = Self::file_path(dir);
         write_atomic(&path, &bytes)?;
-        Ok(Journal {
-            path,
-            metrics: None,
-        })
+        Ok(Journal { path })
     }
 
     /// Recover the journal in `dir` for the run identified by `fp`
@@ -657,21 +610,7 @@ impl Journal {
             f.set_len(valid_end)?;
             f.sync_all()?;
         }
-        Ok((
-            Journal {
-                path,
-                metrics: None,
-            },
-            completed,
-        ))
-    }
-
-    /// Attach append-traffic counters; every subsequent
-    /// [`Journal::append`] bumps them. Counters are shared ([`Arc`](std::sync::Arc))
-    /// because the observer usually outlives the journal — e.g. the
-    /// campaign's metrics bundle keeps reporting after the run ends.
-    pub fn attach_metrics(&mut self, metrics: std::sync::Arc<JournalMetrics>) {
-        self.metrics = Some(metrics);
+        Ok((Journal { path }, completed))
     }
 
     /// A read-only handle on this journal's file, usable concurrently
@@ -704,10 +643,6 @@ impl Journal {
         f.sync_data()?;
         let len = u64::try_from(frame.len())
             .map_err(|_| CheckpointError::Invalid("frame length exceeds u64".to_string()))?;
-        if let Some(m) = &self.metrics {
-            m.frames_appended.inc();
-            m.bytes_appended.add(len);
-        }
         Ok(FrameSpan {
             start,
             end: start + len,
@@ -959,6 +894,46 @@ mod tests {
             CheckpointError::Mismatch(d) => assert!(d.contains("faults"), "{d}"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fingerprint_diff_names_every_differing_field() {
+        let run = fp(1);
+        let journal = Fingerprint {
+            seed: 2,
+            max_cycles: None,
+            include_apps: true,
+            include_static: true,
+            start_at_sample: 1,
+            cycle_stride_s: 0,
+            shard_cycles: None,
+            faults: FaultConfig::demo(),
+            segments: 3,
+            jobs: 9,
+        };
+        let diff = run.diff(&journal);
+        let names: Vec<&str> = diff
+            .iter()
+            .map(|d| d.split(':').next().expect("split yields a first piece"))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "seed",
+                "max_cycles",
+                "include_apps",
+                "include_static",
+                "start_at_sample",
+                "cycle_stride_s",
+                "shard_cycles",
+                "faults",
+                "segments",
+                "jobs"
+            ]
+        );
+        assert_eq!(diff[0], "seed: run has 1, journal has 2");
+        assert_eq!(diff[1], "max_cycles: run has 2, journal has null");
+        assert!(run.diff(&run.clone()).is_empty());
     }
 
     #[test]

@@ -259,6 +259,58 @@ pub struct TestAudit {
     pub lost_samples: u32,
 }
 
+/// Totals over a set of [`TestAudit`] rows: the one tally of the
+/// disruption ledger, shared by the quality report and the soak.
+/// `lost_samples` counts `planned - recorded` per row (saturating),
+/// which equals the row's own `lost_samples` on every row the campaign
+/// writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuditTally {
+    /// Tests scheduled (every audit, whatever its outcome).
+    pub attempted: u64,
+    /// Tests that recorded every planned sample.
+    pub completed: u64,
+    /// Truncated tests salvaged with a partial sample set.
+    pub partial: u64,
+    /// Tests that needed more than one attempt (any outcome).
+    pub retried: u64,
+    /// Tests that recorded nothing.
+    pub lost: u64,
+    /// Samples the fault-free schedule would have recorded.
+    pub planned_samples: u64,
+    /// Samples actually recorded.
+    pub recorded_samples: u64,
+    /// Samples lost to disruptions.
+    pub lost_samples: u64,
+}
+
+impl AuditTally {
+    /// Count one ledger row.
+    pub fn add(&mut self, a: &TestAudit) {
+        self.attempted += 1;
+        match a.status {
+            TestStatus::Completed => self.completed += 1,
+            TestStatus::Partial => self.partial += 1,
+            TestStatus::Lost => self.lost += 1,
+        }
+        if a.attempts > 1 {
+            self.retried += 1;
+        }
+        self.planned_samples += u64::from(a.planned_samples);
+        self.recorded_samples += u64::from(a.recorded_samples);
+        self.lost_samples += u64::from(a.planned_samples.saturating_sub(a.recorded_samples));
+    }
+
+    /// The tally of `rows`.
+    pub fn of<'a>(rows: impl IntoIterator<Item = &'a TestAudit>) -> AuditTally {
+        let mut t = AuditTally::default();
+        for a in rows {
+            t.add(a);
+        }
+        t
+    }
+}
+
 /// The full consolidated dataset of one campaign.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
@@ -688,6 +740,40 @@ mod tests {
         assert_eq!(a, plain);
         assert!(a.is_normalized());
         assert_eq!(a.rx_bytes, 7.0);
+    }
+
+    #[test]
+    fn audit_tally_conserves_and_matches_a_hand_fold() {
+        use crate::campaign::{Campaign, CampaignConfig};
+        use crate::disrupt::FaultConfig;
+        // The Quick scale with the demo disruption mix: every status,
+        // retries and sample loss all occur.
+        let cfg = CampaignConfig {
+            cycle_stride_s: 6000,
+            faults: FaultConfig::demo(),
+            ..CampaignConfig::default()
+        };
+        let audits = Campaign::standard(2022).run(&cfg).audits;
+        let t = AuditTally::of(&audits);
+        let rows = audits.len() as u64;
+        assert_eq!(t.completed + t.partial + t.lost, t.attempted);
+        assert_eq!(t.attempted, rows);
+        assert_eq!(t.recorded_samples + t.lost_samples, t.planned_samples);
+        assert!(t.partial > 0 && t.lost > 0 && t.retried > 0, "{t:?}");
+
+        let count = |f: &dyn Fn(&TestAudit) -> bool| audits.iter().filter(|a| f(a)).count() as u64;
+        let sum = |f: &dyn Fn(&TestAudit) -> u32| audits.iter().map(|a| u64::from(f(a))).sum();
+        let hand = AuditTally {
+            attempted: rows,
+            completed: count(&|a| a.status == TestStatus::Completed),
+            partial: count(&|a| a.status == TestStatus::Partial),
+            retried: count(&|a| a.attempts > 1),
+            lost: count(&|a| a.status == TestStatus::Lost),
+            planned_samples: sum(&|a| a.planned_samples),
+            recorded_samples: sum(&|a| a.recorded_samples),
+            lost_samples: sum(&|a| a.lost_samples),
+        };
+        assert_eq!(t, hand);
     }
 
     #[test]

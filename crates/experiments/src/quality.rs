@@ -15,61 +15,18 @@
 
 use std::collections::BTreeMap;
 
-use wheels_core::records::{Dataset, TestStatus};
+use wheels_core::records::{AuditTally, Dataset};
 use wheels_ran::operator::Operator;
 
 use crate::fmt;
 use crate::world::World;
 
-/// Aggregated audit counters for one operator × day group.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QualityRow {
-    /// Tests scheduled (every audit, whatever its outcome).
-    pub attempted: u32,
-    /// Tests that recorded every planned sample.
-    pub completed: u32,
-    /// Truncated tests salvaged with a partial sample set.
-    pub partial: u32,
-    /// Tests that needed more than one attempt (any outcome).
-    pub retried: u32,
-    /// Tests that recorded nothing.
-    pub lost: u32,
-    /// Samples the fault-free schedule would have recorded.
-    pub planned_samples: u64,
-    /// Samples actually recorded.
-    pub recorded_samples: u64,
-    /// Samples lost to disruptions.
-    pub lost_samples: u64,
-}
-
-impl QualityRow {
-    fn absorb(&mut self, status: TestStatus, attempts: u32, planned: u32, recorded: u32) {
-        self.attempted += 1;
-        match status {
-            TestStatus::Completed => self.completed += 1,
-            TestStatus::Partial => self.partial += 1,
-            TestStatus::Lost => self.lost += 1,
-        }
-        if attempts > 1 {
-            self.retried += 1;
-        }
-        self.planned_samples += u64::from(planned);
-        self.recorded_samples += u64::from(recorded);
-        self.lost_samples += u64::from(planned.saturating_sub(recorded));
-    }
-}
-
 /// Aggregate the dataset's audit trail per (operator, trace day),
 /// sorted by operator then day.
-pub fn summarize(ds: &Dataset) -> BTreeMap<(Operator, u8), QualityRow> {
-    let mut groups: BTreeMap<(Operator, u8), QualityRow> = BTreeMap::new();
+pub fn summarize(ds: &Dataset) -> BTreeMap<(Operator, u8), AuditTally> {
+    let mut groups: BTreeMap<(Operator, u8), AuditTally> = BTreeMap::new();
     for a in &ds.audits {
-        groups.entry((a.operator, a.day)).or_default().absorb(
-            a.status,
-            a.attempts,
-            a.planned_samples,
-            a.recorded_samples,
-        );
+        groups.entry((a.operator, a.day)).or_default().add(a);
     }
     groups
 }
@@ -79,19 +36,11 @@ pub fn run(world: &World) -> String {
     let ds = world.dataset();
     let groups = summarize(ds);
 
-    let mut rows = Vec::new();
-    let mut total = QualityRow::default();
-    for ((op, day), row) in &groups {
-        total.attempted += row.attempted;
-        total.completed += row.completed;
-        total.partial += row.partial;
-        total.retried += row.retried;
-        total.lost += row.lost;
-        total.planned_samples += row.planned_samples;
-        total.recorded_samples += row.recorded_samples;
-        total.lost_samples += row.lost_samples;
-        rows.push(render_row(&format!("{} d{day}", op.label()), row));
-    }
+    let mut rows: Vec<Vec<String>> = groups
+        .iter()
+        .map(|((op, day), row)| render_row(&format!("{} d{day}", op.label()), row))
+        .collect();
+    let total = AuditTally::of(&ds.audits);
     rows.push(render_row("all", &total));
 
     let salvage = if total.planned_samples == 0 {
@@ -115,7 +64,7 @@ pub fn run(world: &World) -> String {
     out
 }
 
-fn render_row(label: &str, r: &QualityRow) -> Vec<String> {
+fn render_row(label: &str, r: &AuditTally) -> Vec<String> {
     vec![
         label.to_string(),
         r.attempted.to_string(),
@@ -132,7 +81,7 @@ fn render_row(label: &str, r: &QualityRow) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wheels_core::records::{TestAudit, TestKind};
+    use wheels_core::records::{TestAudit, TestKind, TestStatus};
     use wheels_sim_core::time::SimTime;
 
     fn audit(

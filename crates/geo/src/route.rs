@@ -299,25 +299,6 @@ impl Route {
         }
         best
     }
-
-    /// Odometer of the nearest major city, with its waypoint index.
-    pub fn nearest_major_city(&self, odo: Distance) -> (usize, Distance) {
-        self.major_cities()
-            .into_iter()
-            .min_by(|a, b| {
-                let da = (a.1.as_m() - odo.as_m()).abs();
-                let db = (b.1.as_m() - odo.as_m()).abs();
-                da.total_cmp(&db)
-            })
-            .expect("standard route has major cities")
-    }
-
-    /// Whether `odo` lies inside the city zone of a Wavelength edge city.
-    pub fn in_edge_city(&self, odo: Distance) -> bool {
-        self.waypoints.iter().enumerate().any(|(i, w)| {
-            w.edge_city && (self.odometer[i].as_km() - odo.as_km()).abs() <= CITY_ZONE_KM
-        })
-    }
 }
 
 #[cfg(test)]
@@ -452,27 +433,6 @@ mod tests {
         }
         let frac = hw as f64 / total as f64;
         assert!(frac > 0.5, "highway fraction {frac}");
-    }
-
-    #[test]
-    fn edge_city_detection() {
-        let r = Route::standard();
-        // LA is an edge city.
-        assert!(r.in_edge_city(Distance::ZERO));
-        // Salt Lake City is not.
-        let slc = r
-            .waypoints()
-            .iter()
-            .position(|w| w.name == "Salt Lake City")
-            .unwrap();
-        assert!(!r.in_edge_city(r.waypoint_odometer(slc)));
-    }
-
-    #[test]
-    fn nearest_major_city_at_start_is_la() {
-        let r = Route::standard();
-        let (i, _) = r.nearest_major_city(Distance::from_km(3.0));
-        assert_eq!(r.waypoints()[i].name, "Los Angeles");
     }
 
     #[test]

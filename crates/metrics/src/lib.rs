@@ -2,9 +2,9 @@
 //!
 //! The shared observability layer: lock-free counters and log₂-bucket
 //! histograms with **mergeable snapshots**, written on hot paths (per
-//! request, per journal frame, per ingested shard) by `wheels-serve`,
-//! the campaign engine, the checkpoint journal, and the `wheels-stress`
-//! soak harness alike.
+//! request, per ingested shard) by `wheels-serve` and by the
+//! `wheels-stress` soak harness. The simulator crates do not use it:
+//! they count in plain integers (the campaign's audit ledger).
 //!
 //! Design constraints, in order:
 //!
@@ -20,8 +20,7 @@
 //!    coarse, but dependency-free and enough to read p50/p90/p99 off a
 //!    `status` response or a soak report.
 //! 4. **Determinism-safe.** Nothing here reads a clock or entropy:
-//!    callers record durations *they* measured (or pure counts), so the
-//!    simulator crates can bump counters without touching wall time.
+//!    callers record durations *they* measured (or pure counts).
 //!
 //! By convention histogram values are **microseconds** when they are
 //! durations — the JSON rendering labels them `_us` — but any `u64`

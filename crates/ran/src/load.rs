@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use wheels_geo::route::ZoneClass;
 use wheels_sim_core::process::TwoStateMarkov;
 use wheels_sim_core::rng::SimRng;
@@ -94,21 +93,6 @@ impl LoadModel {
     /// Number of cells with instantiated load state.
     pub fn tracked_cells(&self) -> usize {
         self.cells.len()
-    }
-}
-
-/// Serializable snapshot of the model's configuration (for dataset dumps).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LoadConfig {
-    /// Floor on the UE's schedulable share.
-    pub min_share: f64,
-}
-
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            min_share: MIN_SHARE,
-        }
     }
 }
 

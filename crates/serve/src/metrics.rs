@@ -2,9 +2,9 @@
 //!
 //! The primitives live in the shared [`wheels_metrics`] layer (lock-free
 //! counters + log₂-bucket histograms with mergeable snapshots — the same
-//! types the campaign engine, the checkpoint journal, and the
-//! `wheels-stress` soak harness record into); this module just names the
-//! set the server keeps and renders it in the wire format. Everything
+//! types the `wheels-stress` soak harness records into); this module
+//! just names the set the server keeps and renders it in the wire
+//! format. Everything
 //! here is written on hot paths (per request, per ingested shard), so it
 //! is all relaxed atomics — no locks, no allocation.
 

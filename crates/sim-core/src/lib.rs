@@ -23,14 +23,12 @@
 //!   models (Gauss-Markov, AR(1), two-state Markov, lognormal).
 //! - [`stats`] — the statistics toolkit behind every figure and table:
 //!   empirical CDFs, quantiles, Pearson correlation, binning.
-//! - [`series`] — timestamped sample series, alignment and resampling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod process;
 pub mod rng;
-pub mod series;
 pub mod stats;
 pub mod time;
 pub mod units;

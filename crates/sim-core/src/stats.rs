@@ -120,20 +120,6 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Evenly-spaced `(value, cumulative_fraction)` points for plotting,
-    /// `n` points from p0 to p100.
-    pub fn plot_points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.is_empty() || n < 2 {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|i| {
-                let q = i as f64 / (n - 1) as f64;
-                (self.quantile(q).expect("non-empty checked above"), q)
-            })
-            .collect()
-    }
-
     /// Five-number-plus-mean summary used in tables and EXPERIMENTS.md.
     pub fn summary(&self) -> Option<Summary> {
         Some(Summary {
@@ -327,7 +313,6 @@ mod tests {
         assert_eq!(c.median(), None);
         assert_eq!(c.summary(), None);
         assert_eq!(c.fraction_at_or_below(10.0), 0.0);
-        assert!(c.plot_points(10).is_empty());
     }
 
     #[test]
@@ -346,17 +331,6 @@ mod tests {
         let s = c.summary().unwrap();
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.n, 1);
-    }
-
-    #[test]
-    fn cdf_plot_points_monotone() {
-        let c = Cdf::from_samples((0..100).map(|i| (i * 37 % 100) as f64));
-        let pts = c.plot_points(21);
-        assert_eq!(pts.len(), 21);
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 > w[0].1);
-        }
     }
 
     #[test]

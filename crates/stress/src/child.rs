@@ -6,10 +6,11 @@
 //! failure mode a crash-safety soak must *not* rely on. The child runs
 //! the campaign through the ordinary checkpointed path (no special
 //! hooks — it must die the way a real run dies), then publishes its
-//! dataset (the canonical export) and metrics atomically so the
-//! supervisor can trust whatever files exist.
+//! dataset (the canonical export) atomically so the supervisor can
+//! trust whatever file exists. The supervisor reads the run's counters
+//! off the journal it extended.
 
-use wheels_core::campaign::{Campaign, CampaignMetrics};
+use wheels_core::campaign::Campaign;
 use wheels_core::checkpoint::write_atomic;
 
 use crate::options::ChildOptions;
@@ -21,8 +22,7 @@ pub fn run(opts: &ChildOptions) -> i32 {
     let mut cfg = opts.profile.config(opts.seed, opts.faults);
     cfg.threads = opts.threads;
     let campaign = Campaign::standard(opts.seed);
-    let metrics = CampaignMetrics::default();
-    let dataset = match campaign.run_checkpointed_observed(&cfg, &opts.dir, opts.resume, &metrics) {
+    let dataset = match campaign.run_checkpointed(&cfg, &opts.dir, opts.resume) {
         Ok(view) => view.into_dataset(),
         Err(e) => {
             eprintln!("wheels-stress child: campaign failed: {e}");
@@ -42,19 +42,6 @@ pub fn run(opts: &ChildOptions) -> i32 {
             opts.out.display()
         );
         return 4;
-    }
-    if let Some(path) = &opts.metrics_out {
-        let line = match serde_json::to_string(&metrics.to_value()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("wheels-stress child: cannot serialize metrics: {e}");
-                return 4;
-            }
-        };
-        if let Err(e) = write_atomic(path, line.as_bytes()) {
-            eprintln!("wheels-stress child: cannot write {}: {e}", path.display());
-            return 4;
-        }
     }
     0
 }

@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use serde::Value;
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::Campaign;
-use wheels_core::checkpoint::Journal;
-use wheels_core::records::Dataset;
+use wheels_core::checkpoint::{self, Fingerprint, Journal};
+use wheels_core::records::{AuditTally, Dataset};
 use wheels_experiments::world::{Scale, World};
 use wheels_serve::server::{self, JournalSpec, ServeOptions};
 
@@ -73,11 +73,11 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     let reference = campaign.run(&cfg);
     let reference_json = serde_json::to_string(&reference)
         .map_err(|e| format!("cannot serialize reference dataset: {e}"))?;
-    let retried = reference.audits.iter().filter(|a| a.attempts > 1).count();
-    let retry_rate = if reference.audits.is_empty() {
+    let ledger = AuditTally::of(&reference.audits);
+    let retry_rate = if ledger.attempted == 0 {
         0.0
     } else {
-        retried as f64 / reference.audits.len() as f64
+        ledger.retried as f64 / ledger.attempted as f64
     };
 
     // 2. The server, attached before the journal exists.
@@ -133,7 +133,6 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
             Journal::file_path(&ckpt).exists(),
             plan.threads,
             &out,
-            None,
         )?;
         let outcome = match ride_until(&mut child, &ckpt, plan.kill_at_frames) {
             Ok(o) => o,
@@ -183,7 +182,8 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     // 5. The final, undisturbed completion run.
     let threads = schedule.threads();
     let final_out = opts.dir.join("final.json");
-    let final_metrics = opts.dir.join("final-metrics.json");
+    let replayed = verify::shard_frames(&ckpt);
+    let prior_end = verify::intact_end(&ckpt);
     let mut child = spawn_child(
         &child_exe,
         opts,
@@ -191,8 +191,8 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
         Journal::file_path(&ckpt).exists(),
         threads,
         &final_out,
-        Some(&final_metrics),
     )?;
+    let mut child_metrics = None;
     match wait_with_timeout(&mut child, CHILD_TIMEOUT) {
         Err(e) => failures.push(format!("final run: {e}")),
         Ok(status) if !status.success() => {
@@ -211,6 +211,19 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
                     if let Err(e) = verify::ledger_conserves(&ds) {
                         failures.push(format!("final run: {e}"));
                     }
+                }
+            }
+            match campaign_metrics(&ckpt, &fp, replayed, prior_end) {
+                Err(e) => failures.push(format!("final run: {e}")),
+                Ok((metrics, t)) => {
+                    if t.recorded_samples + t.lost_samples != t.planned_samples {
+                        failures.push(format!(
+                            "final run: appended audit rows violate conservation: \
+                             {} recorded + {} lost != {} planned",
+                            t.recorded_samples, t.lost_samples, t.planned_samples
+                        ));
+                    }
+                    child_metrics = Some(metrics);
                 }
             }
         }
@@ -233,20 +246,11 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
             }
         }
     }
-    let child_metrics = std::fs::read_to_string(&final_metrics)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok());
-    let salvage_rate = child_metrics
-        .as_ref()
-        .and_then(|m| field_u64(m, "shards_replayed"))
-        .map(|r| {
-            if jobs == 0 {
-                0.0
-            } else {
-                r as f64 / jobs as f64
-            }
-        })
-        .unwrap_or(0.0);
+    let salvage_rate = if child_metrics.is_none() || jobs == 0 {
+        0.0
+    } else {
+        replayed as f64 / jobs as f64
+    };
 
     // 6. Wind down and report.
     let load_report = loadgen.stop();
@@ -282,6 +286,55 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     Ok(report)
 }
 
+/// The final child's campaign counters, derived from the journal it
+/// extended: before it ran, the journal held `replayed` intact shard
+/// frames ending at byte `prior_end` (`None`: the child created it).
+/// Returns the report's `campaign_metrics` object and the tally of the
+/// appended frames' audit rows.
+fn campaign_metrics(
+    ckpt: &Path,
+    fp: &Fingerprint,
+    replayed: usize,
+    prior_end: Option<u64>,
+) -> Result<(Value, AuditTally), String> {
+    let mut tally = AuditTally::default();
+    let mut frame = 0;
+    let end = checkpoint::tail(ckpt, fp, |_, rec| {
+        if frame >= replayed {
+            rec.dataset.audits.iter().for_each(|a| tally.add(a));
+        }
+        frame += 1;
+        Ok(())
+    })
+    .map_err(|e| format!("cannot walk the final journal: {e}"))?;
+    let start = match prior_end {
+        Some(end) => end,
+        None => checkpoint::frame_ends(ckpt)
+            .ok()
+            .and_then(|ends| ends.first().copied())
+            .ok_or("the final journal has no header")?,
+    };
+    let appended = end.delivered.saturating_sub(replayed) as u64;
+    let fields = [
+        ("shards_completed", appended),
+        ("shards_replayed", replayed as u64),
+        ("tests_completed", tally.completed),
+        ("tests_partial", tally.partial),
+        ("tests_lost", tally.lost),
+        ("tests_retried", tally.retried),
+        ("samples_planned", tally.planned_samples),
+        ("samples_recorded", tally.recorded_samples),
+        ("samples_lost", tally.lost_samples),
+        ("frames_appended", appended),
+        ("bytes_appended", end.next_offset.saturating_sub(start)),
+    ];
+    let metrics = fields
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), Value::U64(v)))
+        .collect();
+    Ok((Value::Object(metrics), tally))
+}
+
 /// Spawn one campaign child process.
 fn spawn_child(
     exe: &Path,
@@ -290,7 +343,6 @@ fn spawn_child(
     resume: bool,
     threads: usize,
     out: &Path,
-    metrics_out: Option<&Path>,
 ) -> Result<Child, String> {
     let mut cmd = Command::new(exe);
     cmd.arg("child")
@@ -310,9 +362,6 @@ fn spawn_child(
     }
     if resume {
         cmd.arg("--resume");
-    }
-    if let Some(m) = metrics_out {
-        cmd.arg("--metrics-out").arg(m);
     }
     cmd.spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))
@@ -375,21 +424,4 @@ fn wait_with_timeout(
 
 fn ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
-/// Pull a `u64` field out of a JSON object value.
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    match v {
-        Value::Object(fields) => fields.iter().find_map(|(k, val)| {
-            if k == key {
-                match val {
-                    Value::U64(n) => Some(*n),
-                    _ => None,
-                }
-            } else {
-                None
-            }
-        }),
-        _ => None,
-    }
 }

@@ -21,14 +21,16 @@
 //!    kills and resumes is byte-identical to an undisturbed reference
 //!    run of the same configuration.
 //! 4. **Audit conservation** — the disruption ledger balances:
-//!    `recorded + lost == planned`, per row and in the aggregate
-//!    campaign counters.
+//!    `recorded + lost == planned`, per row of the final dataset and in
+//!    the tally of the audit rows the final child appended.
 //!
-//! Scheduling, latency, and throughput observability all flow through
-//! the shared `wheels-metrics` layer — the same counters and log₂
-//! histograms the server and the campaign engine record into — so the
-//! final report carries query percentiles, ingest lag, salvage and
-//! retry rates, and per-cycle outcomes from one vocabulary.
+//! Query latency flows through the shared `wheels-metrics` layer — the
+//! same counters and log₂ histograms the server records into. The
+//! final child's campaign counts (shards replayed and completed, frames
+//! and bytes appended, the appended audit tally) are derived from the
+//! journal before and after it ran, so the final report carries query
+//! percentiles, ingest lag, salvage and retry rates, and per-cycle
+//! outcomes without the child reporting anything but its dataset.
 //!
 //! The harness is budgeted (`--cycles` / `--duration-s`) so CI can run
 //! a quick deterministic soak; the verdict is the process exit code

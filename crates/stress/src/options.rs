@@ -9,7 +9,7 @@
 //!
 //! wheels-stress child --dir DIR [--mini|--quick] [--seed N] [--faults]
 //!               [--resume] [--threads N]
-//!               --out PATH [--metrics-out PATH]
+//!               --out PATH
 //! ```
 //!
 //! The first is the supervisor (the soak harness proper); the second is
@@ -121,8 +121,6 @@ pub struct ChildOptions {
     pub threads: Option<usize>,
     /// Where to write the final dataset JSON (`--out`, required).
     pub out: PathBuf,
-    /// Where to write the campaign-metrics JSON (`--metrics-out`).
-    pub metrics_out: Option<PathBuf>,
 }
 
 /// A parsed `wheels-stress` invocation.
@@ -223,7 +221,6 @@ fn parse_child(argv: impl IntoIterator<Item = String>) -> Result<ChildOptions, S
         resume: false,
         threads: None,
         out: PathBuf::new(),
-        metrics_out: None,
     };
     let mut seen: Vec<String> = Vec::new();
     let mut it = argv.into_iter();
@@ -254,12 +251,6 @@ fn parse_child(argv: impl IntoIterator<Item = String>) -> Result<ChildOptions, S
             "--out" => {
                 reject_duplicate(&arg, &mut seen)?;
                 opts.out = PathBuf::from(it.next().ok_or("--out needs a path")?);
-            }
-            "--metrics-out" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.metrics_out = Some(PathBuf::from(
-                    it.next().ok_or("--metrics-out needs a path")?,
-                ));
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown child flag {other}"));
@@ -314,7 +305,7 @@ mod tests {
     fn child_invocation_parses() {
         let Invocation::Child(c) = parse(args(
             "child --dir /tmp/s --resume --threads 4 \
-             --out /tmp/ds.json --metrics-out /tmp/m.json",
+             --out /tmp/ds.json",
         ))
         .expect("child parses") else {
             unreachable!("leading `child` argument selects the child parser")

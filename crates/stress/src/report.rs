@@ -1,11 +1,12 @@
 //! Soak reporting: per-cycle text lines as the run progresses, one JSON
 //! document at the end, and the verdict as an exit code.
 //!
-//! The report embeds three metric sources, all speaking the shared
-//! `wheels-metrics` vocabulary: the merged load-client latency
-//! snapshot, the server's shutdown dump (ingest/query histograms,
-//! connection counters), and the final campaign child's counter dump
-//! (shards completed/replayed, audit-ledger totals).
+//! The report embeds three metric sources: the merged load-client
+//! latency snapshot and the server's shutdown dump (ingest/query
+//! histograms, connection counters), both in the shared
+//! `wheels-metrics` vocabulary, and the final campaign child's counts
+//! (shards completed/replayed, frames and bytes appended, audit-ledger
+//! totals), which the supervisor derives from the journal.
 
 use serde::Value;
 
@@ -115,7 +116,8 @@ pub struct Report {
     pub retry_rate: f64,
     /// Merged load-client report.
     pub load: LoadReport,
-    /// The final campaign child's `CampaignMetrics` dump.
+    /// The final campaign child's counts, derived from the journal
+    /// before and after it ran (`None` if it did not finish).
     pub child_metrics: Option<Value>,
     /// The server's parsed shutdown dump (ingest/query histograms).
     pub serve_dump: Option<Value>,

@@ -63,6 +63,28 @@ fn two_kill_resume_cycles_under_query_load_hold_every_invariant() {
     let metrics = report.child_metrics.as_ref().expect("final child metrics");
     let line = serde_json::to_string(metrics).expect("metrics render");
     assert!(line.contains("\"shards_replayed\""), "{line}");
+    let serde::Value::Object(fields) = metrics else {
+        panic!("campaign_metrics is not an object: {line}")
+    };
+    let field = |key: &str| match serde::get_field(fields, key) {
+        serde::Value::U64(n) => *n as usize,
+        other => panic!("campaign_metrics {key} is {other:?}: {line}"),
+    };
+    assert_eq!(
+        field("shards_replayed") + field("shards_completed"),
+        report.jobs,
+        "{line}"
+    );
+    assert_eq!(
+        field("frames_appended"),
+        field("shards_completed"),
+        "{line}"
+    );
+    assert_eq!(
+        field("samples_recorded") + field("samples_lost"),
+        field("samples_planned"),
+        "{line}"
+    );
 
     // Same seeds, fresh directory: the soak passes again, and the first
     // cycle's plan — drawn before any racy kill can perturb the

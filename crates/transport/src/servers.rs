@@ -98,14 +98,7 @@ impl ServerFleet {
                 core_owd_ms: EDGE_OWD_MS,
             };
         }
-        let pos = route.position_at(odo);
-        let tz = route.timezone_at(odo);
-        let cloud = Self::cloud_location(tz);
-        let dist_km = pos.haversine(cloud).as_km();
-        NetPath {
-            kind: ServerKind::Cloud,
-            core_owd_ms: CORE_FIXED_MS + dist_km * FIBER_MS_PER_KM * ROUTE_INFLATION,
-        }
+        self.cloud_path(route, odo)
     }
 
     /// Force the cloud path regardless of edge availability (used by the
