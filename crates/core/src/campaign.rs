@@ -90,8 +90,6 @@ pub struct CampaignConfig {
     pub include_apps: bool,
     /// Run the static baselines at city stopovers.
     pub include_static: bool,
-    /// Start at this index into the drive trace.
-    pub start_at_sample: usize,
     /// Idle gap inserted after each cycle (seconds). Zero = continuous
     /// testing (the paper's actual protocol); larger values subsample the
     /// trip uniformly, which keeps scaled-down runs spanning all four
@@ -119,7 +117,6 @@ impl Default for CampaignConfig {
             max_cycles: None,
             include_apps: true,
             include_static: true,
-            start_at_sample: 0,
             cycle_stride_s: 0,
             threads: None,
             shard_cycles: None,
@@ -354,7 +351,7 @@ impl Campaign {
             return starts;
         }
         let step = cycle_duration(cfg.include_apps) + SimDuration::from_secs(cfg.cycle_stride_s);
-        let mut t = samples[cfg.start_at_sample.min(samples.len() - 1)].t;
+        let mut t = samples[0].t;
         let trace_end = samples.last().expect("checked non-empty above").t;
         while t < trace_end {
             if let Some(max) = cfg.max_cycles {
@@ -471,7 +468,6 @@ impl Campaign {
             max_cycles: cfg.max_cycles,
             include_apps: cfg.include_apps,
             include_static: cfg.include_static,
-            start_at_sample: cfg.start_at_sample,
             cycle_stride_s: cfg.cycle_stride_s,
             shard_cycles: cfg.shard_cycles,
             faults: cfg.faults,
@@ -1154,7 +1150,6 @@ mod tests {
                 max_cycles: Some(4),
                 include_apps: true,
                 include_static: false,
-                start_at_sample: 30_000,
                 ..CampaignConfig::default()
             };
             let ds = c.run(&cfg);

@@ -96,8 +96,6 @@ pub struct Fingerprint {
     pub include_apps: bool,
     /// Static city baselines included.
     pub include_static: bool,
-    /// Trace start offset.
-    pub start_at_sample: usize,
     /// Idle gap after each cycle (seconds).
     pub cycle_stride_s: u64,
     /// Sub-day shard split.
@@ -702,7 +700,6 @@ mod tests {
             max_cycles: Some(2),
             include_apps: false,
             include_static: false,
-            start_at_sample: 0,
             cycle_stride_s: 40_000,
             shard_cycles: Some(1),
             faults: FaultConfig::default(),
@@ -904,7 +901,6 @@ mod tests {
             max_cycles: None,
             include_apps: true,
             include_static: true,
-            start_at_sample: 1,
             cycle_stride_s: 0,
             shard_cycles: None,
             faults: FaultConfig::demo(),
@@ -923,7 +919,6 @@ mod tests {
                 "max_cycles",
                 "include_apps",
                 "include_static",
-                "start_at_sample",
                 "cycle_stride_s",
                 "shard_cycles",
                 "faults",

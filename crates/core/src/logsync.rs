@@ -188,70 +188,6 @@ pub fn sync_log(log: &AppLog, drms: &[DrmFile]) -> Result<SyncedLog, SyncError> 
     }
 }
 
-/// Lenient variant of [`sync_log`] for **gapped** logs — drives where the
-/// XCAL logger dropped out mid-test, so part of the app log has no DRM
-/// coverage. Strict sync would reject the whole log; this salvages it:
-/// the best (zone, DRM) candidate is chosen by the same deterministic
-/// key, but scored only on the entries each candidate can cover, and the
-/// uncovered entries are dropped. Returns the synced log plus the number
-/// of entries dropped (`0` means the strict path succeeded).
-pub fn sync_log_lenient(log: &AppLog, drms: &[DrmFile]) -> Result<(SyncedLog, usize), SyncError> {
-    const SLACK_MS: u64 = 3_000;
-    match sync_log(log, drms) {
-        Ok(s) => return Ok((s, 0)),
-        Err(SyncError::EmptyLog) => return Err(SyncError::EmptyLog),
-        Err(_) => {}
-    }
-    let candidate_zones: Vec<Option<Timezone>> = match log.stamp {
-        StampKind::LocalUnknown => Timezone::ALL.iter().map(|z| Some(*z)).collect(),
-        _ => vec![None],
-    };
-    // Most-covered candidate wins; ties fall back to the strict key
-    // (earliest zone offset, tightest DRM, lowest index).
-    let mut best: Option<(usize, CandidateKey, SyncedLog)> = None;
-    let total = log.entries_ms.len();
-    for zone in candidate_zones {
-        for (i, drm) in drms.iter().enumerate() {
-            let Some((dlo, dhi)) = drm_span(drm) else {
-                continue;
-            };
-            let keep_lo = dlo.as_millis().saturating_sub(SLACK_MS);
-            let keep_hi = dhi.as_millis() + SLACK_MS;
-            let entries: Vec<SimTime> = log
-                .entries_ms
-                .iter()
-                .filter_map(|ms| to_sim(*ms, log.stamp, zone))
-                .filter(|t| (keep_lo..=keep_hi).contains(&t.as_millis()))
-                .collect();
-            if entries.is_empty() {
-                continue;
-            }
-            let kept = entries.len();
-            let key = candidate_key(0, zone, dlo, dhi, i);
-            let better = match &best {
-                None => true,
-                Some((bk, bkey, _)) => kept > *bk || (kept == *bk && key < *bkey),
-            };
-            if better {
-                best = Some((
-                    kept,
-                    key,
-                    SyncedLog {
-                        test_id: log.test_id,
-                        entries,
-                        drm_index: i,
-                        inferred_zone: zone.filter(|_| log.stamp == StampKind::LocalUnknown),
-                    },
-                ));
-            }
-        }
-    }
-    match best {
-        Some((kept, _, synced)) => Ok((synced, total - kept)),
-        None => Err(SyncError::NoMatchingDrm),
-    }
-}
-
 /// Synchronize a batch of logs; returns per-log results.
 pub fn sync_all(logs: &[AppLog], drms: &[DrmFile]) -> Vec<Result<SyncedLog, SyncError>> {
     logs.iter().map(|l| sync_log(l, drms)).collect()
@@ -426,51 +362,6 @@ mod tests {
         };
         let s = sync_log(&log, &drms).unwrap();
         assert_eq!(s.drm_index, 1, "tightest containing file must win");
-    }
-
-    #[test]
-    fn lenient_sync_salvages_gapped_log() {
-        // Logger gap: the app log runs past the end of DRM coverage, so
-        // strict sync rejects it. Lenient sync keeps the covered prefix
-        // and reports how many entries were dropped.
-        let t0 = SimTime::from_hours(80);
-        let drms = vec![drm(t0, 20, Timezone::Central)];
-        let log = AppLog {
-            test_id: 11,
-            stamp: StampKind::Utc,
-            entries_ms: (0..60)
-                .map(|k| WallClock::utc_ms(t0 + SimDuration::from_secs(k)))
-                .collect(),
-        };
-        assert_eq!(sync_log(&log, &drms), Err(SyncError::NoMatchingDrm));
-        let (s, dropped) = sync_log_lenient(&log, &drms).unwrap();
-        assert_eq!(s.drm_index, 0);
-        // Entries within the DRM span plus the 3 s slack survive:
-        // t0..t0+19.5s covered, slack keeps up to t0+22.5s → k = 0..=22.
-        assert_eq!(s.entries.len(), 23);
-        assert_eq!(dropped, 60 - 23);
-        assert_eq!(s.entries[0], t0);
-        // A clean log passes through lenient sync untouched.
-        let clean = AppLog {
-            test_id: 12,
-            stamp: StampKind::Utc,
-            entries_ms: (0..10)
-                .map(|k| WallClock::utc_ms(t0 + SimDuration::from_secs(k)))
-                .collect(),
-        };
-        let (s, dropped) = sync_log_lenient(&clean, &drms).unwrap();
-        assert_eq!(dropped, 0);
-        assert_eq!(s.entries.len(), 10);
-        // A log nowhere near any DRM still fails, even leniently.
-        let hopeless = AppLog {
-            test_id: 13,
-            stamp: StampKind::Utc,
-            entries_ms: vec![WallClock::utc_ms(t0 + SimDuration::from_hours(20))],
-        };
-        assert_eq!(
-            sync_log_lenient(&hopeless, &drms),
-            Err(SyncError::NoMatchingDrm)
-        );
     }
 
     #[test]

@@ -335,7 +335,6 @@ fn fingerprint() -> Fingerprint {
         max_cycles: Some(1),
         include_apps: true,
         include_static: false,
-        start_at_sample: 0,
         cycle_stride_s: 40_000,
         shard_cycles: Some(1),
         faults: FaultConfig::default(),

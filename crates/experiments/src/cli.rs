@@ -1,15 +1,108 @@
-//! Shared, fallible command-line parsing and world building for the
-//! `repro` and `dataset` binaries.
+//! The one command-line front end of the workspace's binaries.
 //!
-//! Parsing returns `Result` instead of exiting, so bad/missing flag
-//! values are unit-testable; the binaries map `Err` to an exit code.
+//! [`Flags`] walks an argument list for every parser (`repro` and
+//! `dataset` here, `wheels-serve`, the `wheels-stress` supervisor), so
+//! they share one policy: each flag at most once, the scale flags are
+//! one setting, unknown flags are refused, and a missing or bad value
+//! reads `X needs …`. Parsing returns `Result` instead of exiting, so
+//! bad/missing flag values are unit-testable; the binaries map `Err` to
+//! an exit code. [`dataset`] is the whole `dataset` export, run by its
+//! binary and by the soak's campaign child alike.
 
+use std::io::{ErrorKind, Write};
+use std::num::NonZeroUsize;
 use std::path::Path;
+use std::str::FromStr;
 
-use wheels_core::checkpoint::CheckpointError;
+use wheels_core::checkpoint::{write_atomic, CheckpointError};
+use wheels_core::column::wcd::{self, WcdError};
 use wheels_core::disrupt::FaultConfig;
+use wheels_core::records::Dataset;
 
 use crate::world::{Scale, Tuning, World};
+
+/// The scale flags: three spellings of one setting, so the last one
+/// wins and a repeat is no error.
+const SCALE_FLAGS: [&str; 3] = ["--quick", "--standard", "--full"];
+
+/// Walks a command line flag by flag.
+///
+/// Each flag may appear at most once: `--seed 1 --seed 2` is rejected
+/// rather than resolved last-one-wins, because a silently-dropped value
+/// in a long campaign invocation (or on a long-running service) is
+/// exactly the kind of mistake that costs a day of compute. The scale
+/// flags are exempt — `--quick`, `--standard` and `--full` are three
+/// spellings of *one* setting, and overriding a script's default scale
+/// by appending a flag is idiomatic.
+pub struct Flags<I> {
+    argv: I,
+    seen: Vec<String>,
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    /// Walk `argv` (without the program name).
+    pub fn new(argv: I) -> Self {
+        Flags {
+            argv,
+            seen: Vec::new(),
+        }
+    }
+
+    /// The next argument, `None` at the end; a flag given before is an
+    /// error.
+    pub fn next_arg(&mut self) -> Result<Option<String>, String> {
+        let Some(arg) = self.argv.next() else {
+            return Ok(None);
+        };
+        if is_flag(&arg) && !SCALE_FLAGS.contains(&arg.as_str()) {
+            if self.seen.contains(&arg) {
+                return Err(format!("duplicate flag {arg}"));
+            }
+            self.seen.push(arg.clone());
+        }
+        Ok(Some(arg))
+    }
+
+    /// The value following `flag`; `needs` words what it must be.
+    pub fn value(&mut self, flag: &str, needs: &str) -> Result<String, String> {
+        self.argv
+            .next()
+            .ok_or_else(|| format!("{flag} needs {needs}"))
+    }
+
+    /// The value following `flag`, parsed.
+    pub fn parse<T: FromStr>(&mut self, flag: &str, needs: &str) -> Result<T, String> {
+        let v = self.value(flag, needs)?;
+        v.parse()
+            .map_err(|_| format!("{flag} needs {needs}, got {v:?}"))
+    }
+}
+
+/// An argument no flag arm matched: a positional one, or an unknown
+/// flag. Refusing the flag matters: a typo like `--thread 4` or `-q`
+/// would otherwise become a positional argument (an experiment id, an
+/// output path) and the user's intent would be dropped.
+pub fn positional(arg: String) -> Result<String, String> {
+    if is_flag(&arg) {
+        return Err(format!("unknown flag {arg}"));
+    }
+    Ok(arg)
+}
+
+/// A dashed argument; a bare `-` stays positional by convention.
+fn is_flag(arg: &str) -> bool {
+    arg.starts_with('-') && arg.len() > 1
+}
+
+/// The disruption mix the `--faults` switch selects: the demo mix, or
+/// none.
+pub fn fault_mix(faults: bool) -> FaultConfig {
+    if faults {
+        FaultConfig::demo()
+    } else {
+        FaultConfig::default()
+    }
+}
 
 /// Dataset export format (`--format json|bin`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,13 +148,6 @@ pub struct Args {
 
 /// Parse the flags shared by the binaries. `default_scale` differs per
 /// binary (`repro` defaults to Standard, `dataset` to Quick).
-///
-/// Each flag may appear at most once: `--seed 1 --seed 2` is rejected
-/// rather than resolved last-one-wins, because a silently-dropped value
-/// in a long campaign invocation is exactly the kind of mistake that
-/// costs a day of compute. The scale flags are exempt — `--quick`,
-/// `--standard` and `--full` are three spellings of *one* setting, and
-/// overriding a script's default scale by appending a flag is idiomatic.
 pub fn parse_args(
     default_scale: Scale,
     argv: impl IntoIterator<Item = String>,
@@ -77,67 +163,29 @@ pub fn parse_args(
         load: None,
         rest: Vec::new(),
     };
-    let mut seen: Vec<String> = Vec::new();
-    let mut iter = argv.into_iter();
-    while let Some(a) = iter.next() {
-        // Duplicate detection applies to every flag except the scale
-        // family (one logical setting, last one wins by design).
-        if a.starts_with("--") && !matches!(a.as_str(), "--quick" | "--standard" | "--full") {
-            if seen.contains(&a) {
-                return Err(format!("duplicate flag {a}"));
-            }
-            seen.push(a.clone());
-        }
-        match a.as_str() {
+    let mut flags = Flags::new(argv.into_iter());
+    while let Some(arg) = flags.next_arg()? {
+        match arg.as_str() {
             "--quick" => args.scale = Scale::Quick,
             "--standard" => args.scale = Scale::Standard,
             "--full" => args.scale = Scale::Full,
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs an integer")?;
-                args.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got {v:?}"))?;
-            }
+            "--seed" => args.seed = flags.parse(&arg, "an integer")?,
             "--threads" => {
-                let v = iter.next().ok_or("--threads needs a positive integer")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads needs a positive integer, got {v:?}"))?;
-                if n == 0 {
-                    return Err("--threads needs a positive integer, got 0".to_string());
-                }
-                args.threads = Some(n);
+                let n: NonZeroUsize = flags.parse(&arg, "a positive integer")?;
+                args.threads = Some(n.get());
             }
             "--faults" => args.faults = true,
-            "--checkpoint" => {
-                let v = iter.next().ok_or("--checkpoint needs a directory path")?;
-                args.checkpoint = Some(v);
-            }
-            "--resume" => {
-                let v = iter.next().ok_or("--resume needs a directory path")?;
-                args.resume = Some(v);
-            }
+            "--checkpoint" => args.checkpoint = Some(flags.value(&arg, "a directory path")?),
+            "--resume" => args.resume = Some(flags.value(&arg, "a directory path")?),
             "--format" => {
-                let v = iter.next().ok_or("--format needs json or bin")?;
-                args.format = match v.as_str() {
+                args.format = match flags.value(&arg, "json or bin")?.as_str() {
                     "json" => Format::Json,
                     "bin" => Format::Bin,
                     other => return Err(format!("--format needs json or bin, got {other:?}")),
                 };
             }
-            "--load" => {
-                let v = iter.next().ok_or("--load needs a dataset file path")?;
-                args.load = Some(v);
-            }
-            // Reject unknown flags instead of letting them fall through
-            // to `rest`: a typo like `--thread 4` or `-q` would otherwise
-            // silently become a positional arg (an experiment id / output
-            // path) and the user's intent would be dropped. A bare `-`
-            // stays positional by convention.
-            other if other.starts_with('-') && other.len() > 1 => {
-                return Err(format!("unknown flag {other}"));
-            }
-            other => args.rest.push(other.to_string()),
+            "--load" => args.load = Some(flags.value(&arg, "a dataset file path")?),
+            _ => args.rest.push(positional(arg)?),
         }
     }
     if args.checkpoint.is_some() && args.resume.is_some() {
@@ -163,11 +211,7 @@ pub fn parse_args(
 /// under `--faults`. `--load` is `repro`'s own path: it simulates
 /// nothing.
 pub fn build_world(args: &Args) -> Result<World, CheckpointError> {
-    let faults = if args.faults {
-        FaultConfig::demo()
-    } else {
-        FaultConfig::default()
-    };
+    let faults = fault_mix(args.faults);
     let tuning = Tuning {
         threads: args.threads,
     };
@@ -186,6 +230,89 @@ pub fn build_world(args: &Args) -> Result<World, CheckpointError> {
             args.threads,
             faults,
         )),
+    }
+}
+
+/// The `dataset` export: parse `argv` (without the program name; the
+/// default scale is Quick), build the world and write the consolidated
+/// dataset to the last positional path, or to stdout without one.
+/// Returns the process exit code: 0 on success, 1 when the build or the
+/// write fails, 2 on a bad command line.
+///
+/// The `dataset` binary is this function, and so is the chaos soak's
+/// campaign child (`wheels-stress child ARGS`): the soak kills and
+/// resumes the real export path.
+pub fn dataset(argv: impl IntoIterator<Item = String>) -> i32 {
+    let args = match parse_args(Scale::Quick, argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    match export(&args) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{e}");
+            1
+        }
+    }
+}
+
+fn export(args: &Args) -> Result<(), String> {
+    eprintln!(
+        "building world at scale {:?} (seed {})...",
+        args.scale, args.seed
+    );
+    let ds = build_world(args).map_err(|e| e.to_string())?.into_dataset();
+    eprintln!(
+        "serializing {} tput / {} rtt / {} coverage / {} runs / {} handovers / {} app runs",
+        ds.tput.len(),
+        ds.rtt.len(),
+        ds.coverage.len(),
+        ds.runs.len(),
+        ds.handovers.len(),
+        ds.apps.len()
+    );
+    let json = |ds: &Dataset| serde_json::to_string(ds).expect("dataset serializes");
+    match (args.format, args.rest.last()) {
+        // File output lands via a temp file + atomic rename, so a crash
+        // mid-write never leaves a truncated file at the output path.
+        (format, Some(p)) => {
+            let path = Path::new(p);
+            match format {
+                Format::Json => write_atomic(path, json(&ds).as_bytes()),
+                Format::Bin => wcd::write_file(path, &ds).map_err(io_error),
+            }
+            .map_err(|e| format!("cannot write {p}: {e}"))?;
+            let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            eprintln!("wrote {p} ({} MB)", written / 1_000_000);
+        }
+        (format, None) => {
+            let mut w = std::io::BufWriter::new(std::io::stdout().lock());
+            let streamed = match format {
+                Format::Json => w.write_all(json(&ds).as_bytes()),
+                // Stream the WCD1 sections straight off the row tables:
+                // the full encoded image never exists in memory.
+                Format::Bin => wcd::encode_to(&ds, &mut w).map_err(io_error),
+            }
+            .and_then(|()| w.flush());
+            match streamed {
+                // `dataset | head` closing stdout early is normal Unix
+                // usage: succeed quietly.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+                other => other.map_err(|e| format!("cannot write dataset to stdout: {e}"))?,
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An encode into a writer fails only when the writer does.
+fn io_error(e: WcdError) -> std::io::Error {
+    match e {
+        WcdError::Io(e) => e,
+        other => std::io::Error::other(other),
     }
 }
 

@@ -21,8 +21,6 @@ pub struct Config {
     /// Crates exempt from the RNG stream-label rule (e.g. this tool,
     /// which has no RNG but does string-match on `split`).
     pub label_exempt_crates: Vec<String>,
-    /// Crates exempt from the unwrap-in-lib rule.
-    pub unwrap_exempt_crates: Vec<String>,
     /// Path prefixes (relative to the workspace root, `/`-separated)
     /// where unannotated `as` casts to integer types are flagged.
     pub lossy_paths: Vec<String>,
@@ -33,7 +31,8 @@ pub struct Config {
     /// off-by-default bit-identity guarantee.
     pub disrupt_paths: Vec<String>,
     /// Path prefixes that persist state a later run will trust (the
-    /// checkpoint journal, the binaries' output writers): in-place
+    /// checkpoint journal, the binaries' output writers and the
+    /// `dataset` export in `cli.rs`): in-place
     /// `fs::write`, non-renamed `File::create`, and a rename with no
     /// fsync before it are flagged there — a crash must never leave a
     /// torn or unsynced file behind.
@@ -87,10 +86,13 @@ impl Default for Config {
             ]),
             dataset_crates: v(&["core", "experiments"]),
             label_exempt_crates: v(&["lint"]),
-            unwrap_exempt_crates: vec![],
             lossy_paths: v(&["crates/core/src", "crates/experiments/src"]),
             disrupt_paths: v(&["crates/core/src/disrupt"]),
-            persist_paths: v(&["crates/core/src/checkpoint", "crates/experiments/src/bin"]),
+            persist_paths: v(&[
+                "crates/core/src/checkpoint",
+                "crates/experiments/src/bin",
+                "crates/experiments/src/cli.rs",
+            ]),
             tier2_exempt_crates: v(&["lint", "serve", "stress"]),
             retry_paths: v(&["crates/serve/src", "crates/stress/src"]),
             taint_sink_paths: v(&[

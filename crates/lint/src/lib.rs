@@ -96,7 +96,7 @@ pub fn lint_sources(files: &[SourceFile], cfg: &Config) -> Report {
         let (lx, mask) = (&lexed[i], &masks[i]);
         rules::nondeterminism(file, lx, mask, cfg, &mut raw);
         rules::hash_iteration(file, lx, mask, cfg, &mut raw);
-        rules::unwrap_in_lib(file, lx, mask, cfg, &mut raw);
+        rules::unwrap_in_lib(file, lx, mask, &mut raw);
         rules::lossy_cast(file, lx, mask, cfg, &mut raw);
         rules::crate_hygiene(file, lx, mask, cfg, &mut raw);
         rules::bounded_retry(file, lx, mask, cfg, &mut raw);

@@ -240,14 +240,8 @@ pub fn hash_iteration(
 /// Rule 3 — unwrap-in-lib: bare `.unwrap()` / `panic!` in library code
 /// must either become `expect("why this holds")` / a proper error, or
 /// carry a justification comment.
-pub fn unwrap_in_lib(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if file.is_bin || cfg.unwrap_exempt_crates.contains(&file.crate_name) {
+pub fn unwrap_in_lib(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &mut Vec<Finding>) {
+    if file.is_bin {
         return;
     }
     const RULE: &str = RULES[2].name;

@@ -5,6 +5,7 @@
 //! wheels-serve --journal DIR [--quick|--standard|--full] [--seed N]
 //!              [--faults] [--addr HOST:PORT] [--workers N]
 //!              [--poll-ms N] [--io-timeout-ms N] [--max-inflight N]
+//!              [--drain-secs N]
 //! ```
 //!
 //! The service replays the journal into a `DatasetView`, then keeps
@@ -18,8 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::disrupt::FaultConfig;
 use wheels_core::records::Dataset;
+use wheels_experiments::cli;
 use wheels_experiments::world::World;
 use wheels_serve::options;
 use wheels_serve::server::{self, JournalSpec, ServeOptions};
@@ -52,12 +53,7 @@ fn main() {
     });
     install_signal_handlers();
 
-    let faults = if opts.faults {
-        FaultConfig::demo()
-    } else {
-        FaultConfig::default()
-    };
-    let fingerprint = World::fingerprint_for(opts.scale, opts.seed, faults);
+    let fingerprint = World::fingerprint_for(opts.scale, opts.seed, cli::fault_mix(opts.faults));
     // Start from an empty view: the ingest thread replays the journal
     // (if present) and keeps tailing — one code path for catch-up and
     // live follow, which is what keeps served answers byte-identical

@@ -7,12 +7,15 @@
 //!              [--drain-secs N]
 //! ```
 //!
-//! Follows the same parsing discipline as the `repro`/`dataset` CLI:
-//! each flag at most once (a silently-dropped duplicate on a
-//! long-running service is worse than an error), the scale flags are
-//! three spellings of one setting, and unknown dashed flags are
-//! rejected.
+//! Parsed on the same flag walker as `repro`/`dataset`
+//! ([`wheels_experiments::cli::Flags`]): each flag at most once (a
+//! silently-dropped duplicate on a long-running service is worse than an
+//! error), the scale flags are three spellings of one setting, and
+//! unknown flags are refused.
 
+use std::num::NonZeroUsize;
+
+use wheels_experiments::cli::{positional, Flags};
 use wheels_experiments::world::Scale;
 
 use crate::server::ServeOptions;
@@ -39,23 +42,6 @@ pub struct Options {
     pub serve: ServeOptions,
 }
 
-/// Parse the value following `flag`; shared with the `wheels-stress`
-/// parser so every CLI words its errors alike.
-pub fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
-    let raw = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag} needs a number, got {raw:?}"))
-}
-
-/// Record `flag` as given, refusing a second occurrence.
-pub fn reject_duplicate(flag: &str, seen: &mut Vec<String>) -> Result<(), String> {
-    if seen.iter().any(|s| s == flag) {
-        return Err(format!("{flag} given more than once"));
-    }
-    seen.push(flag.to_string());
-    Ok(())
-}
-
 /// Parse `argv` (without the program name).
 pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
@@ -66,61 +52,31 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Options, String> 
         addr: "127.0.0.1:7878".to_string(),
         serve: ServeOptions::default(),
     };
-    let mut seen: Vec<String> = Vec::new();
-    let mut it = argv.into_iter();
-    while let Some(arg) = it.next() {
+    let mut flags = Flags::new(argv.into_iter());
+    while let Some(arg) = flags.next_arg()? {
+        let serve = &mut opts.serve;
         match arg.as_str() {
             "--quick" => opts.scale = Scale::Quick,
             "--standard" => opts.scale = Scale::Standard,
             "--full" => opts.scale = Scale::Full,
-            "--faults" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.faults = true;
-            }
-            "--seed" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.seed = parse_num(&arg, it.next())?;
-            }
-            "--journal" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.journal = it.next().ok_or("--journal needs a directory")?;
-            }
-            "--addr" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.addr = it.next().ok_or("--addr needs HOST:PORT")?;
-            }
+            "--faults" => opts.faults = true,
+            "--seed" => opts.seed = flags.parse(&arg, "an integer")?,
+            "--journal" => opts.journal = flags.value(&arg, "a directory")?,
+            "--addr" => opts.addr = flags.value(&arg, "HOST:PORT")?,
             "--workers" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.serve.workers = parse_num(&arg, it.next())?;
-                if opts.serve.workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
+                serve.workers = flags
+                    .parse::<NonZeroUsize>(&arg, "a positive integer")?
+                    .get();
             }
-            "--poll-ms" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.serve.poll_ms = parse_num(&arg, it.next())?;
-            }
-            "--io-timeout-ms" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.serve.io_timeout_ms = parse_num(&arg, it.next())?;
-            }
+            "--poll-ms" => serve.poll_ms = flags.parse(&arg, "an integer")?,
+            "--io-timeout-ms" => serve.io_timeout_ms = flags.parse(&arg, "an integer")?,
             "--max-inflight" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.serve.max_inflight = parse_num(&arg, it.next())?;
-                if opts.serve.max_inflight == 0 {
-                    return Err("--max-inflight must be at least 1".to_string());
-                }
+                serve.max_inflight = flags
+                    .parse::<NonZeroUsize>(&arg, "a positive integer")?
+                    .get();
             }
-            "--drain-secs" => {
-                reject_duplicate(&arg, &mut seen)?;
-                opts.serve.drain_secs = parse_num(&arg, it.next())?;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other} (see wheels-serve docs)"));
-            }
-            other => {
-                return Err(format!("unexpected argument {other:?}"));
-            }
+            "--drain-secs" => serve.drain_secs = flags.parse(&arg, "an integer")?,
+            _ => return Err(format!("unexpected argument {:?}", positional(arg)?)),
         }
     }
     if opts.journal.is_empty() {

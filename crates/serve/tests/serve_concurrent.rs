@@ -32,7 +32,6 @@ fn cfg(faults: FaultConfig, threads: Option<usize>) -> CampaignConfig {
         shard_cycles: Some(1),
         threads,
         faults,
-        ..CampaignConfig::default()
     }
 }
 

@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::campaign::Campaign;
 use wheels_core::checkpoint::{self, Fingerprint, Journal};
 use wheels_core::records::{AuditTally, Dataset};
+use wheels_experiments::cli;
 use wheels_experiments::world::{Scale, World};
 use wheels_serve::server::{self, JournalSpec, ServeOptions};
 
@@ -59,9 +59,8 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     std::fs::create_dir_all(&opts.dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.dir.display()))?;
 
-    let cfg = opts.profile.config(opts.seed, opts.faults);
-    let campaign = Campaign::standard(opts.seed);
-    let fp = campaign.fingerprint(&cfg);
+    let faults = cli::fault_mix(opts.faults);
+    let fp = World::fingerprint_for(Scale::Quick, opts.seed, faults);
     let jobs = fp.jobs;
     println!(
         "soak: {} jobs, {} cycles planned, seed {}, stress-seed {}",
@@ -70,7 +69,7 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
 
     // 1. The undisturbed reference: every identity check compares
     // against these bytes.
-    let reference = campaign.run(&cfg);
+    let reference = World::build_with_faults(Scale::Quick, opts.seed, None, faults).into_dataset();
     let reference_json = serde_json::to_string(&reference)
         .map_err(|e| format!("cannot serialize reference dataset: {e}"))?;
     let ledger = AuditTally::of(&reference.audits);
@@ -121,7 +120,7 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
         }
         let frames_at_start = verify::shard_frames(&ckpt);
         let Some(plan) = schedule.next_cycle(frames_at_start, jobs) else {
-            println!("soak: journal complete after {cycle} cycles; nothing left to interrupt");
+            println!("soak: at most one frame left after {cycle} cycles; the final run appends it");
             break;
         };
         let run0 = Instant::now();
@@ -335,7 +334,9 @@ fn campaign_metrics(
     Ok((Value::Object(metrics), tally))
 }
 
-/// Spawn one campaign child process.
+/// Spawn one campaign child process: the quick `dataset` export,
+/// journalling to `ckpt` (resuming it if `resume`) and writing the
+/// dataset JSON to `out`.
 fn spawn_child(
     exe: &Path,
     opts: &StressOptions,
@@ -345,24 +346,16 @@ fn spawn_child(
     out: &Path,
 ) -> Result<Child, String> {
     let mut cmd = Command::new(exe);
-    cmd.arg("child")
-        .arg(opts.profile.flag())
-        .arg("--dir")
-        .arg(ckpt)
-        .arg("--seed")
-        .arg(opts.seed.to_string())
-        .arg("--threads")
-        .arg(threads.to_string())
-        .arg("--out")
-        .arg(out)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
+    cmd.args(["child", "--quick", "--seed", &opts.seed.to_string()])
+        .args(["--threads", &threads.to_string()]);
     if opts.faults {
         cmd.arg("--faults");
     }
-    if resume {
-        cmd.arg("--resume");
-    }
+    cmd.arg(if resume { "--resume" } else { "--checkpoint" })
+        .arg(ckpt)
+        .arg(out)
+        .stdout(Stdio::null())
+        .stderr(Stdio::inherit());
     cmd.spawn()
         .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))
 }

@@ -4,11 +4,13 @@
 //! contracts, re-verified continuously under induced failure instead of
 //! once per unit test.
 //!
-//! One soak run drives a checkpointed campaign **in a supervised child
-//! process**, kills it at randomized (but seeded, hence reproducible)
-//! journal watermarks, resumes it with varied thread counts, and the
-//! whole time races a `wheels-serve` instance tailing
-//! the same journal under a configurable mixed query load. After every
+//! One soak run drives the quick world's checkpointed `dataset` export
+//! **in a supervised child process** (`wheels-stress child`, which is
+//! [`wheels_experiments::cli::dataset`]), kills it at randomized (but
+//! seeded, hence reproducible) journal watermarks, resumes it with
+//! varied thread counts, and the whole time races a `wheels-serve`
+//! instance tailing the same journal under a configurable mixed query
+//! load. After every
 //! kill/resume cycle the harness re-checks the core invariants at a
 //! quiesce point:
 //!
@@ -38,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod child;
 pub mod harness;
 pub mod load;
 pub mod options;

@@ -42,20 +42,19 @@ impl Schedule {
     }
 
     /// Plan the next cycle given where the journal stands: `done` intact
-    /// shard frames so far out of `jobs` planned. Returns `None` when
-    /// every shard is already journalled — there is nothing left to
-    /// interrupt.
+    /// shard frames so far out of `jobs` planned. Returns `None` once at
+    /// most one shard is left to journal: that last frame is the final
+    /// completion run's to append.
     pub fn next_cycle(&mut self, done: usize, jobs: usize) -> Option<CyclePlan> {
-        if done >= jobs {
+        if done + 1 >= jobs {
             return None;
         }
-        // Uniform over the remaining shard frames: at least one more
-        // than we have (so the kill observes fresh progress), at most
-        // all of them (in which case the child may win the race and
-        // complete — a valid outcome the harness records).
-        let lo = (done + 1) as u64;
-        let hi = jobs as u64;
-        let kill_at_frames = self.kill.uniform_u64(lo, hi + 1) as usize;
+        // Uniform over `done + 1 ..= jobs - 1`: at least one frame more
+        // than we have (so the kill observes fresh progress), never all
+        // of them, so the final child has frames to append unless the
+        // child outruns the SIGKILL (a valid outcome the harness
+        // records).
+        let kill_at_frames = self.kill.uniform_u64((done + 1) as u64, jobs as u64) as usize;
         Some(CyclePlan {
             kill_at_frames,
             threads: self.threads(),
@@ -81,10 +80,14 @@ mod tests {
         for done in [0usize, 3, 7] {
             let (pa, pb) = (a.next_cycle(done, 9), b.next_cycle(done, 9));
             assert_eq!(pa, pb, "same seed, same plan");
-            let p = pa.expect("work remains below the job count");
-            assert!(p.kill_at_frames > done && p.kill_at_frames <= 9);
+            let p = pa.expect("two or more frames remain");
+            assert!(p.kill_at_frames > done && p.kill_at_frames < 9);
             assert!(THREADS.contains(&p.threads));
         }
+        // One frame short of the end, the kill would have to land on the
+        // last frame; that frame is left to the final run.
+        assert_eq!(a.next_cycle(7, 9).map(|p| p.kill_at_frames), Some(8));
+        assert_eq!(a.next_cycle(8, 9), None, "last frame is the final run's");
         assert_eq!(a.next_cycle(9, 9), None, "nothing left to interrupt");
     }
 

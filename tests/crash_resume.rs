@@ -27,7 +27,6 @@ fn cfg(faults: FaultConfig, threads: Option<usize>) -> CampaignConfig {
         shard_cycles: Some(1),
         threads,
         faults,
-        ..CampaignConfig::default()
     }
 }
 
