@@ -18,9 +18,6 @@
 //! they run identically over the full RAN simulation (the experiments
 //! crate) and over synthetic link shapes (unit tests, ablations).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arcav;
 pub mod gaming;
 pub mod link;

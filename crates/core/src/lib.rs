@@ -32,9 +32,6 @@
 //!   stays the pinned interchange format; WCD1 is the fast
 //!   cache/transport layer.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod analysis;
 pub mod campaign;
 pub mod checkpoint;

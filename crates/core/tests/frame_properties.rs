@@ -55,6 +55,7 @@ fn note(size: usize) {
 
 // SAFETY: every call forwards unchanged to the system allocator; the
 // only addition is a thread-local maximum, which never allocates.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

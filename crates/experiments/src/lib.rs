@@ -11,9 +11,6 @@
 //! [`world::World`] (campaign + dataset, built once per scale) and returns
 //! the rendered text.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod ablations;
 pub mod cli;
 pub mod fmt;

@@ -20,9 +20,6 @@
 //!   integrates the speed process into a second-resolution trace with city
 //!   stopovers for the static baseline tests.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod route;
 pub mod speed;
 pub mod trace;

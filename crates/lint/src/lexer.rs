@@ -7,12 +7,9 @@
 //! and single-character punctuation come out as a flat token stream with
 //! 1-based line/column positions.
 //!
-//! Two side channels ride along with the token stream:
-//!
-//! - `// lint: allow(rule, reason)` directives found in comments, keyed by
-//!   line, so rules can be suppressed with an in-code justification;
-//! - whether the file carries an inner doc header (`//!` / `/*!`), which
-//!   the crate-hygiene rule checks on crate roots.
+//! One side channel rides along with the token stream: the
+//! `// lint: allow(rule, reason)` directives found in comments, keyed by
+//! line, so rules can be suppressed with an in-code justification.
 
 use std::collections::BTreeMap;
 
@@ -79,8 +76,6 @@ pub struct LexedFile {
     pub toks: Vec<Tok>,
     /// Allow directives keyed by the line the comment sits on.
     pub allows: BTreeMap<u32, Vec<Allow>>,
-    /// True if the file has an inner doc comment (`//!` or `/*!`).
-    pub has_inner_doc: bool,
     /// Source lines, for diagnostics snippets.
     pub lines: Vec<String>,
 }
@@ -467,11 +462,8 @@ fn is_ident_continue(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Record doc headers and `lint: allow(...)` directives from one comment.
+/// Record the `lint: allow(...)` directives of one comment.
 fn scan_comment(text: &str, line: u32, out: &mut LexedFile) {
-    if text.starts_with("//!") || text.starts_with("/*!") {
-        out.has_inner_doc = true;
-    }
     // Strip comment sigils, then look for the directive anywhere in the
     // comment so both standalone and trailing comments work.
     let body = text
@@ -643,12 +635,6 @@ mod tests {
         let a = &f.allows[&1][0];
         assert_eq!(a.rule, "unwrap-in-lib");
         assert_eq!(a.reason, "len() checked above");
-    }
-
-    #[test]
-    fn doc_header_detected() {
-        assert!(lex("//! Crate docs.\nfn f() {}").has_inner_doc);
-        assert!(!lex("/// Item docs.\nfn f() {}").has_inner_doc);
     }
 
     #[test]

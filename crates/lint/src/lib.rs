@@ -1,6 +1,6 @@
 //! # wheels-lint
 //!
-//! Determinism & hygiene static analysis for the wheels workspace.
+//! Determinism analysis for the wheels workspace.
 //!
 //! The simulator's headline guarantee — bit-identical datasets from a
 //! published seed, at any thread count — is a property of the *whole*
@@ -10,9 +10,12 @@
 //! mechanically, in two tiers over one shared token stream (the build
 //! environment is registry-free, so no `syn` — a self-contained lexer
 //! and a lightweight recursive-descent parser live in this crate). Each
-//! rule names one bug class that no test catches.
+//! rule names one bug class that neither rustc nor the test suite
+//! catches; crate policy that rustc can enforce (`unsafe_code`,
+//! `missing_docs`) lives in the root manifest's `[workspace.lints.rust]`
+//! instead.
 //!
-//! **Tier 1** ([`rules`]) is six single-file token rules:
+//! **Tier 1** ([`rules`]) is five single-file token rules:
 //!
 //! 1. **nondeterminism** — no `Instant::now` / `SystemTime::now` /
 //!    `thread_rng` / `from_entropy` / `rand::random` / `env::var` in
@@ -23,9 +26,7 @@
 //!    without a justification comment;
 //! 4. **lossy-cast** — no unannotated `as`-casts to integer types in
 //!    record/analysis paths;
-//! 5. **crate-hygiene** — every crate root carries
-//!    `#![forbid(unsafe_code)]` and a `//!` doc header;
-//! 6. **bounded-retry** — on the always-on service and soak-harness
+//! 5. **bounded-retry** — on the always-on service and soak-harness
 //!    paths, `loop`/`while` bodies that sleep (retry/poll loops) must
 //!    visibly bound themselves with a stop flag, deadline/timeout, or
 //!    attempt budget — an unbounded sleep loop spins forever against a
@@ -35,57 +36,53 @@
 //! workspace symbol table and approximate call graph, and runs four
 //! cross-file dataflow passes:
 //!
-//! 7. **determinism-taint** — nondeterministic values (clock reads,
+//! 6. **determinism-taint** — nondeterministic values (clock reads,
 //!    entropy, host topology, hash-iteration order) must not *flow*,
 //!    through locals, params, and returns, into record constructors,
 //!    checkpoint/WCD1 encoders, or report printers — the full call
 //!    chain appears in the diagnostic;
-//! 8. **rng-stream-labels** — every `split(label)` site, whether the
+//! 7. **rng-stream-labels** — every `split(label)` site, whether the
 //!    label is a literal, a `format!` skeleton, or a value resolved
 //!    through locals, params and callee returns, follows the `area/rest`
 //!    scheme, is unique workspace-wide, and keeps the `campaign/faults/`
 //!    namespace to the disruption subsystem and the subsystem to it;
-//! 9. **atomic-persistence** — on persistence paths (checkpoint journal,
+//! 8. **atomic-persistence** — on persistence paths (checkpoint journal,
 //!    binary output writers), no in-place `fs::write`, no `File::create`
 //!    without a later `rename`, and an fsync (possibly transitive through
 //!    a callee) before that rename, so a crash never leaves a torn or
 //!    unsynced file a resumed run would trust;
-//! 10. **unordered-float-reduction** — non-commutative `f64` reductions
-//!     must not consume hash-map or channel iteration order in the
-//!     analysis kernels or the campaign merge.
+//! 9. **unordered-float-reduction** — non-commutative `f64` reductions
+//!    must not consume hash-map or channel iteration order in the
+//!    analysis kernels or the campaign merge.
 //!
 //! A finding is silenced in place with `// lint: allow(rule, reason)` on
 //! the offending line or the line above; the reason is mandatory. Rules
 //! emit *raw* findings and this driver applies the allow filter
 //! uniformly, then audits the directives against the raw findings: every
 //! directive that no longer suppresses anything is itself a
-//! **stale-allow** finding (rule 11).
+//! **stale-allow** finding (rule 10).
 //!
-//! Run it as `cargo run -p wheels-lint -- --workspace [--json] [--sarif
-//! FILE] [--root DIR]`; `tests/workspace_clean.rs` runs the same
-//! analysis over the shipped tree on every `cargo test`.
-
-#![forbid(unsafe_code)]
+//! The scopes of the rules are constants in [`config`]. Run it as
+//! `cargo run -p wheels-lint -- --workspace [--json] [--root DIR]`;
+//! `tests/workspace_clean.rs` runs the same analysis over the shipped
+//! tree on every `cargo test`.
 
 pub mod config;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod tier2;
 pub mod workspace;
 
 use std::io;
 use std::path::Path;
 
-pub use config::Config;
 pub use report::{Finding, Report, SCHEMA_VERSION};
-pub use sarif::render_sarif;
 pub use workspace::SourceFile;
 
 /// Lint a set of already-loaded source files: both tiers, the allow
 /// filter, and the stale-allow audit.
-pub fn lint_sources(files: &[SourceFile], cfg: &Config) -> Report {
+pub fn lint_sources(files: &[SourceFile]) -> Report {
     // Lex every file once; tier 1, tier 2, the allow filter, and the
     // stale-allow audit all share the streams.
     let lexed: Vec<lexer::LexedFile> = files.iter().map(|f| lexer::lex(&f.src)).collect();
@@ -94,14 +91,13 @@ pub fn lint_sources(files: &[SourceFile], cfg: &Config) -> Report {
     let mut raw = Vec::new();
     for (i, file) in files.iter().enumerate() {
         let (lx, mask) = (&lexed[i], &masks[i]);
-        rules::nondeterminism(file, lx, mask, cfg, &mut raw);
-        rules::hash_iteration(file, lx, mask, cfg, &mut raw);
+        rules::nondeterminism(file, lx, mask, &mut raw);
+        rules::hash_iteration(file, lx, mask, &mut raw);
         rules::unwrap_in_lib(file, lx, mask, &mut raw);
-        rules::lossy_cast(file, lx, mask, cfg, &mut raw);
-        rules::crate_hygiene(file, lx, mask, cfg, &mut raw);
-        rules::bounded_retry(file, lx, mask, cfg, &mut raw);
+        rules::lossy_cast(file, lx, mask, &mut raw);
+        rules::bounded_retry(file, lx, mask, &mut raw);
     }
-    tier2::Tier2::build(files, &lexed, &masks).run(cfg, &mut raw);
+    tier2::Tier2::build(files, &lexed, &masks).run(&mut raw);
 
     // Uniform suppression: drop raw findings covered by an allow
     // directive with a reason, in the finding's own file.
@@ -138,7 +134,7 @@ fn stale_allows(
     for (i, file) in files.iter().enumerate() {
         for (&line, dirs) in &lexed[i].allows {
             for d in dirs {
-                let why = if !rules::known_rule(&d.rule) {
+                let why = if !rules::RULES.contains(&d.rule.as_str()) {
                     Some(format!(
                         "allow directive names unknown rule \"{}\" — it can never suppress anything",
                         d.rule
@@ -164,7 +160,6 @@ fn stale_allows(
                 if let Some(message) = why {
                     out.push(Finding {
                         rule: RULE,
-                        id: rules::rule_id(RULE),
                         file: file.rel_path.clone(),
                         line,
                         col: 1,
@@ -182,7 +177,7 @@ fn stale_allows(
 }
 
 /// Lint the workspace rooted at `root`.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let files = workspace::collect_workspace(root, cfg)?;
-    Ok(lint_sources(&files, cfg))
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    let files = workspace::collect_workspace(root)?;
+    Ok(lint_sources(&files))
 }

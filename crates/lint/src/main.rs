@@ -1,42 +1,34 @@
 //! CLI for `wheels-lint`.
 //!
 //! ```text
-//! cargo run -p wheels-lint -- --workspace [--json] [--sarif FILE] [--root DIR]
+//! cargo run -p wheels-lint -- --workspace [--json] [--root DIR]
 //! ```
 //!
-//! Every run applies all eleven rules: the six token rules, the four
+//! Every run applies all ten rules: the five token rules, the four
 //! dataflow passes, and the stale-allow audit, which reports any
 //! `// lint: allow(…)` that no longer silences a finding. `--json`
-//! prints the report as JSON instead of text; `--sarif FILE`
-//! additionally writes a SARIF 2.1.0 log to `FILE`; `--root DIR` lints
-//! the workspace at `DIR` instead of the current directory.
+//! prints the report as JSON instead of text; `--root DIR` lints the
+//! workspace at `DIR` instead of the current directory.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wheels_lint::{lint_workspace, render_sarif, Config};
+use wheels_lint::lint_workspace;
 
-const USAGE: &str = "usage: wheels-lint --workspace [--json] [--sarif FILE] [--root DIR]";
+const USAGE: &str = "usage: wheels-lint --workspace [--json] [--root DIR]";
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut json = false;
     let mut root = PathBuf::from(".");
-    let mut sarif_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--sarif" => match args.next() {
-                Some(file) => sarif_path = Some(PathBuf::from(file)),
-                None => return usage_error("--sarif requires a file"),
-            },
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage_error("--root requires a directory"),
@@ -52,14 +44,8 @@ fn main() -> ExitCode {
         return usage_error("--workspace is required");
     }
 
-    match lint_workspace(&root, &Config::default()) {
+    match lint_workspace(&root) {
         Ok(report) => {
-            if let Some(path) = sarif_path {
-                if let Err(e) = std::fs::write(&path, render_sarif(&report)) {
-                    eprintln!("wheels-lint: cannot write SARIF {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
             if json {
                 println!("{}", report.render_json());
             } else {

@@ -3,19 +3,18 @@
 use serde::Serialize;
 
 /// The `--json` payload schema version. Version 1 was the unversioned
-/// layout (no `schema_version`, no per-finding `id`); version 2 added
-/// both. Bump this whenever a field is added, removed, or renamed — the
-/// golden-file test in `tests/fixtures_test.rs` pins the layout.
-pub const SCHEMA_VERSION: u32 = 2;
+/// layout; version 2 added `schema_version` and a per-finding `id`
+/// (the rule name in snake_case); version 3 dropped `id`, which only
+/// mirrored `rule`. Bump this whenever a field is added, removed, or
+/// renamed — the golden-file test in `tests/output_formats.rs` pins the
+/// layout.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// One rule violation at a source position.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
     /// Rule name (kebab-case, used in text output and allow directives).
     pub rule: &'static str,
-    /// Stable snake_case rule id, shared between `--json` and the SARIF
-    /// `ruleId` field.
-    pub id: &'static str,
     /// Workspace-relative file path (`/`-separated).
     pub file: String,
     /// 1-based line.
@@ -91,7 +90,6 @@ mod tests {
             schema_version: SCHEMA_VERSION,
             findings: vec![Finding {
                 rule: "unwrap-in-lib",
-                id: "unwrap_in_lib",
                 file: "crates/x/src/lib.rs".into(),
                 line: 3,
                 col: 9,
@@ -114,7 +112,7 @@ mod tests {
             files_checked: 2,
         };
         let json = r.render_json();
-        assert!(json.contains("\"schema_version\":2"));
+        assert!(json.contains("\"schema_version\":3"));
         assert!(json.contains("\"files_checked\":2"));
         assert!(json.contains("\"findings\":[]"));
     }

@@ -1,104 +1,31 @@
-//! The rule catalogue and the six tier-1 token rules.
+//! The rule catalogue and the five tier-1 token rules.
 //!
 //! Every token rule is a pattern pass over one lexed file; the dataflow
 //! rules live in [`crate::tier2`]. Each rule can be silenced at a site
 //! with `// lint: allow(rule-name, reason)` on the offending line or the
 //! line above — the reason is mandatory.
 
-use crate::config::Config;
+use crate::config::{in_paths, DATASET_CRATES, LOSSY_PATHS, NONDET_CRATES, RETRY_PATHS};
 use crate::lexer::{LexedFile, Tok, TokKind};
 use crate::report::Finding;
 use crate::workspace::SourceFile;
 
-/// Catalogue metadata for one rule: the kebab-case name used in
-/// diagnostics and `// lint: allow(…)` directives, the snake_case id
-/// shared by `--json` output and SARIF `ruleId` (both pinned by golden
-/// tests), and a one-line description.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleMeta {
-    /// Kebab-case rule name (allow directives, text output).
-    pub name: &'static str,
-    /// Stable snake_case id (JSON `id` field, SARIF `ruleId`).
-    pub id: &'static str,
-    /// One-line description (SARIF rule metadata).
-    pub about: &'static str,
-}
-
-/// The rule catalogue, in order: tier-1 token rules (0–5), tier-2
-/// dataflow passes (6–9), and the stale-allow audit (10).
-pub const RULES: [RuleMeta; 11] = [
-    RuleMeta {
-        name: "nondeterminism",
-        id: "nondeterminism",
-        about: "wall-clock, OS-entropy, and environment reads are forbidden in simulator crates",
-    },
-    RuleMeta {
-        name: "hash-iteration",
-        id: "hash_iteration",
-        about: "HashMap/HashSet iteration order can leak into datasets produced by these crates",
-    },
-    RuleMeta {
-        name: "unwrap-in-lib",
-        id: "unwrap_in_lib",
-        about: "bare unwrap()/panic! in library code must become expect()/errors or be justified",
-    },
-    RuleMeta {
-        name: "lossy-cast",
-        id: "lossy_cast",
-        about: "as-casts to integer types on record/analysis paths truncate silently",
-    },
-    RuleMeta {
-        name: "crate-hygiene",
-        id: "crate_hygiene",
-        about: "crate roots carry #![forbid(unsafe_code)] and a //! doc header",
-    },
-    RuleMeta {
-        name: "bounded-retry",
-        id: "bounded_retry",
-        about:
-            "retry/poll loops on service and soak paths carry a stop flag, deadline, or attempt cap",
-    },
-    RuleMeta {
-        name: "determinism-taint",
-        id: "determinism_taint",
-        about: "tier 2: nondeterministic values must not flow into record/checkpoint/report sinks",
-    },
-    RuleMeta {
-        name: "rng-stream-labels",
-        id: "rng_stream_labels",
-        about: "tier 2: split() labels follow area/rest, are unique, and respect campaign/faults/",
-    },
-    RuleMeta {
-        name: "atomic-persistence",
-        id: "atomic_persistence",
-        about: "tier 2: persistence paths publish files by create, fsync, then atomic rename",
-    },
-    RuleMeta {
-        name: "unordered-float-reduction",
-        id: "unordered_float_reduction",
-        about: "tier 2: f64 reductions must not consume unordered (hash/channel) iteration",
-    },
-    RuleMeta {
-        name: "stale-allow",
-        id: "stale_allow",
-        about: "audit: allow directives that no longer suppress any finding",
-    },
+/// The rule catalogue, in order: tier-1 token rules (0–4), tier-2
+/// dataflow passes (5–8), and the stale-allow audit (9). Names are
+/// kebab-case, as used in diagnostics and `// lint: allow(…)`
+/// directives.
+pub const RULES: [&str; 10] = [
+    "nondeterminism",
+    "hash-iteration",
+    "unwrap-in-lib",
+    "lossy-cast",
+    "bounded-retry",
+    "determinism-taint",
+    "rng-stream-labels",
+    "atomic-persistence",
+    "unordered-float-reduction",
+    "stale-allow",
 ];
-
-/// The stable snake_case id for a rule name. Panics on an unknown name —
-/// rules and passes only ever emit names from [`RULES`].
-pub fn rule_id(name: &str) -> &'static str {
-    RULES
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.id)
-        .expect("every emitted rule name is in the catalogue")
-}
-
-/// Is `name` a known rule name?
-pub fn known_rule(name: &str) -> bool {
-    RULES.iter().any(|r| r.name == name)
-}
 
 /// Integer cast targets the lossy-cast rule watches.
 const INT_TYPES: [&str; 12] = [
@@ -139,7 +66,6 @@ pub(crate) fn finding(
 ) -> Finding {
     Finding {
         rule,
-        id: rule_id(rule),
         file: file.rel_path.clone(),
         line: tok.line,
         col: tok.col,
@@ -165,17 +91,11 @@ pub(crate) fn path_pred(toks: &[Tok], k: usize, seg: &str) -> bool {
 
 /// Rule 1 — nondeterminism: wall-clock time, OS entropy, and environment
 /// reads are forbidden in simulator/analysis crates (binaries exempt).
-pub fn nondeterminism(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if file.is_bin || !cfg.nondet_crates.contains(&file.crate_name) {
+pub fn nondeterminism(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &mut Vec<Finding>) {
+    if file.is_bin || !NONDET_CRATES.contains(&file.crate_name.as_str()) {
         return;
     }
-    const RULE: &str = RULES[0].name;
+    const RULE: &str = RULES[0];
     for (k, t) in lexed.toks.iter().enumerate() {
         if mask[k] {
             continue;
@@ -202,17 +122,11 @@ pub fn nondeterminism(
 /// Rule 2 — hash-iteration: `HashMap`/`HashSet` in dataset-producing
 /// crates; their iteration order is nondeterministic and can leak into
 /// emitted tables.
-pub fn hash_iteration(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg.dataset_crates.contains(&file.crate_name) {
+pub fn hash_iteration(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &mut Vec<Finding>) {
+    if !DATASET_CRATES.contains(&file.crate_name.as_str()) {
         return;
     }
-    const RULE: &str = RULES[1].name;
+    const RULE: &str = RULES[1];
     for (k, t) in lexed.toks.iter().enumerate() {
         if mask[k] {
             continue;
@@ -244,7 +158,7 @@ pub fn unwrap_in_lib(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &
     if file.is_bin {
         return;
     }
-    const RULE: &str = RULES[2].name;
+    const RULE: &str = RULES[2];
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {
@@ -280,21 +194,11 @@ pub fn unwrap_in_lib(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &
 /// Rule 4 — lossy-cast: in record/analysis paths, `as`-casts to integer
 /// types silently truncate; make the rounding explicit (`.round() as`)
 /// or justify the cast.
-pub fn lossy_cast(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .lossy_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
+pub fn lossy_cast(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &mut Vec<Finding>) {
+    if !in_paths(&file.rel_path, LOSSY_PATHS) {
         return;
     }
-    const RULE: &str = RULES[3].name;
+    const RULE: &str = RULES[3];
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {
@@ -358,55 +262,6 @@ fn rounded_call(toks: &[Tok], close: usize) -> bool {
     }
 }
 
-/// Rule 5 — crate-hygiene: every crate root carries
-/// `#![forbid(unsafe_code)]` and a `//!` doc header.
-pub fn crate_hygiene(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    _mask: &[bool],
-    _cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !file.is_crate_root {
-        return;
-    }
-    const RULE: &str = RULES[4].name;
-    let toks = &lexed.toks;
-    let has_forbid = (0..toks.len()).any(|k| {
-        toks[k].ident() == Some("forbid")
-            && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
-            && toks
-                .get(k + 2)
-                .is_some_and(|t| t.ident() == Some("unsafe_code"))
-    });
-    let top = Tok {
-        kind: TokKind::Punct,
-        text: String::new(),
-        line: 1,
-        col: 1,
-        lo: 0,
-        hi: 0,
-    };
-    if !has_forbid {
-        out.push(finding(
-            RULE,
-            file,
-            lexed,
-            &top,
-            "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-        ));
-    }
-    if !lexed.has_inner_doc {
-        out.push(finding(
-            RULE,
-            file,
-            lexed,
-            &top,
-            "crate root is missing a `//!` doc header".to_string(),
-        ));
-    }
-}
-
 /// Identifier fragments that mark a retry/poll loop as bounded: a stop
 /// flag consulted, a deadline or timeout compared, elapsed time read,
 /// or an attempt/iteration budget counted. Matching is by lowercase
@@ -416,8 +271,8 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
     "stop", "deadline", "elapsed", "timeout", "attempt", "remain", "budget", "tries", "retries",
 ];
 
-/// Rule 6 — bounded-retry: on the always-on service and soak-harness
-/// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
+/// Rule 5 — bounded-retry: on the always-on service and soak-harness
+/// paths (`RETRY_PATHS`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
 /// an attempt budget (`RETRY_BOUND_MARKERS`, checked across the loop
@@ -426,21 +281,11 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
 /// thread that survives shutdown and on the stress path a soak that
 /// wedges instead of reporting. `for` loops are exempt: their iterator
 /// is the bound.
-pub fn bounded_retry(
-    file: &SourceFile,
-    lexed: &LexedFile,
-    mask: &[bool],
-    cfg: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if !cfg
-        .retry_paths
-        .iter()
-        .any(|p| file.rel_path.starts_with(p.as_str()))
-    {
+pub fn bounded_retry(file: &SourceFile, lexed: &LexedFile, mask: &[bool], out: &mut Vec<Finding>) {
+    if !in_paths(&file.rel_path, RETRY_PATHS) {
         return;
     }
-    const RULE: &str = RULES[5].name;
+    const RULE: &str = RULES[4];
     let toks = &lexed.toks;
     for k in 0..toks.len() {
         if mask[k] {

@@ -13,26 +13,36 @@
 //! * a local bound to an mpsc channel endpoint (`Receiver`, `channel`,
 //!   `sync_channel` — worker completion order is scheduling-dependent),
 //!   or
-//! * a call to a fn whose return type mentions a hash container.
+//! * a call anywhere in the chain — its head, or a method or path call
+//!   in the middle (`stats.bytes_by_frame().values()`) — to a fn whose
+//!   return type mentions a hash container.
 //!
 //! `fold`s whose closure is `max`/`min` are skipped (order-insensitive
 //! on the totally-ordered values these kernels feed them), as are
 //! integer reductions — integer `+` is associative, so an unordered
 //! *sum* of counts is still deterministic; only the float fold cares
-//! about order. Scope: files under `float_fold_paths` (the analysis
+//! about order. Scope: files under `FLOAT_FOLD_PATHS` (the analysis
 //! kernels and the campaign orchestrator).
 
-use crate::config::Config;
+use crate::config::{in_paths, FLOAT_FOLD_PATHS};
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 use crate::rules::finding;
-use crate::tier2::{in_paths, locals_in, mentions_channel, mentions_hash, Tier2};
+use crate::tier2::{locals_in, mentions_channel, mentions_hash, Tier2};
 
 /// Run the pass.
-pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
+pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
+    let returns_hash = |name: &str| {
+        t2.sym.by_name.get(name).is_some_and(|cands| {
+            cands.iter().any(|&ri| {
+                let ret = &t2.sym.fns[ri].ret;
+                ret.contains("HashMap") || ret.contains("HashSet")
+            })
+        })
+    };
     for def in t2.sym.fns.iter() {
         let file = &t2.files[def.file];
-        if !in_paths(&file.rel_path, &cfg.float_fold_paths) || t2.exempt(def.file, cfg) {
+        if !in_paths(&file.rel_path, FLOAT_FOLD_PATHS) || t2.exempt(def.file) {
             continue;
         }
         let Some((lo, hi)) = def.body else { continue };
@@ -70,29 +80,29 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
             if !is_float {
                 continue;
             }
-            let Some(head) = chain_head(toks, k - 1, lo) else {
+            let chain = chain_idents(toks, k - 1, lo);
+            let Some(&head) = chain.last() else {
                 continue;
             };
-            let why = unordered(&head).or_else(|| {
-                // A call head returning a hash container.
-                t2.sym.by_name.get(&head).and_then(|cands| {
-                    cands
+            // The head may be an unordered local; the head or any call
+            // along the chain may return a hash container.
+            let why = unordered(&toks[head].text)
+                .map(|why| (head, why))
+                .or_else(|| {
+                    chain
                         .iter()
-                        .any(|&ri| {
-                            let ret = &t2.sym.fns[ri].ret;
-                            ret.contains("HashMap") || ret.contains("HashSet")
-                        })
-                        .then_some("a call returning a hash container")
-                })
-            });
-            let Some(why) = why else { continue };
+                        .find(|&&i| (i == head || is_call(toks, i)) && returns_hash(&toks[i].text))
+                        .map(|&i| (i, "a call returning a hash container"))
+                });
+            let Some((src, why)) = why else { continue };
             out.push(finding(
                 "unordered-float-reduction",
                 file,
                 &t2.lexed[def.file],
                 &toks[k],
                 format!(
-                    "`.{method}` reduces f64 values fed from `{head}`, {why} — float addition is not associative, so the result depends on visit order; collect into an ordered container (or sort) before reducing"
+                    "`.{method}` reduces f64 values fed from `{}`, {why} — float addition is not associative, so the result depends on visit order; collect into an ordered container (or sort) before reducing",
+                    toks[src].text
                 ),
             ));
         }
@@ -138,10 +148,18 @@ fn fold_is_float_accum(toks: &[Tok], k: usize, hi: usize) -> bool {
     true
 }
 
-/// Walk a method chain backwards from the `.` at `dot` to the leftmost
-/// identifier that roots it: `map.values().map(|x| x.v).sum…` → `map`.
-fn chain_head(toks: &[Tok], dot: usize, lo: usize) -> Option<String> {
-    let mut head = None;
+/// Is the identifier at `k` called: `name(` or `name::<…>(`?
+fn is_call(toks: &[Tok], k: usize) -> bool {
+    let at = |d: usize, c: char| toks.get(k + d).is_some_and(|t| t.is_punct(c));
+    at(1, '(') || (at(1, ':') && at(3, '<'))
+}
+
+/// Walk a method chain backwards from the `.` at `dot` and return the
+/// token indices of its identifiers, rightmost first, skipping the
+/// argument groups: `m.values().map(|x| x.v).sum…` → `map`, `values`,
+/// `m`. The last one is the head that roots the chain.
+fn chain_idents(toks: &[Tok], dot: usize, lo: usize) -> Vec<usize> {
+    let mut idents = Vec::new();
     let mut k = dot;
     loop {
         if k == lo {
@@ -167,7 +185,7 @@ fn chain_head(toks: &[Tok], dot: usize, lo: usize) -> Option<String> {
                     }
                 }
                 if k == lo {
-                    return head;
+                    return idents;
                 }
                 k -= 1;
             }
@@ -177,7 +195,7 @@ fn chain_head(toks: &[Tok], dot: usize, lo: usize) -> Option<String> {
             if matches!(t.ident(), Some("return" | "in" | "let" | "else" | "match")) {
                 break;
             }
-            head = Some(t.text.clone());
+            idents.push(k);
             continue;
         }
         if t.is_punct('.')
@@ -190,5 +208,5 @@ fn chain_head(toks: &[Tok], dot: usize, lo: usize) -> Option<String> {
         }
         break;
     }
-    head
+    idents
 }

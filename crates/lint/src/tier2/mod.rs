@@ -31,7 +31,7 @@ pub mod streamflow;
 pub mod symbols;
 pub mod taint;
 
-use crate::config::Config;
+use crate::config::TIER2_EXEMPT_CRATES;
 use crate::lexer::{LexedFile, Tok, TokKind};
 use crate::report::Finding;
 use crate::workspace::SourceFile;
@@ -75,23 +75,17 @@ impl<'a> Tier2<'a> {
     }
 
     /// Run all four passes, appending raw findings.
-    pub fn run(&self, cfg: &Config, out: &mut Vec<Finding>) {
-        taint::run(self, cfg, out);
-        streamflow::run(self, cfg, out);
-        persist::run(self, cfg, out);
-        floatfold::run(self, cfg, out);
+    pub fn run(&self, out: &mut Vec<Finding>) {
+        taint::run(self, out);
+        streamflow::run(self, out);
+        persist::run(self, out);
+        floatfold::run(self, out);
     }
 
     /// Is this fn's file exempt from the taint and float-fold passes?
-    pub(crate) fn exempt(&self, file: usize, cfg: &Config) -> bool {
-        cfg.tier2_exempt_crates
-            .contains(&self.files[file].crate_name)
+    pub(crate) fn exempt(&self, file: usize) -> bool {
+        TIER2_EXEMPT_CRATES.contains(&self.files[file].crate_name.as_str())
     }
-}
-
-/// True if `rel_path` lives under any of the `/`-separated prefixes.
-pub(crate) fn in_paths(rel_path: &str, paths: &[String]) -> bool {
-    paths.iter().any(|p| rel_path.starts_with(p.as_str()))
 }
 
 /// One local binding inside a fn body: `let` (with optional reassignments

@@ -3,7 +3,7 @@
 //! Files a later run will trust — the checkpoint journal, the binaries'
 //! exported datasets — must land by `create temp → write → fsync →
 //! rename`. Anything else lets a crash publish a torn file at the very
-//! path a resumed run reads. For each fn body under `persist_paths` the
+//! path a resumed run reads. For each fn body under `PERSIST_PATHS` the
 //! pass flags:
 //!
 //! * an `fs::write`, which replaces the file in place;
@@ -19,17 +19,17 @@
 //! within one fn body, the `write_atomic` idiom this workspace
 //! standardizes on.
 
-use crate::config::Config;
+use crate::config::{in_paths, PERSIST_PATHS};
 use crate::lexer::Tok;
 use crate::report::Finding;
 use crate::rules::{finding, path_pred};
-use crate::tier2::{in_paths, sites_in, Tier2};
+use crate::tier2::{sites_in, Tier2};
 
 /// The rule this pass reports under.
 const RULE: &str = "atomic-persistence";
 
 /// Run the pass.
-pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
+pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
     // Which fns fsync, directly or through a callee (fixpoint).
     let mut syncs = vec![false; t2.sym.fns.len()];
     for (i, def) in t2.sym.fns.iter().enumerate() {
@@ -60,7 +60,7 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
 
     for (fidx, def) in t2.sym.fns.iter().enumerate() {
         let (file, lexed) = (&t2.files[def.file], &t2.lexed[def.file]);
-        if !in_paths(&file.rel_path, &cfg.persist_paths) {
+        if !in_paths(&file.rel_path, PERSIST_PATHS) {
             continue;
         }
         let Some((lo, hi)) = def.body else { continue };

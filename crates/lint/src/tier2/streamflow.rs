@@ -5,7 +5,7 @@
 //! draw correlated values, and a fault schedule drawn from a simulation
 //! stream makes enabling faults perturb the fault-free dataset. This
 //! pass checks every `recv.split(arg)` call site outside
-//! `label_exempt_crates`. The label's values come from the literal or
+//! `LABEL_EXEMPT_CRATES`. The label's values come from the literal or
 //! `format!` skeleton written at the site, plus whatever value flow
 //! resolves: local bindings, `format!` placeholder substitution, fn
 //! parameters (back-propagated from every call site) and callee return
@@ -18,7 +18,7 @@
 //!   unknown area gets the benefit of the doubt.
 //! * **Uniqueness** — literals, skeletons and fully resolved constants
 //!   are unique across every site of the run.
-//! * **Namespace, both ways** — inside `disrupt_paths` every label lives
+//! * **Namespace, both ways** — inside `DISRUPT_PATHS` every label lives
 //!   under `campaign/faults/`; outside them none does.
 //!
 //! Literal and skeleton labels are reported at the string token, labels
@@ -27,11 +27,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::config::Config;
+use crate::config::{in_paths, DISRUPT_PATHS, LABEL_EXEMPT_CRATES};
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 use crate::rules::finding;
-use crate::tier2::{in_paths, locals_in, return_ranges, Tier2};
+use crate::tier2::{locals_in, return_ranges, Tier2};
 
 /// The rule this pass reports under.
 const RULE: &str = "rng-stream-labels";
@@ -54,7 +54,7 @@ struct Label {
 }
 
 /// Run the pass.
-pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
+pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
     let r = Resolver {
         t2,
         callers: build_callers(t2),
@@ -63,10 +63,7 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
     // the first use of a label is the earliest in the tree.
     let mut sites: Vec<(usize, usize, Vec<Label>)> = Vec::new();
     for (fidx, def) in t2.sym.fns.iter().enumerate() {
-        if cfg
-            .label_exempt_crates
-            .contains(&t2.files[def.file].crate_name)
-        {
+        if LABEL_EXEMPT_CRATES.contains(&t2.files[def.file].crate_name.as_str()) {
             continue;
         }
         let toks = &t2.lexed[def.file].toks;
@@ -132,7 +129,7 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
                 ),
             );
         }
-        let in_disrupt = in_paths(&src.rel_path, &cfg.disrupt_paths);
+        let in_disrupt = in_paths(&src.rel_path, DISRUPT_PATHS);
         if let Some(l) = labels.iter().find(|l| fenced_wrong(l, in_disrupt)) {
             let message = if in_disrupt {
                 format!(
@@ -143,7 +140,7 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
                 format!(
                     "RNG stream label \"{}\": the `{NAMESPACE}` namespace is reserved for the disruption subsystem ({}) — fault streams must not leak into simulation code",
                     l.text,
-                    cfg.disrupt_paths.join(", ")
+                    DISRUPT_PATHS.join(", ")
                 )
             };
             emit(l, message);

@@ -108,15 +108,6 @@ impl Symbols {
         }
         sym
     }
-
-    /// All fn indices whose definition lives in `file`.
-    pub fn fns_in_file(&self, file: usize) -> impl Iterator<Item = usize> + '_ {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.file == file)
-            .map(|(i, _)| i)
-    }
 }
 
 /// One call site inside a fn body.

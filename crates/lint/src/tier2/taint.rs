@@ -6,8 +6,8 @@
 //! (`available_parallelism`, `num_cpus`), pointer-to-int casts, and
 //! hash-container iteration order — through local bindings and across
 //! calls into the *reproducibility sinks*: fns defined on the
-//! `taint_sink_paths` (record constructors, checkpoint/WCD1 frame
-//! encoders), the named `taint_sink_fns` (report printers), and struct
+//! `TAINT_SINK_PATHS` (record constructors, checkpoint/WCD1 frame
+//! encoders), the named `TAINT_SINK_FNS` (report printers), and struct
 //! literals of record types defined on those paths. Any tainted
 //! source→sink path is a finding, with the full call chain in the
 //! message.
@@ -32,13 +32,11 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use crate::config::Config;
+use crate::config::{in_paths, TAINT_SINK_FNS, TAINT_SINK_PATHS};
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 use crate::tier2::symbols::CallSite;
-use crate::tier2::{
-    in_paths, is_value_use, locals_in, mentions_hash, return_ranges, sites_in, Local, Tier2,
-};
+use crate::tier2::{is_value_use, locals_in, mentions_hash, return_ranges, sites_in, Local, Tier2};
 
 /// Integer types a pointer cast to which counts as address observation.
 const INT_TYPES: [&str; 6] = ["usize", "u64", "u32", "isize", "i64", "u128"];
@@ -86,22 +84,22 @@ struct Candidate {
 }
 
 /// Run the pass.
-pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
+pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
     // Which fns are sinks, and which struct names are record types.
     let is_sink: Vec<bool> = t2
         .sym
         .fns
         .iter()
         .map(|f| {
-            in_paths(&t2.files[f.file].rel_path, &cfg.taint_sink_paths)
-                || cfg.taint_sink_fns.iter().any(|n| n == &f.name)
+            in_paths(&t2.files[f.file].rel_path, TAINT_SINK_PATHS)
+                || TAINT_SINK_FNS.contains(&f.name.as_str())
         })
         .collect();
     let record_structs: BTreeSet<&str> = t2
         .sym
         .structs
         .iter()
-        .filter(|s| in_paths(&t2.files[s.file].rel_path, &cfg.taint_sink_paths))
+        .filter(|s| in_paths(&t2.files[s.file].rel_path, TAINT_SINK_PATHS))
         .map(|s| s.name.as_str())
         .collect();
 
@@ -137,14 +135,13 @@ pub fn run(t2: &Tier2, cfg: &Config, out: &mut Vec<Finding>) {
     let mut seen = BTreeSet::new();
     candidates.sort_by_key(|c| (c.file, c.line, c.col));
     for c in candidates {
-        if t2.exempt(c.file, cfg) || !seen.insert((c.file, c.line, c.col)) {
+        if t2.exempt(c.file) || !seen.insert((c.file, c.line, c.col)) {
             continue;
         }
         let file = &t2.files[c.file];
         let lexed = &t2.lexed[c.file];
         out.push(Finding {
             rule: "determinism-taint",
-            id: crate::rules::rule_id("determinism-taint"),
             file: file.rel_path.clone(),
             line: c.line,
             col: c.col,

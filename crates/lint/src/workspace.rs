@@ -9,7 +9,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::config::Config;
+use crate::config::skips_dir;
 
 /// One source file with its workspace context.
 #[derive(Debug, Clone)]
@@ -22,18 +22,15 @@ pub struct SourceFile {
     /// True for binary targets (`src/bin/**` or `src/main.rs`): entry
     /// points are exempt from the simulation-determinism rules.
     pub is_bin: bool,
-    /// True for the crate root (`src/lib.rs`), which the hygiene rule
-    /// holds to extra requirements.
-    pub is_crate_root: bool,
     /// File contents.
     pub src: String,
 }
 
 /// Collect every library source file of the workspace rooted at `root`,
 /// in deterministic (path-sorted) order.
-pub fn collect_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<SourceFile>> {
+pub fn collect_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
-    collect_crate(root, &root.join("src"), "wheels", cfg, &mut out)?;
+    collect_crate(root, &root.join("src"), "wheels", &mut out)?;
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut dirs: Vec<_> = fs::read_dir(&crates_dir)?
@@ -48,38 +45,27 @@ pub fn collect_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<SourceFile
                 .and_then(|n| n.to_str())
                 .unwrap_or_default()
                 .to_string();
-            if name.is_empty() || cfg.skips_dir(&name) {
+            if name.is_empty() || skips_dir(&name) {
                 continue;
             }
-            collect_crate(root, &dir.join("src"), &name, cfg, &mut out)?;
+            collect_crate(root, &dir.join("src"), &name, &mut out)?;
         }
     }
     out.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
     Ok(out)
 }
 
-/// Collect one crate's `src/` tree.
+/// Collect one crate's `src/` tree, recursively; a crate without one
+/// contributes nothing.
 fn collect_crate(
     root: &Path,
-    src_dir: &Path,
-    crate_name: &str,
-    cfg: &Config,
-    out: &mut Vec<SourceFile>,
-) -> io::Result<()> {
-    if !src_dir.is_dir() {
-        return Ok(());
-    }
-    walk(root, src_dir, src_dir, crate_name, cfg, out)
-}
-
-fn walk(
-    root: &Path,
-    src_dir: &Path,
     dir: &Path,
     crate_name: &str,
-    cfg: &Config,
     out: &mut Vec<SourceFile>,
 ) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let mut entries: Vec<_> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -92,8 +78,8 @@ fn walk(
             .unwrap_or_default()
             .to_string();
         if path.is_dir() {
-            if !cfg.skips_dir(&name) {
-                walk(root, src_dir, &path, crate_name, cfg, out)?;
+            if !skips_dir(&name) {
+                collect_crate(root, &path, crate_name, out)?;
             }
             continue;
         }
@@ -102,13 +88,11 @@ fn walk(
         }
         let rel_path = rel(&path, root);
         let is_bin = rel_path.contains("/bin/") || name == "main.rs";
-        let is_crate_root = name == "lib.rs" && path.parent() == Some(src_dir);
         let src = fs::read_to_string(&path)?;
         out.push(SourceFile {
             rel_path,
             crate_name: crate_name.to_string(),
             is_bin,
-            is_crate_root,
             src,
         });
     }

@@ -3,7 +3,7 @@
 //! `_ok.rs` counterpart (including the `// lint: allow(rule, reason)`
 //! escape hatch each counterpart exercises).
 
-use wheels_lint::{lint_sources, Config, SourceFile};
+use wheels_lint::{lint_sources, SourceFile};
 
 /// Build the virtual workspace entry for one fixture.
 fn fixture(name: &str, crate_name: &str, src: &str) -> SourceFile {
@@ -11,14 +11,13 @@ fn fixture(name: &str, crate_name: &str, src: &str) -> SourceFile {
         rel_path: format!("crates/{crate_name}/src/{name}.rs"),
         crate_name: crate_name.to_string(),
         is_bin: false,
-        is_crate_root: false,
         src: src.to_string(),
     }
 }
 
 /// Lint one fixture and return `(rule, line, col)` triples.
 fn lint_one(file: SourceFile) -> Vec<(&'static str, u32, u32)> {
-    let report = lint_sources(&[file], &Config::default());
+    let report = lint_sources(&[file]);
     report
         .findings
         .iter()
@@ -120,7 +119,7 @@ fn rng_stream_labels_unique_across_files() {
         "ue",
         "pub fn g(r: &SimRng) { r.split(\"area/same\"); }\n",
     );
-    let report = lint_sources(&[a, b], &Config::default());
+    let report = lint_sources(&[a, b]);
     assert_eq!(report.findings.len(), 1);
     let f = &report.findings[0];
     assert_eq!(f.rule, "rng-stream-labels");
@@ -173,23 +172,6 @@ fn lossy_cast_silent_on_clean_counterpart() {
 fn lossy_cast_scoped_to_configured_paths() {
     let src = include_str!("fixtures/lossy_cast_bad.rs");
     assert_eq!(lint_one(fixture("lossy_cast_bad", "radio", src)), vec![]);
-}
-
-#[test]
-fn crate_hygiene_fires_on_bare_root() {
-    let src = include_str!("fixtures/crate_hygiene_bad.rs");
-    let mut f = fixture("lib", "transport", src);
-    f.is_crate_root = true;
-    let got = lint_one(f);
-    assert_eq!(got, vec![("crate-hygiene", 1, 1), ("crate-hygiene", 1, 1)]);
-}
-
-#[test]
-fn crate_hygiene_silent_on_clean_counterpart() {
-    let src = include_str!("fixtures/crate_hygiene_ok.rs");
-    let mut f = fixture("lib", "transport", src);
-    f.is_crate_root = true;
-    assert_eq!(lint_one(f), vec![]);
 }
 
 #[test]
@@ -303,7 +285,6 @@ fn atomic_persistence_covers_binaries() {
         rel_path: "crates/experiments/src/bin/export_bad.rs".to_string(),
         crate_name: "experiments".to_string(),
         is_bin: true,
-        is_crate_root: false,
         src: src.to_string(),
     };
     assert_eq!(

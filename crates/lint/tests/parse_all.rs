@@ -8,12 +8,12 @@ use std::path::Path;
 
 use wheels_lint::lexer::{self, TokKind};
 use wheels_lint::tier2::parse;
-use wheels_lint::{workspace, Config};
+use wheels_lint::workspace;
 
 #[test]
 fn whole_workspace_parses_with_exact_spans() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let files = workspace::collect_workspace(&root, &Config::default()).expect("workspace walk");
+    let files = workspace::collect_workspace(&root).expect("workspace walk");
     assert!(
         files.len() > 50,
         "workspace walk looks truncated: {} files",

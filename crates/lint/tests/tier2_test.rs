@@ -3,7 +3,7 @@
 //! the clean `_ok.rs` counterpart, and the stale-allow audit must flag
 //! exactly the directives that suppress nothing.
 
-use wheels_lint::{lint_sources, Config, SourceFile};
+use wheels_lint::{lint_sources, SourceFile};
 
 /// Build the virtual workspace entry for one fixture.
 fn fixture(name: &str, crate_name: &str, src: &str) -> SourceFile {
@@ -11,14 +11,13 @@ fn fixture(name: &str, crate_name: &str, src: &str) -> SourceFile {
         rel_path: format!("crates/{crate_name}/src/{name}.rs"),
         crate_name: crate_name.to_string(),
         is_bin: false,
-        is_crate_root: false,
         src: src.to_string(),
     }
 }
 
 /// Lint fixtures and return `(rule, line, col)` triples.
 fn lint_all(files: Vec<SourceFile>) -> Vec<(&'static str, u32, u32)> {
-    let report = lint_sources(&files, &Config::default());
+    let report = lint_sources(&files);
     report
         .findings
         .iter()
@@ -41,7 +40,7 @@ fn determinism_taint_fires_with_positions() {
 #[test]
 fn determinism_taint_reports_the_call_chain() {
     let bad = fixture("taint_bad", "core", include_str!("fixtures/taint_bad.rs"));
-    let report = lint_sources(&[records_file(), bad], &Config::default());
+    let report = lint_sources(&[records_file(), bad]);
     let msg = &report.findings[0].message;
     assert!(msg.contains("available_parallelism"), "{msg}");
     assert!(msg.contains("returned by host_threads"), "{msg}");
@@ -118,16 +117,25 @@ fn persistence_ordering_silent_on_transitive_fsync() {
 
 #[test]
 fn unordered_float_reduction_fires_with_positions() {
+    // The hash-returning callees live outside the dataset crates, so
+    // only the reductions that consume them are findings.
+    let apps = fixture(
+        "gaming",
+        "apps",
+        "use std::collections::HashMap;\npub struct Stats;\nimpl Stats {\n    pub fn bytes_by_frame(&self) -> HashMap<u32, f64> {\n        HashMap::new()\n    }\n}\npub fn bytes_by_frame(_: &Stats) -> HashMap<u32, f64> {\n    HashMap::new()\n}\n",
+    );
     let bad = fixture(
         "analysis/floatfold_bad",
         "core",
         include_str!("fixtures/floatfold_bad.rs"),
     );
     assert_eq!(
-        lint_all(vec![bad]),
+        lint_all(vec![apps, bad]),
         vec![
             ("unordered-float-reduction", 9, 15),
             ("unordered-float-reduction", 15, 15),
+            ("unordered-float-reduction", 21, 37),
+            ("unordered-float-reduction", 25, 57),
         ]
     );
 }
@@ -157,7 +165,7 @@ fn strict_allows_flags_stale_directive() {
     let src =
         "pub fn f() -> u32 {\n    1\n}\n// lint: allow(unwrap-in-lib, nothing left to suppress)\n";
     let f = fixture("stale", "geo", src);
-    let report = lint_sources(&[f], &Config::default());
+    let report = lint_sources(&[f]);
     let got: Vec<_> = report
         .findings
         .iter()
@@ -170,7 +178,7 @@ fn strict_allows_flags_stale_directive() {
 fn strict_allows_flags_unknown_rule_name() {
     let src = "pub fn f() -> u32 {\n    // lint: allow(no-such-rule, typo)\n    1\n}\n";
     let f = fixture("typo", "geo", src);
-    let report = lint_sources(&[f], &Config::default());
+    let report = lint_sources(&[f]);
     assert_eq!(report.findings.len(), 1);
     assert_eq!(report.findings[0].rule, "stale-allow");
     assert!(report.findings[0].message.contains("no-such-rule"));
@@ -180,6 +188,6 @@ fn strict_allows_flags_unknown_rule_name() {
 fn strict_allows_accepts_used_directive() {
     let src = "pub fn f(xs: &[u32]) -> u32 {\n    // lint: allow(unwrap-in-lib, slice is non-empty by construction)\n    *xs.first().unwrap()\n}\n";
     let f = fixture("used", "geo", src);
-    let report = lint_sources(&[f], &Config::default());
+    let report = lint_sources(&[f]);
     assert_eq!(report.findings.len(), 0, "{:?}", report.findings);
 }

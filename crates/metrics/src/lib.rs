@@ -26,8 +26,6 @@
 //! durations — the JSON rendering labels them `_us` — but any `u64`
 //! magnitude (bytes, frames) buckets just as well.
 
-#![forbid(unsafe_code)]
-
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Value;

@@ -22,9 +22,6 @@
 //!    vertical handovers, each with a lognormal interruption calibrated to
 //!    the paper's per-operator medians — [`session::RanSession`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cells;
 pub mod load;
 pub mod operator;

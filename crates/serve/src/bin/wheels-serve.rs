@@ -36,6 +36,7 @@ extern "C" fn on_signal(_sig: i32) {
 /// Route SIGINT (2) and SIGTERM (15) to the stop flag via the libc
 /// `signal()` entry point — the one piece of the service std cannot
 /// express, hence the only unsafe block in the crate.
+#[allow(unsafe_code)]
 fn install_signal_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;

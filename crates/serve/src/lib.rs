@@ -36,9 +36,6 @@
 //! [`DatasetView::ingest_shard`]: wheels_core::analysis::view::DatasetView::ingest_shard
 //! [`World`]: wheels_experiments::world::World
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod metrics;
 pub mod options;
 pub mod protocol;

@@ -24,9 +24,6 @@
 //! - [`stats`] — the statistics toolkit behind every figure and table:
 //!   empirical CDFs, quantiles, Pearson correlation, binning.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod process;
 pub mod rng;
 pub mod stats;

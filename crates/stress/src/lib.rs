@@ -38,8 +38,6 @@
 //! a quick deterministic soak; the verdict is the process exit code
 //! (0 = all invariants held, 1 = a check failed, 2 = harness error).
 
-#![forbid(unsafe_code)]
-
 pub mod harness;
 pub mod load;
 pub mod options;

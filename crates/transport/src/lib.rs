@@ -17,9 +17,6 @@
 //!   implementing the paper's multi-connectivity recommendation (§5.4/§8)
 //!   for the `ext-multipath` experiment.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod mptcp;
 pub mod ping;
 pub mod servers;

@@ -13,9 +13,6 @@
 //!   ICMP-only, operators rarely upgrade it to 5G — reproducing the
 //!   passive-vs-active coverage gap of Fig. 1.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod hologger;
 pub mod xcal;
 

@@ -18,8 +18,6 @@
 //! let _ = rng;
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use wheels_apps as apps;
 pub use wheels_core as core;
 pub use wheels_experiments as experiments;
