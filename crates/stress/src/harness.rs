@@ -3,14 +3,18 @@
 //!
 //! Sequence of one soak:
 //!
-//! 1. Run the campaign **undisturbed, in-process** to pin the reference
-//!    serialization every later byte-identity check compares against.
+//! 1. Run the campaign **undisturbed, in-process**, checkpointed, to pin
+//!    the reference serialization every later byte-identity check
+//!    compares against; its journal gives the header end and the
+//!    complete length the kill offsets are drawn between.
 //! 2. Start a `wheels-serve` instance (in-process, real TCP) tailing
 //!    the soak's checkpoint directory — before the journal even exists,
 //!    so the wait-for-writer path is part of every soak.
 //! 3. Start the seeded query load against it.
-//! 4. For each scheduled cycle: spawn a campaign child, SIGKILL it at
-//!    the planned journal watermark, then verify at the quiesce point —
+//! 4. For each scheduled cycle: spawn a campaign child whose file-size
+//!    limit (`RLIMIT_FSIZE`) is the planned journal byte, so the kernel
+//!    kills it with SIGXFSZ exactly there, usually mid-frame; check the
+//!    journal is exactly that long, then verify at the quiesce point —
 //!    prefix replays, the tailer catches up to the intact prefix end,
 //!    and served answers equal the offline replay byte for byte.
 //! 5. Spawn one final child and let it finish; its dataset must be
@@ -23,8 +27,10 @@
 //! the child's own crash-recovery path does — so the server's view and
 //! the journal's contents evolve exactly as they would in production.
 
+use std::io::Read;
+use std::os::unix::process::{CommandExt, ExitStatusExt};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -32,7 +38,7 @@ use wheels_core::analysis::view::DatasetView;
 use wheels_core::checkpoint::{self, Fingerprint, Journal};
 use wheels_core::records::{AuditTally, Dataset};
 use wheels_experiments::cli;
-use wheels_experiments::world::{Scale, World};
+use wheels_experiments::world::{Scale, Tuning, World};
 use wheels_serve::server::{self, JournalSpec, ServeOptions};
 
 use crate::options::StressOptions;
@@ -44,6 +50,8 @@ use crate::{load, verify};
 const CHILD_TIMEOUT: Duration = Duration::from_secs(600);
 /// How long the live tailer gets to catch up to a static journal.
 const CATCH_UP: Duration = Duration::from_secs(120);
+/// The signal a process gets for writing past its `RLIMIT_FSIZE`.
+const SIGXFSZ: i32 = 25;
 
 /// Run one soak end to end. `Err` is a harness error (exit code 2);
 /// invariant violations land in the returned [`Report`] instead.
@@ -55,11 +63,13 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
         .or_else(crate::default_child_exe)
         .ok_or("cannot locate the wheels-stress executable; pass --child-exe")?;
     let ckpt = opts.dir.join("ckpt");
+    let reference_dir = opts.dir.join("reference");
     let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&reference_dir);
     std::fs::create_dir_all(&opts.dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.dir.display()))?;
 
-    let faults = cli::fault_mix(opts.faults);
+    let faults = cli::fault_mix(true);
     let fp = World::fingerprint_for(Scale::Quick, opts.seed, faults);
     let jobs = fp.jobs;
     println!(
@@ -68,8 +78,23 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     );
 
     // 1. The undisturbed reference: every identity check compares
-    // against these bytes.
-    let reference = World::build_with_faults(Scale::Quick, opts.seed, None, faults).into_dataset();
+    // against these bytes, and its journal bounds the kill offsets.
+    let reference = World::build_checkpointed(
+        Scale::Quick,
+        opts.seed,
+        Tuning::default(),
+        faults,
+        &reference_dir,
+        false,
+    )
+    .map_err(|e| format!("reference run failed: {e}"))?
+    .into_dataset();
+    let ends = checkpoint::frame_ends(&reference_dir)
+        .map_err(|e| format!("cannot read the reference journal: {e}"))?;
+    let (Some(&header_end), Some(&final_len)) = (ends.first(), ends.last()) else {
+        return Err("the reference journal has no header".to_string());
+    };
+    let schedule = Schedule::new(opts.stress_seed, opts.cycles, header_end, final_len)?;
     let reference_json = serde_json::to_string(&reference)
         .map_err(|e| format!("cannot serialize reference dataset: {e}"))?;
     let ledger = AuditTally::of(&reference.audits);
@@ -103,54 +128,55 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     .map_err(|e| format!("cannot start serve instance: {e}"))?;
 
     // 3. The query load.
-    let loadgen = load::start(handle.addr(), opts.clients, opts.stress_seed);
+    let loadgen = load::start(handle.addr(), opts.stress_seed);
 
-    let mut schedule = Schedule::new(opts.stress_seed);
     let mut cycles: Vec<CycleOutcome> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let budget = opts.duration_s.map(Duration::from_secs);
 
     // 4. Kill/resume cycles.
-    for cycle in 0..opts.cycles {
-        if let Some(b) = budget {
-            if t0.elapsed() >= b {
-                println!("soak: duration budget reached after {cycle} cycles");
-                break;
-            }
-        }
+    for (cycle, plan) in (0..).zip(&schedule.cycles) {
         let frames_at_start = verify::shard_frames(&ckpt);
-        let Some(plan) = schedule.next_cycle(frames_at_start, jobs) else {
-            println!("soak: at most one frame left after {cycle} cycles; the final run appends it");
-            break;
-        };
         let run0 = Instant::now();
         let out = opts.dir.join(format!("cycle{cycle}.json"));
-        let mut child = spawn_child(
-            &child_exe,
-            opts,
-            &ckpt,
-            Journal::file_path(&ckpt).exists(),
-            plan.threads,
-            &out,
-        )?;
-        let outcome = match ride_until(&mut child, &ckpt, plan.kill_at_frames) {
-            Ok(o) => o,
-            Err(e) => {
-                failures.push(format!("cycle {cycle}: {e}"));
-                break;
-            }
-        };
+        let mut cmd = child_command(&child_exe, opts.seed, &ckpt, plan.threads, &out);
+        limit_file_size(&mut cmd, plan.kill_at_byte);
+        let mut child = cmd
+            .stderr(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("cannot spawn {}: {e}", child_exe.display()))?;
+        let status = wait_with_timeout(&mut child, CHILD_TIMEOUT);
+        let mut stderr = String::new();
+        if let Some(mut pipe) = child.stderr.take() {
+            let _ = pipe.read_to_string(&mut stderr);
+        }
+        if let Err(e) = status.and_then(killed_by_file_limit) {
+            failures.push(format!(
+                "cycle {cycle}: {e}; child stderr: {}",
+                stderr.trim()
+            ));
+            break;
+        }
         let cycle_ms = ms(run0.elapsed());
+        let len = std::fs::metadata(Journal::file_path(&ckpt)).map_or(0, |m| m.len());
+        if len != plan.kill_at_byte {
+            failures.push(format!(
+                "cycle {cycle}: the journal is {len} bytes after a kill at byte {}",
+                plan.kill_at_byte
+            ));
+            break;
+        }
 
         // Quiesce-point checks: the journal is static now.
         let verify0 = Instant::now();
         let frames_after = verify::shard_frames(&ckpt);
         let mut replayed_frames = 0;
+        let mut intact_end = 0;
         let mut served_checked = 0;
         match verify::replay_prefix(&ckpt, &fp) {
             Err(e) => failures.push(format!("cycle {cycle}: {e}")),
-            Ok((view, delivered, intact_end)) => {
+            Ok((view, delivered, end)) => {
                 replayed_frames = delivered;
+                intact_end = end;
                 match verify::await_catch_up(&handle, intact_end, CATCH_UP) {
                     Err(e) => failures.push(format!("cycle {cycle}: {e}")),
                     Ok(()) => {
@@ -165,10 +191,10 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
         let done = CycleOutcome {
             cycle,
             frames_at_start,
-            kill_at_frames: plan.kill_at_frames,
+            kill_at_byte: plan.kill_at_byte,
             threads: plan.threads,
-            outcome,
             frames_after,
+            intact_end,
             replayed_frames,
             served_checked,
             cycle_ms,
@@ -179,18 +205,19 @@ pub fn run(opts: &StressOptions) -> Result<Report, String> {
     }
 
     // 5. The final, undisturbed completion run.
-    let threads = schedule.threads();
     let final_out = opts.dir.join("final.json");
     let replayed = verify::shard_frames(&ckpt);
     let prior_end = verify::intact_end(&ckpt);
-    let mut child = spawn_child(
+    let mut child = child_command(
         &child_exe,
-        opts,
+        opts.seed,
         &ckpt,
-        Journal::file_path(&ckpt).exists(),
-        threads,
+        schedule.final_threads,
         &final_out,
-    )?;
+    )
+    .stderr(Stdio::inherit())
+    .spawn()
+    .map_err(|e| format!("cannot spawn {}: {e}", child_exe.display()))?;
     let mut child_metrics = None;
     match wait_with_timeout(&mut child, CHILD_TIMEOUT) {
         Err(e) => failures.push(format!("final run: {e}")),
@@ -334,73 +361,69 @@ fn campaign_metrics(
     Ok((Value::Object(metrics), tally))
 }
 
-/// Spawn one campaign child process: the quick `dataset` export,
-/// journalling to `ckpt` (resuming it if `resume`) and writing the
-/// dataset JSON to `out`.
-fn spawn_child(
-    exe: &Path,
-    opts: &StressOptions,
-    ckpt: &Path,
-    resume: bool,
-    threads: usize,
-    out: &Path,
-) -> Result<Child, String> {
+/// One campaign child: the quick `dataset` export with the demo
+/// disruption mix, journalling to `ckpt` (resuming it if a journal is
+/// there) and writing the dataset JSON to `out`. The caller sets stderr.
+fn child_command(exe: &Path, seed: u64, ckpt: &Path, threads: usize, out: &Path) -> Command {
+    let resume = Journal::file_path(ckpt).exists();
     let mut cmd = Command::new(exe);
-    cmd.args(["child", "--quick", "--seed", &opts.seed.to_string()])
-        .args(["--threads", &threads.to_string()]);
-    if opts.faults {
-        cmd.arg("--faults");
-    }
-    cmd.arg(if resume { "--resume" } else { "--checkpoint" })
+    cmd.args(["child", "--quick", "--faults", "--seed", &seed.to_string()])
+        .args(["--threads", &threads.to_string()])
+        .arg(if resume { "--resume" } else { "--checkpoint" })
         .arg(ckpt)
         .arg(out)
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit());
-    cmd.spawn()
-        .map_err(|e| format!("cannot spawn {}: {e}", exe.display()))
+        .stdout(Stdio::null());
+    cmd
 }
 
-/// Poll the journal until the watermark is reached (SIGKILL the child
-/// there) or the child finishes first. Returns the cycle outcome label.
-fn ride_until(
-    child: &mut Child,
-    ckpt: &Path,
-    kill_at_frames: usize,
-) -> Result<&'static str, String> {
-    let deadline = Instant::now() + CHILD_TIMEOUT;
-    loop {
-        if let Some(status) = child.try_wait().map_err(|e| format!("wait: {e}"))? {
-            if status.success() {
-                return Ok("completed");
+/// Cap every file the child writes at `bytes` (`RLIMIT_FSIZE`), so the
+/// kernel kills it with SIGXFSZ once its journal reaches that length,
+/// and turn off its core dump (`RLIMIT_CORE`). Both limits are set
+/// between fork and exec, which std cannot express: hence the only
+/// unsafe block in the crate. A failed `setrlimit` fails the spawn.
+#[allow(unsafe_code)]
+fn limit_file_size(cmd: &mut Command, bytes: u64) {
+    /// `struct rlimit`; `rlim_t` is 64 bits on Linux.
+    #[repr(C)]
+    struct Rlimit {
+        cur: u64,
+        max: u64,
+    }
+    extern "C" {
+        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+    }
+    const RLIMIT_FSIZE: i32 = 1;
+    const RLIMIT_CORE: i32 = 4;
+    let set = move || {
+        for (resource, cur) in [(RLIMIT_FSIZE, bytes), (RLIMIT_CORE, 0)] {
+            let lim = Rlimit { cur, max: cur };
+            // SAFETY: `setrlimit` only reads the struct, and it is
+            // async-signal-safe, as `pre_exec` requires.
+            if unsafe { setrlimit(resource, &lim) } != 0 {
+                return Err(std::io::Error::last_os_error());
             }
-            return Err(format!("child died unprovoked with {status}"));
         }
-        if verify::shard_frames(ckpt) >= kill_at_frames {
-            child.kill().map_err(|e| format!("kill: {e}"))?;
-            child.wait().map_err(|e| format!("reap: {e}"))?;
-            return Ok("killed");
-        }
-        if Instant::now() >= deadline {
-            child
-                .kill()
-                .map_err(|e| format!("kill after timeout: {e}"))?;
-            child
-                .wait()
-                .map_err(|e| format!("reap after timeout: {e}"))?;
-            return Err(format!(
-                "child made no progress to {kill_at_frames} frames within {CHILD_TIMEOUT:?}"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        Ok(())
+    };
+    // SAFETY: the closure allocates nothing and takes no lock.
+    unsafe {
+        cmd.pre_exec(set);
     }
 }
 
-/// Wait for a child with a deadline (the final run is never killed, but
-/// a wedged one must not hang the soak forever).
-fn wait_with_timeout(
-    child: &mut Child,
-    timeout: Duration,
-) -> Result<std::process::ExitStatus, String> {
+/// A kill-cycle child must die of SIGXFSZ: any other end, a clean exit
+/// included, means the kill did not land where it was scheduled.
+fn killed_by_file_limit(status: ExitStatus) -> Result<(), String> {
+    if status.signal() == Some(SIGXFSZ) {
+        Ok(())
+    } else {
+        Err(format!("child ended with {status}, not by SIGXFSZ"))
+    }
+}
+
+/// Wait for a child with a deadline: a wedged child must not hang the
+/// soak forever.
+fn wait_with_timeout(child: &mut Child, timeout: Duration) -> Result<ExitStatus, String> {
     let deadline = Instant::now() + timeout;
     loop {
         if let Some(status) = child.try_wait().map_err(|e| format!("wait: {e}"))? {
@@ -409,7 +432,7 @@ fn wait_with_timeout(
         if Instant::now() >= deadline {
             let _ = child.kill();
             let _ = child.wait();
-            return Err(format!("final child exceeded {timeout:?}"));
+            return Err(format!("child exceeded {timeout:?}"));
         }
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -417,4 +440,22 @@ fn wait_with_timeout(
 
 fn ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_sigxfsz_counts_as_a_kill() {
+        // Raw wait statuses: a signal number in the low bits, an exit
+        // code in the second byte.
+        assert_eq!(killed_by_file_limit(ExitStatus::from_raw(SIGXFSZ)), Ok(()));
+        for (raw, what) in [(9, "SIGKILL"), (1 << 8, "exit 1"), (0, "exit 0")] {
+            assert!(
+                killed_by_file_limit(ExitStatus::from_raw(raw)).is_err(),
+                "{what} counted as a kill"
+            );
+        }
+    }
 }

@@ -5,12 +5,15 @@
 //! once per unit test.
 //!
 //! One soak run drives the quick world's checkpointed `dataset` export
-//! **in a supervised child process** (`wheels-stress child`, which is
+//! with the demo disruption mix **in a supervised child process**
+//! (`wheels-stress child`, which is
 //! [`wheels_experiments::cli::dataset`]), kills it at randomized (but
-//! seeded, hence reproducible) journal watermarks, resumes it with
+//! seeded, hence reproducible) journal byte offsets, resumes it with
 //! varied thread counts, and the whole time races a `wheels-serve`
-//! instance tailing the same journal under a configurable mixed query
-//! load. After every
+//! instance tailing the same journal under a mixed query load from two
+//! clients. The kernel places each kill: the child runs with its
+//! file-size limit (`RLIMIT_FSIZE`) at the scheduled offset and dies of
+//! SIGXFSZ when its journal reaches it, usually mid-frame. After every
 //! kill/resume cycle the harness re-checks the core invariants at a
 //! quiesce point:
 //!
@@ -34,9 +37,9 @@
 //! percentiles, ingest lag, salvage and retry rates, and per-cycle
 //! outcomes without the child reporting anything but its dataset.
 //!
-//! The harness is budgeted (`--cycles` / `--duration-s`) so CI can run
-//! a quick deterministic soak; the verdict is the process exit code
-//! (0 = all invariants held, 1 = a check failed, 2 = harness error).
+//! `--cycles` sets how many kills a soak runs, so CI can run a quick
+//! deterministic soak; the verdict is the process exit code (0 = all
+//! invariants held, 1 = a check failed, 2 = harness error).
 
 pub mod harness;
 pub mod load;

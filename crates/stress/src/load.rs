@@ -35,6 +35,9 @@ pub const QUERY_POOL: &[&str] = &[
     r#"{"cmd":"status"}"#,
 ];
 
+/// Concurrent query clients, each on its own connection.
+pub const CLIENTS: usize = 2;
+
 /// Merged outcome of the whole load phase.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
@@ -72,14 +75,14 @@ impl Default for ClientTally {
     }
 }
 
-/// Start `clients` query threads against `addr`. Each draws from its
+/// Start [`CLIENTS`] query threads against `addr`. Each draws from its
 /// own seeded stream, so the global request sequence depends only on
 /// `stress_seed` and scheduling (which is why only counts and shapes —
 /// never content — are asserted here).
-pub fn start(addr: SocketAddr, clients: usize, stress_seed: u64) -> LoadGen {
+pub fn start(addr: SocketAddr, stress_seed: u64) -> LoadGen {
     let stop = Arc::new(AtomicBool::new(false));
     let root = SimRng::seed(stress_seed);
-    let clients = (0..clients.max(1))
+    let clients = (0..CLIENTS)
         .map(|i| {
             let stop = Arc::clone(&stop);
             let mut rng = root.split(&format!("stress/load/{i}"));

@@ -1,8 +1,7 @@
 //! `wheels-stress` command-line parsing.
 //!
 //! ```text
-//! wheels-stress --dir DIR [--seed N] [--faults] [--stress-seed N]
-//!               [--cycles N] [--duration-s N] [--clients N]
+//! wheels-stress --dir DIR [--seed N] [--stress-seed N] [--cycles N]
 //!               [--report PATH] [--child-exe PATH]
 //!
 //! wheels-stress child DATASET-ARGS
@@ -13,7 +12,8 @@
 //! each flag at most once, unknown flags refused. The second is the
 //! campaign child the supervisor spawns and kills: the `dataset` export
 //! itself ([`wheels_experiments::cli::dataset`]), so its arguments are
-//! `dataset`'s. The soak always runs the quick world.
+//! `dataset`'s. The soak always runs the quick world with the demo
+//! disruption mix (`--faults`), under two query-load clients.
 
 use std::path::PathBuf;
 
@@ -27,20 +27,12 @@ pub struct StressOptions {
     pub dir: PathBuf,
     /// Campaign seed (`--seed`, default 42).
     pub seed: u64,
-    /// Demo disruption mix on (`--faults`).
-    pub faults: bool,
-    /// Chaos-schedule seed (`--stress-seed`, default 1): kill points,
-    /// resume thread counts, and the query mix all derive from it, so a
-    /// soak run is reproducible end to end.
+    /// Chaos-schedule seed (`--stress-seed`, default 1): kill offsets,
+    /// thread counts, and the query mix all derive from it, so a soak
+    /// run is reproducible end to end.
     pub stress_seed: u64,
-    /// Kill/resume cycles to run (`--cycles`, default 2).
+    /// Kill/resume cycles to run (`--cycles`, default 2, at least 1).
     pub cycles: u32,
-    /// Optional wall-clock budget in seconds (`--duration-s`): no new
-    /// cycle starts after it elapses (the final verification still
-    /// runs).
-    pub duration_s: Option<u64>,
-    /// Concurrent query-load clients (`--clients`, default 2).
-    pub clients: usize,
     /// Where to write the final JSON report (`--report`, default
     /// `DIR/report.json`).
     pub report: Option<PathBuf>,
@@ -55,24 +47,18 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<StressOptions, St
     let mut opts = StressOptions {
         dir: PathBuf::new(),
         seed: 42,
-        faults: false,
         stress_seed: 1,
         cycles: 2,
-        duration_s: None,
-        clients: 2,
         report: None,
         child_exe: None,
     };
     let mut flags = Flags::new(argv.into_iter());
     while let Some(arg) = flags.next_arg()? {
         match arg.as_str() {
-            "--faults" => opts.faults = true,
             "--dir" => opts.dir = flags.value(&arg, "a directory")?.into(),
             "--seed" => opts.seed = flags.parse(&arg, "an integer")?,
             "--stress-seed" => opts.stress_seed = flags.parse(&arg, "an integer")?,
             "--cycles" => opts.cycles = flags.parse(&arg, "an integer")?,
-            "--duration-s" => opts.duration_s = Some(flags.parse(&arg, "an integer")?),
-            "--clients" => opts.clients = flags.parse(&arg, "an integer")?,
             "--report" => opts.report = Some(flags.value(&arg, "a path")?.into()),
             "--child-exe" => opts.child_exe = Some(flags.value(&arg, "a path")?.into()),
             _ => return Err(format!("unexpected argument {:?}", positional(arg)?)),
@@ -81,8 +67,8 @@ pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<StressOptions, St
     if opts.dir.as_os_str().is_empty() {
         return Err("--dir DIR is required".to_string());
     }
-    if opts.cycles == 0 && opts.duration_s.is_none() {
-        return Err("--cycles 0 needs a --duration-s budget".to_string());
+    if opts.cycles == 0 {
+        return Err("--cycles needs at least 1".to_string());
     }
     Ok(opts)
 }
@@ -98,21 +84,22 @@ mod tests {
     #[test]
     fn supervisor_defaults_and_full_invocation() {
         let o = parse(args("--dir /tmp/s")).expect("minimal parses");
-        assert!(!o.faults);
-        assert_eq!((o.seed, o.stress_seed, o.cycles, o.clients), (42, 1, 2, 2));
+        assert_eq!((o.seed, o.stress_seed, o.cycles), (42, 1, 2));
+        assert_eq!((o.report, o.child_exe), (None, None));
 
         let o = parse(args(
-            "--dir /tmp/s --seed 7 --faults --stress-seed 9 \
-             --cycles 4 --duration-s 30 --clients 3 --report /tmp/r.json \
-             --child-exe /bin/true",
+            "--dir /tmp/s --seed 7 --stress-seed 9 --cycles 4 \
+             --report /tmp/r.json --child-exe /bin/true",
         ))
         .expect("full parses");
-        assert!(o.faults);
         assert_eq!((o.seed, o.stress_seed, o.cycles), (7, 9, 4));
-        assert_eq!(o.duration_s, Some(30));
         assert_eq!(
             o.report.as_deref(),
             Some(std::path::Path::new("/tmp/r.json"))
+        );
+        assert_eq!(
+            o.child_exe.as_deref(),
+            Some(std::path::Path::new("/bin/true"))
         );
     }
 
@@ -131,6 +118,19 @@ mod tests {
             "--dir /tmp/s --quick",
         ] {
             assert!(parse(args(bad)).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn one_value_flags_are_gone() {
+        // The disruption mix is always on and the client count is fixed;
+        // `--cycles` is the only budget.
+        for (bad, flag) in [
+            ("--dir /tmp/s --faults", "--faults"),
+            ("--dir /tmp/s --clients 2", "--clients"),
+            ("--dir /tmp/s --duration-s 300", "--duration-s"),
+        ] {
+            assert_eq!(parse(args(bad)), Err(format!("unknown flag {flag}")));
         }
     }
 }

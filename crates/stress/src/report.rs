@@ -6,7 +6,10 @@
 //! histograms, connection counters), both in the shared
 //! `wheels-metrics` vocabulary, and the final campaign child's counts
 //! (shards completed/replayed, frames and bytes appended, audit-ledger
-//! totals), which the supervisor derives from the journal.
+//! totals), which the supervisor derives from the journal. Each cycle
+//! records the journal byte its child was killed at and the intact
+//! prefix that kill left (`kill_at_byte`, `frames_after`,
+//! `intact_end`).
 
 use serde::Value;
 
@@ -20,15 +23,16 @@ pub struct CycleOutcome {
     /// Intact shard frames when the cycle started (all salvaged from
     /// earlier cycles).
     pub frames_at_start: usize,
-    /// The watermark the kill was armed at.
-    pub kill_at_frames: usize,
+    /// The journal length the child was killed at.
+    pub kill_at_byte: u64,
     /// Worker threads this cycle's child ran with.
     pub threads: usize,
-    /// `"killed"` at the watermark, or `"completed"` if the child beat
-    /// the kill to the finish line.
-    pub outcome: &'static str,
     /// Intact shard frames after the cycle (its salvage for the next).
     pub frames_after: usize,
+    /// End of the journal's intact prefix after the kill; below
+    /// `kill_at_byte` when the kill tore a frame, which the next resume
+    /// truncates.
+    pub intact_end: u64,
     /// Frames the post-kill offline replay delivered.
     pub replayed_frames: usize,
     /// Scripted served-vs-offline answers verified byte-identical.
@@ -43,13 +47,13 @@ impl CycleOutcome {
     /// One progress line, printed as the cycle finishes.
     pub fn render(&self) -> String {
         format!(
-            "cycle {}: {} at {} frames (started {}, {} threads) -> {} intact, replay {} frames, {} served answers verified [{} ms run, {} ms verify]",
+            "cycle {}: killed at byte {} (started {} frames, {} threads) -> {} intact to byte {}, replay {} frames, {} served answers verified [{} ms run, {} ms verify]",
             self.cycle,
-            self.outcome,
-            self.kill_at_frames,
+            self.kill_at_byte,
             self.frames_at_start,
             self.threads,
             self.frames_after,
+            self.intact_end,
             self.replayed_frames,
             self.served_checked,
             self.cycle_ms,
@@ -58,36 +62,24 @@ impl CycleOutcome {
     }
 
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("cycle".to_string(), Value::U64(u64::from(self.cycle))),
-            (
-                "frames_at_start".to_string(),
-                Value::U64(self.frames_at_start as u64),
-            ),
-            (
-                "kill_at_frames".to_string(),
-                Value::U64(self.kill_at_frames as u64),
-            ),
-            ("threads".to_string(), Value::U64(self.threads as u64)),
-            (
-                "outcome".to_string(),
-                Value::String(self.outcome.to_string()),
-            ),
-            (
-                "frames_after".to_string(),
-                Value::U64(self.frames_after as u64),
-            ),
-            (
-                "replayed_frames".to_string(),
-                Value::U64(self.replayed_frames as u64),
-            ),
-            (
-                "served_checked".to_string(),
-                Value::U64(self.served_checked),
-            ),
-            ("cycle_ms".to_string(), Value::U64(self.cycle_ms)),
-            ("verify_ms".to_string(), Value::U64(self.verify_ms)),
-        ])
+        let fields = [
+            ("cycle", u64::from(self.cycle)),
+            ("frames_at_start", self.frames_at_start as u64),
+            ("kill_at_byte", self.kill_at_byte),
+            ("threads", self.threads as u64),
+            ("frames_after", self.frames_after as u64),
+            ("intact_end", self.intact_end),
+            ("replayed_frames", self.replayed_frames as u64),
+            ("served_checked", self.served_checked),
+            ("cycle_ms", self.cycle_ms),
+            ("verify_ms", self.verify_ms),
+        ];
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), Value::U64(v)))
+                .collect(),
+        )
     }
 }
 
