@@ -38,11 +38,12 @@
 //! (runs, handovers, apps, audits) stay *physically* canonical (the
 //! handover-impact kernel and the figure code iterate them raw), which
 //! is cheap because they are thousands of times smaller than the
-//! sample tables. It is the only shard fold: the campaign engine drains
-//! every shard through it in plan order, [`DatasetView::from_journal`]
-//! replays a checkpoint journal frame-by-frame through it, and
-//! `wheels-serve` splices live shards with it.
-//! [`DatasetView::into_dataset`] restores physical canonical order for
+//! sample tables. Table 1's byte totals are summed in job order, so only
+//! the raw sample-table order depends on the order shards arrive in. It
+//! is the only shard fold: the campaign engine ingests every shard
+//! through it, [`DatasetView::from_journal`] replays a checkpoint journal
+//! frame-by-frame through it, and `wheels-serve` splices live shards
+//! with it. [`DatasetView::into_dataset`] restores canonical order for
 //! export.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -342,10 +343,10 @@ pub struct DatasetView {
     /// so the streaming path has to carry the sets itself to keep
     /// Table 1's unique-cell column from double counting.
     cell_sets: Vec<BTreeSet<CellId>>,
-    /// Sum of the ingested shards' own `log_bytes` — the base the
-    /// runtime-derived XCAL volume accumulates on top of (zero in
-    /// practice; shards derive no log volume of their own).
-    log_base: f64,
+    /// `[rx, tx, 0]` bytes of the seed dataset (ingest re-derives log).
+    byte_base: [f64; 3],
+    /// Each ingested shard's own `[rx, tx, log]` bytes, by job.
+    shard_bytes: BTreeMap<usize, [f64; 3]>,
 }
 
 /// Row counts only: the indices and memos are derived state.
@@ -367,13 +368,14 @@ impl DatasetView {
     pub fn new(mut ds: Dataset) -> DatasetView {
         ds.normalize();
         let mut view = DatasetView {
+            byte_base: [ds.rx_bytes, ds.tx_bytes, 0.0],
             ds,
             tput: Table::new(),
             rtt: Table::new(),
             cov_idx: Default::default(),
             impacts: OnceLock::new(),
             cell_sets: vec![BTreeSet::new(); OPS],
-            log_base: 0.0,
+            shard_bytes: BTreeMap::new(),
         };
         view.index_from([0; 3]);
         view
@@ -562,22 +564,21 @@ impl DatasetView {
     /// µs per shard instead of the full rebuild `DatasetView::new`
     /// pays. The sample tables are appended in arrival order and each
     /// partition index the shard lands in is extended by a binary-splice
-    /// run merge, so all indexed accessors keep yielding exactly what a
-    /// rebuild over the union would yield; memoized sorted runs, merged
-    /// combos and Cdfs are re-armed only where the shard actually
+    /// run merge, so all indexed accessors yield exactly what a rebuild
+    /// over the union would; memos are re-armed only where the shard
     /// landed. The small tables stay physically canonical (the raw-scan
-    /// consumers need them so), and Table 1 accounting is recomputed
-    /// over every shard ingested so far, in ingest order.
+    /// consumers need them so), and Table 1 is recomputed over every
+    /// shard so far, byte totals in job order.
     ///
     /// Preconditions (both guaranteed by the simulator): each shard is
-    /// ingested at most once, and shard canonical keys (test ids,
-    /// coverage/handover instants) never collide across shards — the
-    /// equality with a full rebuild is then independent of arrival
-    /// order. A view seeded from an already-finalized dataset keeps
-    /// exact runtimes but its unique-cell counts cover only ingested
-    /// shards (finalized datasets store counts, not the sets).
+    /// ingested at most once, and canonical keys never collide across
+    /// shards, so the result is independent of arrival order. A view
+    /// seeded from a finalized dataset keeps exact runtimes but its
+    /// unique-cell counts cover only ingested shards (finalized
+    /// datasets store counts, not the sets).
     pub fn ingest_shard(&mut self, rec: ShardRecords) {
         let ShardRecords {
+            job,
             operator,
             dataset: mut sd,
             cells,
@@ -608,13 +609,17 @@ impl DatasetView {
         merge_sorted_by_key(&mut ds.apps, take(&mut sd.apps), app_key);
         merge_sorted_by_key(&mut ds.audits, take(&mut sd.audits), audit_key);
 
-        // Table 1 accounting over every shard so far, byte sums in
-        // ingest order.
+        // Table 1 accounting over every shard so far, byte sums in job
+        // order (float addition is not associative).
         self.cell_sets[operator.index()].extend(cells.iter().copied());
-        self.log_base += sd.log_bytes;
-        self.ds.rx_bytes += sd.rx_bytes;
-        self.ds.tx_bytes += sd.tx_bytes;
-        apply_table1_accounting(&mut self.ds, &Operator::ALL, &self.cell_sets, self.log_base);
+        self.shard_bytes
+            .insert(job, [sd.rx_bytes, sd.tx_bytes, sd.log_bytes]);
+        let [rx, tx, log] = self.shard_bytes.values().fold(self.byte_base, |acc, b| {
+            std::array::from_fn(|i| acc[i] + b[i])
+        });
+        self.ds.rx_bytes = rx;
+        self.ds.tx_bytes = tx;
+        apply_table1_accounting(&mut self.ds, &Operator::ALL, &self.cell_sets, log);
     }
 
     /// Index the tput, rtt and coverage rows from the given positions

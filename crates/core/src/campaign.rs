@@ -21,17 +21,13 @@
 //! overnight gaps (one segment per drive day, optionally sub-split via
 //! [`CampaignConfig::shard_cycles`]), each shard runs independently on a
 //! worker pool with its own RNG stream (`campaign/{op}/{segment}`) and its
-//! own test-id range, and the shard datasets **stream** into one
-//! [`DatasetView`] in a fixed plan order: each shard normalizes itself
-//! into sorted runs, a shard that finishes ahead of the drain front parks
-//! until its turn, and each drains through
-//! [`DatasetView::ingest_shard`], the same fold `wheels-serve` and
-//! [`DatasetView::from_journal`] use — no terminal sort and no index
-//! rebuild, and the result is bit-identical at any thread count. One
-//! drain loop serves plain, checkpointed and resumed runs alike: a
-//! checkpointed run journals each shard before parking it, and a resumed
-//! run decodes its replayed journal frames one at a time as the drain
-//! front reaches them.
+//! own test-id range, and each finished shard **streams** into one
+//! [`DatasetView`] through [`DatasetView::ingest_shard`], the fold
+//! `wheels-serve` and [`DatasetView::from_journal`] use too — no terminal
+//! sort, no index rebuild. The fold does not depend on ingest order, so
+//! every query and the export are bit-identical at any thread count; the
+//! raw sample tables keep the arrival order, which under `--checkpoint`
+//! and `--resume` is the journal's frame order.
 //!
 //! Each drive shard cold-starts its [`RanSession`] a `WARMUP` window
 //! before its first cycle so the serving state (grant, A3 filter state) at
@@ -247,7 +243,7 @@ struct Segment {
     starts: Vec<SimTime>,
 }
 
-/// One unit of work for the shard pool.
+/// One unit of work for the shard pool; its plan index is its `job`.
 struct ShardJob {
     op: Operator,
     segment: Option<Segment>,
@@ -411,7 +407,7 @@ impl Campaign {
         segs
     }
 
-    /// The full shard plan, in the fixed drain order.
+    /// The full shard plan, in job order.
     fn plan(&self, cfg: &CampaignConfig) -> Vec<ShardJob> {
         let segments = self.segments(cfg);
         let mut jobs = Vec::new();
@@ -437,24 +433,12 @@ impl Campaign {
     }
 
     /// Run the full campaign: execute the shard plan on a worker pool and
-    /// ingest the results into one view in plan order. Bit-identical at
-    /// any thread count.
+    /// ingest each result into one view as it completes. Bit-identical at
+    /// any thread count, but for the raw sample-table order.
     pub fn run_view(&self, cfg: &CampaignConfig) -> DatasetView {
         let jobs = self.plan(cfg);
         self.run_jobs(&jobs, cfg, None, BTreeMap::new())
             .expect("a run without a journal has no journal to fail")
-    }
-
-    /// Simulate every shard in the plan sequentially and hand back the
-    /// raw per-shard records in plan order — the feed for the
-    /// incremental `DatasetView::ingest_shard` pipeline and its
-    /// property tests, which deliberately need the whole plan
-    /// materialized to shuffle and replay it.
-    pub fn shard_records(&self, cfg: &CampaignConfig) -> Vec<ShardRecords> {
-        self.plan(cfg)
-            .iter()
-            .map(|job| self.run_shard(job, cfg))
-            .collect()
     }
 
     /// The identity of a checkpointed run: every config field the shard
@@ -482,9 +466,10 @@ impl Campaign {
     /// with `resume = true` the existing journal is verified against this
     /// run's [`Fingerprint`], its intact frames replay as already-done
     /// shards (any torn tail from a crash is truncated away), and only
-    /// the missing shards are re-simulated. Either way the view is
-    /// bit-identical to [`Campaign::run_view`] with the same config, at
-    /// any thread count.
+    /// the missing shards are re-simulated. Either way every query and
+    /// the export are bit-identical to [`Campaign::run_view`] with the
+    /// same config, at any thread count, and the view ingests in the
+    /// journal's frame order.
     pub fn run_checkpointed(
         &self,
         cfg: &CampaignConfig,
@@ -498,18 +483,6 @@ impl Campaign {
         } else {
             (Journal::create(dir, &fp)?, BTreeMap::new())
         };
-        // A matching fingerprint pins the plan shape, but frames still
-        // assert which shard they are — check the plan bounds up front;
-        // the operator cross-check happens when each frame is decoded at
-        // drain time (frames are no longer eagerly materialized).
-        for i in completed.keys() {
-            if *i >= jobs.len() {
-                return Err(CheckpointError::Invalid(format!(
-                    "journal frame for shard {i} is outside the {}-job plan",
-                    jobs.len()
-                )));
-            }
-        }
         self.run_jobs(&jobs, cfg, Some(journal), completed)
     }
 
@@ -517,15 +490,13 @@ impl Campaign {
     /// the result matches that operator's slice of [`Campaign::run`],
     /// with Table 1 rows for that operator alone).
     pub fn run_operator(&self, op: Operator, cfg: &CampaignConfig) -> Dataset {
-        let static_job = cfg.include_static.then_some(ShardJob { op, segment: None });
-        let drive_jobs = self.segments(cfg).into_iter().map(|seg| ShardJob {
-            op,
-            segment: Some(seg),
-        });
         let mut out = Dataset::default();
         let mut cells = BTreeSet::new();
-        for job in static_job.into_iter().chain(drive_jobs) {
-            let shard = self.run_shard(&job, cfg);
+        for (i, job) in self.plan(cfg).iter().enumerate() {
+            if job.op != op {
+                continue;
+            }
+            let shard = self.run_shard(job, i, cfg);
             cells.extend(shard.cells);
             out.merge_normalized(shard.dataset);
         }
@@ -547,22 +518,16 @@ impl Campaign {
     }
 
     /// Execute jobs on a pool of `cfg.threads` workers (default: one per
-    /// core), draining finished shards into one [`DatasetView`] through
-    /// [`DatasetView::ingest_shard`] in plan order. Workers pull jobs
-    /// from a shared counter; a freshly simulated shard parks until the
-    /// drain front reaches it, and a frame in `replayed` (indexed by
-    /// `--resume`) is decoded only then, so a resume holds one replayed
-    /// shard at a time. Because the drain
-    /// order is the plan order no matter which worker ran what, the
-    /// output is byte-identical at any thread count.
+    /// core) pulling from a shared counter, each ingesting its shards into
+    /// one [`DatasetView`] as they complete.
     ///
-    /// With a `journal`, every fresh shard is encoded by its worker, then
-    /// appended under a lock (appends must not interleave; the lock
-    /// covers only the write and sync) *before* it counts as done, so a kill
-    /// at any moment loses at most the shards still in flight. The first
-    /// journal error stops the pool at the next job boundary and
-    /// surfaces as an error rather than silently degrading to an
-    /// uncheckpointed run. Without one, nothing is encoded or written.
+    /// With a `journal`, a worker encodes its shard outside any lock, then
+    /// appends, syncs *and* ingests it under the one state lock, so the
+    /// view ingests in frame order and a kill loses at most the shards in
+    /// flight. The `replayed` frames (indexed by `--resume`) are decoded
+    /// and ingested one at a time, in file order, under that lock before
+    /// any fresh shard, while the workers simulate. The first journal
+    /// error stops each worker at its next ingest and is returned.
     fn run_jobs(
         &self,
         jobs: &[ShardJob],
@@ -570,48 +535,25 @@ impl Campaign {
         journal: Option<Journal>,
         replayed: BTreeMap<usize, FrameSpan>,
     ) -> Result<DatasetView, CheckpointError> {
-        struct Reorder {
+        struct State {
+            journal: Option<Journal>,
             view: DatasetView,
-            parked: BTreeMap<usize, ShardRecords>,
-            next_drain: usize,
             failed: Option<CheckpointError>,
         }
         let reader = journal.as_ref().map(Journal::reader);
-        let journal = journal.map(Mutex::new);
-        // Fold every contiguous done shard at the drain front: parked
-        // shards straight in, replayed ones decoded from their journal
-        // frame (re-verifying the operator the plan expects).
-        let drain = |st: &mut Reorder| -> Result<(), CheckpointError> {
-            loop {
-                let i = st.next_drain;
-                let shard = match (st.parked.remove(&i), replayed.get(&i), &reader) {
-                    (Some(shard), _, _) => shard,
-                    (None, Some(&span), Some(reader)) => {
-                        let rec = reader.read_frame(span)?;
-                        if rec.operator != jobs[i].op {
-                            return Err(CheckpointError::Invalid(format!(
-                                "journal frame for shard {i} records {}, the plan expects {}",
-                                rec.operator.label(),
-                                jobs[i].op.label()
-                            )));
-                        }
-                        rec
-                    }
-                    _ => return Ok(()),
-                };
-                st.view.ingest_shard(shard);
-                st.next_drain += 1;
-            }
-        };
-        let threads = Self::worker_threads(cfg, jobs.len());
-        let next_job = AtomicUsize::new(0);
-        let state = Mutex::new(Reorder {
+        let state = Mutex::new(State {
+            journal,
             view: DatasetView::new(Dataset::default()),
-            parked: BTreeMap::new(),
-            next_drain: 0,
             failed: None,
         });
+        let mut in_file_order: Vec<_> = replayed.iter().collect();
+        in_file_order.sort_by_key(|(_, span)| span.start);
+        let threads = Self::worker_threads(cfg, jobs.len());
+        let next_job = AtomicUsize::new(0);
         std::thread::scope(|s| {
+            // Replayed frames go first: the workers block at their first
+            // ingest until this guard drops.
+            let mut st = state.lock().expect("campaign state mutex poisoned");
             for _ in 0..threads {
                 s.spawn(|| loop {
                     let i = next_job.fetch_add(1, Ordering::Relaxed);
@@ -621,52 +563,48 @@ impl Campaign {
                     if replayed.contains_key(&i) {
                         continue;
                     }
-                    let failed = state
-                        .lock()
-                        .expect("reorder state mutex poisoned")
-                        .failed
-                        .is_some();
-                    if failed {
+                    let shard = self.run_shard(&jobs[i], i, cfg);
+                    let frame = reader.is_some().then(|| encode_shard_frame(&shard));
+                    let mut st = state.lock().expect("campaign state mutex poisoned");
+                    if st.failed.is_some() {
                         break; // the journal is broken; stop burning work
                     }
-                    let shard = self.run_shard(&jobs[i], cfg);
-                    if let Some(j) = &journal {
-                        // Encode outside the lock: only the write and
-                        // its sync serialize the workers.
-                        let appended = encode_shard_frame(i, &shard).and_then(|frame| {
-                            j.lock()
-                                .expect("journal mutex poisoned")
-                                .write_frame(&frame)
-                        });
-                        if let Err(e) = appended {
-                            let mut st = state.lock().expect("reorder state mutex poisoned");
-                            st.failed.get_or_insert(e);
+                    if let (Some(frame), Some(j)) = (frame, st.journal.as_mut()) {
+                        if let Err(e) = frame.and_then(|f| j.write_frame(&f)) {
+                            st.failed = Some(e);
                             break;
                         }
                     }
-                    let mut st = state.lock().expect("reorder state mutex poisoned");
-                    st.parked.insert(i, shard);
-                    if let Err(e) = drain(&mut st) {
-                        st.failed.get_or_insert(e);
-                        break;
-                    }
+                    st.view.ingest_shard(shard);
                 });
             }
+            let Some(reader) = &reader else { return };
+            let replay = in_file_order.into_iter().try_for_each(|(&i, &span)| {
+                // Each frame asserts its shard; hold it to the plan.
+                let rec = reader.read_frame(span)?;
+                let want = jobs.get(i).map(|job| job.op);
+                if want != Some(rec.operator) {
+                    return Err(CheckpointError::Invalid(format!(
+                        "journal frame for shard {i} records {}, the {}-job plan expects {}",
+                        rec.operator.label(),
+                        jobs.len(),
+                        want.map_or("no shard", Operator::label)
+                    )));
+                }
+                st.view.ingest_shard(rec);
+                Ok(())
+            });
+            if let Err(e) = replay {
+                st.failed = Some(e);
+            }
         });
-        let mut st = state.into_inner().expect("reorder state mutex poisoned");
-        if let Some(e) = st.failed.take() {
-            return Err(e);
-        }
-        // Replayed frames behind the last fresh shard (all of them, on a
-        // complete journal) drain here.
-        drain(&mut st)?;
-        debug_assert_eq!(st.next_drain, jobs.len(), "every shard drained");
-        Ok(st.view)
+        let st = state.into_inner().expect("campaign state mutex poisoned");
+        st.failed.map_or(Ok(st.view), Err)
     }
 
     /// Run one shard: the operator's static baselines (segment = None) or
     /// one trace segment of drive cycles.
-    fn run_shard(&self, job: &ShardJob, cfg: &CampaignConfig) -> ShardRecords {
+    fn run_shard(&self, job: &ShardJob, index: usize, cfg: &CampaignConfig) -> ShardRecords {
         let op = job.op;
         let dep = self.deployment(op);
         // lint: allow(lossy-cast, operator index is 0..3, exact in u32)
@@ -727,7 +665,7 @@ impl Campaign {
             Some(seg) => runner.run_segment(seg, cfg.include_apps),
         }
         // Hand each shard off as a set of sorted runs: the view splices
-        // them in plan order, and merging stably-sorted runs reproduces
+        // them as they arrive, and merging stably-sorted runs reproduces
         // the permutation of a stable sort over the concatenation (the
         // classic mergesort identity), which is what keeps the streaming
         // engine byte-identical to a terminal sort.
@@ -736,6 +674,7 @@ impl Campaign {
         // ascending so its encoding is order-stable.
         let cells: BTreeSet<CellId> = runner.session.unique_cells().collect();
         ShardRecords {
+            job: index,
             operator: op,
             dataset: runner.ds,
             cells: cells.into_iter().collect(),

@@ -211,9 +211,9 @@ fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, CheckpointError> {
 /// included): the fixed prefix — job, operator code, served cells —
 /// then the WCD1 image of the shard dataset. Pure CPU work with no
 /// journal access, so a campaign worker encodes before it takes the
-/// journal lock and the lock covers only the write and its sync.
-pub fn encode_shard_frame(job: usize, records: &ShardRecords) -> Result<Vec<u8>, CheckpointError> {
-    let job = u64::try_from(job)
+/// journal lock.
+pub fn encode_shard_frame(records: &ShardRecords) -> Result<Vec<u8>, CheckpointError> {
+    let job = u64::try_from(records.job)
         .map_err(|_| CheckpointError::Invalid("shard job index exceeds u64".to_string()))?;
     let cells = u32::try_from(records.cells.len())
         .map_err(|_| CheckpointError::Invalid("shard cell list exceeds u32 length".to_string()))?;
@@ -228,16 +228,13 @@ pub fn encode_shard_frame(job: usize, records: &ShardRecords) -> Result<Vec<u8>,
 }
 
 /// Decode one shard-frame payload (the bytes inside the envelope, as
-/// written by [`encode_shard_frame`]) into its job index and records.
-/// `pos` is the frame's journal offset, for the diagnostic only. Every
-/// replay path — [`tail_from`] and [`JournalReader::read_frame`] —
-/// decodes through here. Strict like WCD1 itself: the payload is
-/// checked section by section and must be consumed exactly, so a frame
-/// either decodes whole or is an error.
-pub fn decode_shard_frame(
-    payload: &[u8],
-    pos: usize,
-) -> Result<(usize, ShardRecords), CheckpointError> {
+/// written by [`encode_shard_frame`]) into its records. `pos` is the
+/// frame's journal offset, for the diagnostic only. Every replay path —
+/// [`tail_from`] and [`JournalReader::read_frame`] — decodes through
+/// here. Strict like WCD1 itself: the payload is checked section by
+/// section and must be consumed exactly, so a frame either decodes
+/// whole or is an error.
+pub fn decode_shard_frame(payload: &[u8], pos: usize) -> Result<ShardRecords, CheckpointError> {
     let bad = |what: String| {
         CheckpointError::Invalid(format!(
             "checksummed frame at byte {pos} does not decode: {what}"
@@ -266,14 +263,12 @@ pub fn decode_shard_frame(
         })
         .collect();
     let dataset = wcd::decode(image).map_err(|e| bad(e.to_string()))?;
-    Ok((
+    Ok(ShardRecords {
         job,
-        ShardRecords {
-            operator,
-            dataset,
-            cells,
-        },
-    ))
+        operator,
+        dataset,
+        cells,
+    })
 }
 
 /// A journal file read front to back, one frame at a time: the frame
@@ -441,15 +436,14 @@ pub struct TailState {
 }
 
 /// Replay `dir`'s journal frame-by-frame into `sink`, in append order,
-/// reading the file as it goes: it never holds more than one frame's
-/// bytes and one decoded frame in memory. The
-/// identity header is verified against `fp` exactly like a resume, but
-/// the walk is strictly **read-only**: a torn tail stops the replay
+/// holding at most one frame's bytes and one decoded frame in memory.
+/// The identity header is verified against `fp` exactly like a resume,
+/// but the walk is strictly **read-only**: a torn tail stops the replay
 /// (every intact frame before it is delivered) and is *not* truncated
 /// away. `DatasetView::from_journal` and the `wheels-serve` live
-/// follower read through it; a resumed campaign does not (it indexes the
+/// follower read through it; a resumed campaign instead indexes the
 /// journal with [`Journal::resume_indexed`], truncating any torn tail,
-/// and decodes each frame when its drain reaches it). Returns the
+/// and replays the spans in the same file order. Returns the
 /// [`TailState`] cursor; follow-up polls continue from it via
 /// [`tail_from`].
 pub fn tail(
@@ -485,8 +479,8 @@ pub fn tail_from(
     };
     let mut delivered = 0usize;
     while let Some(start) = frames.next()? {
-        let (job, records) = decode_shard_frame(&frames.payload, start)?;
-        sink(job, records)?;
+        let records = decode_shard_frame(&frames.payload, start)?;
+        sink(records.job, records)?;
         delivered += 1;
     }
     Ok(TailState {
@@ -621,14 +615,18 @@ impl Journal {
 
     /// Append one completed shard frame and sync it to disk. A kill
     /// anywhere inside this write leaves a torn tail that the next
-    /// resume truncates. Returns the frame's byte span, which
-    /// [`JournalReader::read_frame`] decodes.
+    /// resume truncates. `job` must be `records.job`. Returns the frame's
+    /// byte span, which [`JournalReader::read_frame`] decodes.
     pub fn append(
         &mut self,
         job: usize,
         records: &ShardRecords,
     ) -> Result<FrameSpan, CheckpointError> {
-        self.write_frame(&encode_shard_frame(job, records)?)
+        if job != records.job {
+            let msg = format!("cannot append shard {} as job {job}", records.job);
+            return Err(CheckpointError::Invalid(msg));
+        }
+        self.write_frame(&encode_shard_frame(records)?)
     }
 
     /// The one write path: append a frame sealed by
@@ -650,8 +648,7 @@ impl Journal {
 
 /// A cloneable read-only view of a journal file: decodes single frames
 /// by span, re-verifying the checksum on every read. A resumed campaign
-/// decodes its replayed shards through this, one at a time, as its
-/// merge reaches them.
+/// decodes its replayed shards through this, one at a time.
 #[derive(Debug, Clone)]
 pub struct JournalReader {
     path: PathBuf,
@@ -663,7 +660,7 @@ impl JournalReader {
         let mut frames = Frames::resume(&self.path, span.start)?;
         match frames.next()? {
             Some(start) if file_offset(frames.pos)? == span.end => {
-                Ok(decode_shard_frame(&frames.payload, start)?.1)
+                decode_shard_frame(&frames.payload, start)
             }
             _ => Err(CheckpointError::Invalid(format!(
                 "journal frame at bytes {}..{} failed re-verification — the file changed under a live run",
@@ -708,12 +705,13 @@ mod tests {
         }
     }
 
-    fn rec(op: Operator) -> ShardRecords {
+    fn rec(job: usize, op: Operator) -> ShardRecords {
         let dataset = Dataset {
             rx_bytes: 12.5,
             ..Dataset::default()
         };
         ShardRecords {
+            job,
             operator: op,
             dataset,
             cells: vec![CellId(3), CellId(7)],
@@ -740,21 +738,35 @@ mod tests {
     fn append_and_replay() {
         let dir = tmpdir("ckpt_replay");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        j.append(0, &rec(Operator::Verizon)).unwrap();
-        j.append(3, &rec(Operator::Att)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        j.append(3, &rec(3, Operator::Att)).unwrap();
         let (j2, done) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
         let reader = j2.reader();
         assert_eq!(done.len(), 2);
-        assert_eq!(reader.read_frame(done[&0]).unwrap(), rec(Operator::Verizon));
-        assert_eq!(reader.read_frame(done[&3]).unwrap(), rec(Operator::Att));
+        assert_eq!(
+            reader.read_frame(done[&0]).unwrap(),
+            rec(0, Operator::Verizon)
+        );
+        assert_eq!(reader.read_frame(done[&3]).unwrap(), rec(3, Operator::Att));
+    }
+
+    #[test]
+    fn append_refuses_a_job_other_than_the_records_own() {
+        let dir = tmpdir("ckpt_job_mismatch");
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        match j.append(1, &rec(0, Operator::Verizon)) {
+            Err(CheckpointError::Invalid(d)) => assert!(d.contains("job 1"), "{d}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(frame_ends(&dir).unwrap().len(), 1, "nothing was written");
     }
 
     #[test]
     fn resume_indexed_spans_decode_on_demand() {
         let dir = tmpdir("ckpt_indexed");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        let s0 = j.append(0, &rec(Operator::Verizon)).unwrap();
-        let s3 = j.append(3, &rec(Operator::Att)).unwrap();
+        let s0 = j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        let s3 = j.append(3, &rec(3, Operator::Att)).unwrap();
         let (j2, spans) = Journal::resume_indexed(&dir, &fp(1)).unwrap();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[&0], s0);
@@ -762,21 +774,21 @@ mod tests {
         let reader = j2.reader();
         assert_eq!(
             reader.read_frame(spans[&0]).unwrap(),
-            rec(Operator::Verizon)
+            rec(0, Operator::Verizon)
         );
-        assert_eq!(reader.read_frame(spans[&3]).unwrap(), rec(Operator::Att));
+        assert_eq!(reader.read_frame(spans[&3]).unwrap(), rec(3, Operator::Att));
     }
 
     #[test]
     fn tail_replays_in_append_order_and_is_read_only() {
         let dir = tmpdir("ckpt_tail");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        j.append(2, &rec(Operator::Verizon)).unwrap();
-        j.append(0, &rec(Operator::TMobile)).unwrap();
+        j.append(2, &rec(2, Operator::Verizon)).unwrap();
+        j.append(0, &rec(0, Operator::TMobile)).unwrap();
         let full = std::fs::read(Journal::file_path(&dir)).unwrap();
         // Tear the third frame in half: tail must deliver the two intact
         // frames in append order, then stop without truncating anything.
-        j.append(1, &rec(Operator::Att)).unwrap();
+        j.append(1, &rec(1, Operator::Att)).unwrap();
         let torn = std::fs::read(Journal::file_path(&dir)).unwrap();
         let cut = full.len() + (torn.len() - full.len()) / 2;
         std::fs::write(Journal::file_path(&dir), &torn[..cut]).unwrap();
@@ -809,7 +821,7 @@ mod tests {
     fn tail_from_resumes_mid_frame_without_skip_or_double_ingest() {
         let dir = tmpdir("ckpt_tail_resume");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        j.append(0, &rec(Operator::Verizon)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
         let mut seen = Vec::new();
         let st0 = tail(&dir, &fp(1), |job, rec| {
             seen.push((job, rec.operator));
@@ -821,7 +833,7 @@ mod tests {
         assert_eq!(st0.next_offset, len0);
 
         // The writer starts appending frame 1; a poll lands mid-frame.
-        j.append(1, &rec(Operator::TMobile)).unwrap();
+        j.append(1, &rec(1, Operator::TMobile)).unwrap();
         let full = std::fs::read(Journal::file_path(&dir)).unwrap();
         let cut = usize::try_from(st0.next_offset).unwrap() + FRAME_HEADER / 2;
         std::fs::write(Journal::file_path(&dir), &full[..cut]).unwrap();
@@ -850,7 +862,7 @@ mod tests {
         // Polls are incremental: with the cursor past the header, a new
         // frame is picked up even when the already-consumed prefix is
         // unreadable garbage — proof the poll never re-reads from byte 0.
-        j.append(2, &rec(Operator::Att)).unwrap();
+        j.append(2, &rec(2, Operator::Att)).unwrap();
         let appended = std::fs::read(Journal::file_path(&dir)).unwrap();
         let mut scribbled = appended.clone();
         for b in scribbled.iter_mut().take(MAGIC.len()) {
@@ -935,9 +947,9 @@ mod tests {
     fn torn_tail_is_truncated_at_every_offset() {
         let dir = tmpdir("ckpt_torn");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        j.append(0, &rec(Operator::Verizon)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
         let keep = std::fs::read(Journal::file_path(&dir)).unwrap();
-        j.append(1, &rec(Operator::TMobile)).unwrap();
+        j.append(1, &rec(1, Operator::TMobile)).unwrap();
         let full = std::fs::read(Journal::file_path(&dir)).unwrap();
         // Kill at every byte of the second frame: resume must always
         // recover exactly frame 0 and truncate back to `keep`.
@@ -955,9 +967,9 @@ mod tests {
     fn corrupt_mid_frame_byte_drops_the_tail() {
         let dir = tmpdir("ckpt_flip");
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
-        j.append(0, &rec(Operator::Verizon)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
         let keep_len = std::fs::metadata(Journal::file_path(&dir)).unwrap().len();
-        j.append(1, &rec(Operator::TMobile)).unwrap();
+        j.append(1, &rec(1, Operator::TMobile)).unwrap();
         let mut bytes = std::fs::read(Journal::file_path(&dir)).unwrap();
         // Flip one payload byte inside the second frame.
         let idx = usize::try_from(keep_len).unwrap() + FRAME_HEADER + 2;
@@ -1031,8 +1043,8 @@ mod tests {
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
         let e0 = frame_ends(&dir).unwrap();
         assert_eq!(e0.len(), 1, "header only");
-        j.append(0, &rec(Operator::Verizon)).unwrap();
-        j.append(1, &rec(Operator::Att)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        j.append(1, &rec(1, Operator::Att)).unwrap();
         let e2 = frame_ends(&dir).unwrap();
         assert_eq!(e2.len(), 3);
         assert_eq!(e2[0], e0[0]);

@@ -346,6 +346,8 @@ pub struct Dataset {
 /// `BTreeSet`) so the frame encoding is order-stable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardRecords {
+    /// The shard's index in the campaign's shard plan.
+    pub job: usize,
     /// Operator the shard simulated.
     pub operator: Operator,
     /// The shard's slice of the dataset, incl. its `TestAudit` ledger
@@ -359,12 +361,13 @@ pub struct ShardRecords {
 /// Merge a sorted run `src` into the sorted `dst`, keyed by `key`, with
 /// `dst`'s elements winning ties. This is exactly the permutation a
 /// stable sort of `dst ++ src` would produce, so repeatedly merging
-/// shard runs in plan order reproduces the concatenate-then-`normalize`
-/// bytes without the terminal O(n log n) sort. Everything in `dst` keyed
-/// at or below the run's first key stays put and only the tail is
-/// merged; a run that sorts entirely after `dst` (the common in-order
-/// arrival) is a plain `extend`. [`Dataset::merge_normalized`] and the
-/// view's small tables and position indexes all splice through it.
+/// shard runs, in any order (their keys never collide), reproduces the
+/// concatenate-then-`normalize` bytes without the terminal sort.
+/// Everything in `dst` keyed at or below the run's first key stays put
+/// and only the tail is merged; a run that sorts entirely after `dst`
+/// (the common in-order arrival) is a plain `extend`.
+/// [`Dataset::merge_normalized`] and the view's small tables and
+/// position indexes all splice through it.
 pub(crate) fn merge_sorted_by_key<T, K: Ord>(dst: &mut Vec<T>, src: Vec<T>, key: impl Fn(&T) -> K) {
     let Some(first) = src.first().map(&key) else {
         return;

@@ -348,11 +348,13 @@ fn cases() -> Vec<ShardRecords> {
     let mut out = Vec::new();
     for op in Operator::ALL {
         out.push(ShardRecords {
+            job: out.len(),
             operator: op,
             dataset: Dataset::default(),
             cells: Vec::new(),
         });
         out.push(ShardRecords {
+            job: out.len(),
             operator: op,
             dataset: awkward_dataset(7, op),
             cells: vec![CellId(0), CellId(41), CellId(u32::MAX)],
@@ -399,13 +401,15 @@ fn tail_holds_one_frame_at_a_time() {
     let dir = tmpdir("tail_one_frame");
     let fp = fingerprint();
     let mut journal = Journal::create(&dir, &fp).expect("create journal");
-    let rec = ShardRecords {
+    let mut rec = ShardRecords {
+        job: 0,
         operator: Operator::Verizon,
         dataset: awkward_dataset(7, Operator::Verizon),
         cells: vec![CellId(1), CellId(2)],
     };
     let frames = 32;
     for job in 0..frames {
+        rec.job = job;
         journal.append(job, &rec).expect("append");
     }
     let file_len = std::fs::metadata(Journal::file_path(&dir))
@@ -429,11 +433,12 @@ const IMAGE: usize = 8 + 1 + 4 + 2 * 4;
 /// [`awkward_dataset`] with `rows` rows.
 fn real_frame(rows: usize) -> Vec<u8> {
     let rec = ShardRecords {
+        job: 11,
         operator: Operator::TMobile,
         dataset: awkward_dataset(rows, Operator::TMobile),
         cells: vec![CellId(5), CellId(9)],
     };
-    encode_shard_frame(11, &rec).expect("encodes")
+    encode_shard_frame(&rec).expect("encodes")
 }
 
 /// A real shard payload, envelope stripped, and the byte ranges of its

@@ -3,18 +3,20 @@
 //! reproduce exactly what a full `DatasetView::new` rebuild over the
 //! merged campaign dataset yields — every partition iterator, every
 //! sub-index, every memoized Cdf and quantile, the by-test groups, the
-//! handover impacts, and the Table 1 accounting — with faults off and
-//! on (faulted runs salvage partial shards, so their tables are
-//! irregular). The arrival-order independence rests on a simulator
-//! guarantee the fixtures also pin: canonical sort keys never collide
-//! across shards.
+//! handover impacts, and the Table 1 accounting down to the bits of its
+//! f64 byte totals — with faults off and on (faulted runs salvage
+//! partial shards, so their tables are irregular). The arrival-order
+//! independence rests on a simulator guarantee the fixtures also pin:
+//! canonical sort keys never collide across shards.
 
 use std::collections::BTreeSet;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::{Campaign, CampaignConfig};
+use wheels_core::checkpoint;
 use wheels_core::disrupt::FaultConfig;
 use wheels_core::records::{Dataset, RttSample, ShardRecords, TputSample};
 use wheels_radio::tech::{Direction, Technology};
@@ -47,9 +49,10 @@ struct Scenario {
     full: DatasetView,
 }
 
-/// Shards (plan order) and the rebuilt reference view, computed once
-/// per fault mode. Also pins the cross-shard key-uniqueness guarantee
-/// arrival-order independence rests on.
+/// Shards (plan order, read back from a checkpoint journal) and the
+/// rebuilt reference view, computed once per fault mode. Also pins the
+/// cross-shard key-uniqueness guarantee arrival-order independence
+/// rests on.
 fn scenario(faults: bool) -> &'static Scenario {
     static PLAIN: OnceLock<Scenario> = OnceLock::new();
     static FAULTED: OnceLock<Scenario> = OnceLock::new();
@@ -57,10 +60,21 @@ fn scenario(faults: bool) -> &'static Scenario {
     slot.get_or_init(|| {
         let campaign = Campaign::standard(7);
         let c = cfg(faults);
-        let shards = campaign.shard_records(&c);
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("ingest_properties_faults_{faults}"));
+        let run = campaign
+            .run_checkpointed(&c, &dir, false)
+            .expect("checkpointed run");
+        let mut shards = Vec::new();
+        checkpoint::tail(&dir, &campaign.fingerprint(&c), |_, rec| {
+            shards.push(rec);
+            Ok(())
+        })
+        .expect("journal replays");
+        shards.sort_by_key(|s| s.job);
         assert!(shards.len() >= 4, "scenario too small to shuffle");
         assert_keys_shard_unique(&shards);
-        let full = DatasetView::new(campaign.run(&c));
+        let full = DatasetView::new(run.into_dataset());
         Scenario { shards, full }
     })
 }
@@ -136,14 +150,6 @@ fn dir_filters() -> Vec<Option<Direction>> {
     std::iter::once(None)
         .chain(Direction::ALL.into_iter().map(Some))
         .collect()
-}
-
-fn assert_close(got: f64, want: f64, what: &str) {
-    let tol = 1e-9 * want.abs().max(1.0);
-    assert!(
-        (got - want).abs() <= tol,
-        "{what}: {got} vs {want} (tolerance {tol})"
-    );
 }
 
 /// Every public query surface of the two views must agree.
@@ -252,9 +258,9 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
     assert_eq!(got.dataset().apps, want.dataset().apps, "apps table");
     assert_eq!(got.dataset().audits, want.dataset().audits, "audits table");
 
-    // Table 1 accounting: cell counts and runtimes are integer-derived
-    // and must match exactly; byte totals are f64 sums whose order
-    // follows arrival, so they match to accumulation round-off.
+    // Table 1 accounting: cell counts and runtimes are integer-derived,
+    // and the f64 byte totals are summed in job order whatever the
+    // arrival order, so all of it matches exactly.
     assert_eq!(
         got.dataset().unique_cells,
         want.dataset().unique_cells,
@@ -265,13 +271,16 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
         want.dataset().runtime_min,
         "runtime minutes"
     );
-    assert_close(got.dataset().rx_bytes, want.dataset().rx_bytes, "rx_bytes");
-    assert_close(got.dataset().tx_bytes, want.dataset().tx_bytes, "tx_bytes");
-    assert_close(
-        got.dataset().log_bytes,
-        want.dataset().log_bytes,
-        "log_bytes",
+    assert_eq!(
+        table1_bytes(got.dataset()),
+        table1_bytes(want.dataset()),
+        "Table 1 byte totals"
     );
+}
+
+/// The bits of a dataset's `[rx_bytes, tx_bytes, log_bytes]`.
+fn table1_bytes(ds: &Dataset) -> [u64; 3] {
+    [ds.rx_bytes, ds.tx_bytes, ds.log_bytes].map(f64::to_bits)
 }
 
 proptest! {
@@ -304,5 +313,8 @@ proptest! {
         prop_assert_eq!(&exported.audits, &want.audits);
         prop_assert_eq!(&exported.unique_cells, &want.unique_cells);
         prop_assert_eq!(&exported.runtime_min, &want.runtime_min);
+        prop_assert_eq!(exported.rx_bytes.to_bits(), want.rx_bytes.to_bits());
+        prop_assert_eq!(exported.tx_bytes.to_bits(), want.tx_bytes.to_bits());
+        prop_assert_eq!(exported.log_bytes.to_bits(), want.log_bytes.to_bits());
     }
 }

@@ -182,9 +182,9 @@ impl World {
     /// The consolidated dataset as the view holds it: runs, handovers,
     /// apps, audits and the Table 1 aggregates in canonical order, the
     /// sample tables (tput, rtt, coverage) in the order their shards
-    /// were ingested (plan order for a simulated or resumed world;
-    /// canonical for a [`World::from_dataset`] world). Read samples
-    /// through [`World::view`]; export with [`World::into_dataset`].
+    /// were ingested (journal frame order for a checkpointed or resumed
+    /// world; canonical for a [`World::from_dataset`] world). Read
+    /// samples through [`World::view`]; export with [`World::into_dataset`].
     pub fn dataset(&self) -> &Dataset {
         self.view.dataset()
     }

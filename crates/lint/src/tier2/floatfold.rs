@@ -5,8 +5,9 @@
 //! That is fatal in the analysis kernels and the campaign merge, where
 //! the reproducibility contract says byte-identical output at any thread
 //! count. This pass flags non-commutative `f64` reductions (`.sum()`,
-//! `.product()`, float-seeded `.fold(0.0, …)`) whose receiver chain is
-//! rooted in an *unordered* source:
+//! `.product()`, float-seeded `.fold(0.0, …)`, a `for` loop whose body
+//! has a `+=`, `-=` or `*=`) whose receiver chain or iterated expression
+//! is rooted in an *unordered* source:
 //!
 //! * a local bound to a `HashMap`/`HashSet` (iteration order is
 //!   arbitrary), or
@@ -21,14 +22,16 @@
 //! on the totally-ordered values these kernels feed them), as are
 //! integer reductions — integer `+` is associative, so an unordered
 //! *sum* of counts is still deterministic; only the float fold cares
-//! about order. Scope: files under `FLOAT_FOLD_PATHS` (the analysis
-//! kernels and the campaign orchestrator).
+//! about order; a loop accumulator is an integer when it is a local
+//! declared with an integer type or literal, and a float otherwise.
+//! Scope: files under `FLOAT_FOLD_PATHS` (the analysis kernels and the
+//! campaign orchestrator).
 
 use crate::config::{in_paths, FLOAT_FOLD_PATHS};
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 use crate::rules::finding;
-use crate::tier2::{locals_in, mentions_channel, mentions_hash, Tier2};
+use crate::tier2::{for_header, locals_in, mentions_channel, mentions_hash, Local, Tier2};
 
 /// Run the pass.
 pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
@@ -66,21 +69,31 @@ pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
             if mask[k] {
                 continue;
             }
-            let Some(method) = toks[k].ident() else {
+            let Some(word) = toks[k].ident() else {
                 continue;
             };
-            if !(k >= 1 && toks[k - 1].is_punct('.')) {
-                continue;
-            }
-            let is_float = match method {
-                "sum" | "product" => has_f64_turbofish(toks, k, hi),
-                "fold" => fold_is_float_accum(toks, k, hi),
-                _ => continue,
+            let (what, chain) = if word == "for" {
+                let Some((start, open, close)) = for_loop(toks, k, hi) else {
+                    continue;
+                };
+                let Some(target) = float_accumulator(toks, open + 1, close, &locals) else {
+                    continue;
+                };
+                let what = format!("`for` loop accumulating into `{target}`");
+                (what, chain_idents(toks, open, start))
+            } else {
+                let is_float = k >= 1
+                    && toks[k - 1].is_punct('.')
+                    && match word {
+                        "sum" | "product" => has_f64_turbofish(toks, k, hi),
+                        "fold" => fold_is_float_accum(toks, k, hi),
+                        _ => false,
+                    };
+                if !is_float {
+                    continue;
+                }
+                (format!("`.{word}`"), chain_idents(toks, k - 1, lo))
             };
-            if !is_float {
-                continue;
-            }
-            let chain = chain_idents(toks, k - 1, lo);
             let Some(&head) = chain.last() else {
                 continue;
             };
@@ -101,7 +114,7 @@ pub fn run(t2: &Tier2, out: &mut Vec<Finding>) {
                 &t2.lexed[def.file],
                 &toks[k],
                 format!(
-                    "`.{method}` reduces f64 values fed from `{}`, {why} — float addition is not associative, so the result depends on visit order; collect into an ordered container (or sort) before reducing",
+                    "{what} reduces f64 values fed from `{}`, {why} — float addition is not associative, so the result depends on visit order; collect into an ordered container (or sort) before reducing",
                     toks[src].text
                 ),
             ));
@@ -146,6 +159,51 @@ fn fold_is_float_accum(toks: &[Tok], k: usize, hi: usize) -> bool {
         }
     }
     true
+}
+
+/// `for PAT in EXPR { BODY }` with `for` at `k`: the start of EXPR and
+/// the indexes of BODY's braces.
+fn for_loop(toks: &[Tok], k: usize, hi: usize) -> Option<(usize, usize, usize)> {
+    let (in_at, open) = for_header(toks, k, hi)?;
+    let mut depth = 0i32;
+    let close = (open..hi).find(|&j| {
+        depth += i32::from(toks[j].is_punct('{')) - i32::from(toks[j].is_punct('}'));
+        depth == 0
+    })?;
+    Some((in_at + 1, open, close))
+}
+
+/// The first `target op= …` in `toks[lo..hi]` (`op` one of `+ - *`)
+/// whose target is not an integer local, as source text.
+fn float_accumulator(toks: &[Tok], lo: usize, hi: usize, locals: &[Local]) -> Option<String> {
+    (lo + 1..hi).find_map(|eq| {
+        let op = eq - 1;
+        if !(toks[eq].is_punct('=') && "+-*".chars().any(|c| toks[op].is_punct(c))) {
+            return None;
+        }
+        let start = (lo..op)
+            .rev()
+            .find(|&i| ['{', '}', ';'].iter().any(|&c| toks[i].is_punct(c)))
+            .map_or(lo, |i| i + 1);
+        let target = &toks[start..op];
+        let int = matches!(target, [t] if is_int_local(toks, locals, &t.text));
+        (!int).then(|| target.iter().map(|t| t.text.as_str()).collect())
+    })
+}
+
+/// Is `name` a local declared with an integer type or an integer literal
+/// (`0`, `1_000`, `0u64`; not `0.0`, `1e3` or `2f64`)?
+fn is_int_local(toks: &[Tok], locals: &[Local], name: &str) -> bool {
+    const INTS: [&str; 12] = [
+        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
+    ];
+    let int_type = |(a, b): (usize, usize)| toks[a..b].iter().any(|t| INTS.contains(&&*t.text));
+    let int_literal = |&(a, b): &(usize, usize)| {
+        b == a + 1 && toks[a].kind == TokKind::Num && !toks[a].text.contains(['.', 'e', 'E', 'f'])
+    };
+    locals.iter().any(|l| {
+        l.name == name && (l.ty.is_some_and(int_type) || l.rhs.first().is_some_and(int_literal))
+    })
 }
 
 /// Is the identifier at `k` called: `name(` or `name::<…>(`?

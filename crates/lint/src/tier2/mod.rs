@@ -206,45 +206,16 @@ pub(crate) fn locals_in(toks: &[Tok], lo: usize, hi: usize) -> Vec<Local> {
             }
             Some("for") => {
                 // `for PAT in EXPR {` — bind pattern idents to EXPR.
-                let mut names = Vec::new();
-                let mut j = k + 1;
-                while j < hi && toks[j].ident() != Some("in") {
-                    if let Some(id) = toks[j].ident() {
-                        if id != "mut" && id != "ref" {
-                            names.push(id.to_string());
-                        }
-                    }
-                    // A `for` with no `in` before the block is not a loop
-                    // (e.g. `impl Trait for T` never appears in bodies,
-                    // but stay bounded anyway).
-                    if toks[j].is_punct('{') || toks[j].is_punct(';') {
-                        names.clear();
-                        break;
-                    }
-                    j += 1;
-                }
-                if !names.is_empty() && j < hi {
-                    let expr_start = j + 1;
-                    let mut depth = 0i32;
-                    j += 1;
-                    while j < hi {
-                        let t = &toks[j];
-                        if t.is_punct('(') || t.is_punct('[') {
-                            depth += 1;
-                        } else if t.is_punct(')') || t.is_punct(']') {
-                            depth -= 1;
-                        } else if depth == 0 && t.is_punct('{') {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    if expr_start < j {
-                        for n in names {
-                            push(&mut out, &n, None, Some((expr_start, j)), true);
-                        }
+                let Some((in_at, open)) = for_header(toks, k, hi) else {
+                    k += 1;
+                    continue;
+                };
+                for t in &toks[k + 1..in_at] {
+                    if let Some(id) = t.ident().filter(|id| !matches!(*id, "mut" | "ref")) {
+                        push(&mut out, id, None, Some((in_at + 1, open)), true);
                     }
                 }
-                k = j.max(k + 1);
+                k = open;
             }
             Some(name)
                 if toks.get(k + 1).is_some_and(|t| t.is_punct('='))
@@ -279,6 +250,26 @@ pub(crate) fn locals_in(toks: &[Tok], lo: usize, hi: usize) -> Vec<Local> {
         }
     }
     out
+}
+
+/// `for PAT in EXPR {` with `for` at `k`: the indexes of `in` and of the
+/// `{` that opens the body. A `for` with no `in` before a block is not a
+/// loop (e.g. `impl Trait for T`).
+pub(crate) fn for_header(toks: &[Tok], k: usize, hi: usize) -> Option<(usize, usize)> {
+    let in_at = (k + 1..hi)
+        .take_while(|&j| !toks[j].is_punct('{') && !toks[j].is_punct(';'))
+        .find(|&j| toks[j].ident() == Some("in"))?;
+    let mut depth = 0i32;
+    let open = (in_at + 1..hi).find(|&j| {
+        let t = &toks[j];
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+        }
+        depth == 0 && t.is_punct('{')
+    })?;
+    (in_at + 1 < open).then_some((in_at, open))
 }
 
 /// The token ranges whose values a body can return: every

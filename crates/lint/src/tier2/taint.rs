@@ -17,8 +17,8 @@
 //!
 //! * Loop induction variables are *not* tainted by numeric bounds — a
 //!   worker count sizing `for _ in 0..threads` changes scheduling, not
-//!   merged values (the campaign engine's slots-in-plan-order merge is
-//!   exactly this pattern). `for` variables *are* tainted when the
+//!   merged values (the campaign engine's worker pool is exactly this
+//!   pattern). `for` variables *are* tainted when the
 //!   iterated expression is hash-container iteration, where the order
 //!   itself is the nondeterminism.
 //! * `eprintln!`/stderr is not a sink: progress logging may tell the

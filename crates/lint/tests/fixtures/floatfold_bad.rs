@@ -24,3 +24,17 @@ pub fn method_total(stats: &Stats) -> f64 {
 pub fn path_total(stats: &Stats) -> f64 {
     wheels_apps::gaming::bytes_by_frame(stats).values().sum::<f64>()
 }
+
+// A loop over a hash container returned by another crate's fn,
+// accumulating into a field.
+pub struct Runner {
+    ds: Dataset,
+}
+
+impl Runner {
+    pub fn gaming(&mut self, stats: &Stats) {
+        for b in bytes_by_second(&stats).values() {
+            self.ds.rx_bytes += b;
+        }
+    }
+}

@@ -18,3 +18,25 @@ pub fn count() -> usize {
     drop(tx);
     rx.iter().sum::<usize>()
 }
+
+// An integer counter over the loop a float accumulator may not use.
+pub fn seconds(stats: &Stats) -> u64 {
+    let mut n = 0;
+    for _ in bytes_by_second(&stats).values() {
+        n += 1;
+    }
+    n
+}
+
+// A `Vec`-rooted loop visits in index order.
+pub struct Runner {
+    rx_bytes: f64,
+}
+
+impl Runner {
+    pub fn add(&mut self, bytes: Vec<f64>) {
+        for b in &bytes {
+            self.rx_bytes += b;
+        }
+    }
+}

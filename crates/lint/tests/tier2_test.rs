@@ -115,27 +115,32 @@ fn persistence_ordering_silent_on_transitive_fsync() {
     assert_eq!(lint_all(vec![ok]), vec![]);
 }
 
-#[test]
-fn unordered_float_reduction_fires_with_positions() {
-    // The hash-returning callees live outside the dataset crates, so
-    // only the reductions that consume them are findings.
-    let apps = fixture(
+/// A `wheels-apps` file whose fns return hash containers. They live
+/// outside the dataset crates, so only the reductions that consume them
+/// are findings.
+fn gaming_fixture() -> SourceFile {
+    fixture(
         "gaming",
         "apps",
-        "use std::collections::HashMap;\npub struct Stats;\nimpl Stats {\n    pub fn bytes_by_frame(&self) -> HashMap<u32, f64> {\n        HashMap::new()\n    }\n}\npub fn bytes_by_frame(_: &Stats) -> HashMap<u32, f64> {\n    HashMap::new()\n}\n",
-    );
+        "use std::collections::HashMap;\npub struct Stats;\nimpl Stats {\n    pub fn bytes_by_frame(&self) -> HashMap<u32, f64> {\n        HashMap::new()\n    }\n}\npub fn bytes_by_frame(_: &Stats) -> HashMap<u32, f64> {\n    HashMap::new()\n}\npub fn bytes_by_second(_: &Stats) -> HashMap<u32, f64> {\n    HashMap::new()\n}\n",
+    )
+}
+
+#[test]
+fn unordered_float_reduction_fires_with_positions() {
     let bad = fixture(
         "analysis/floatfold_bad",
         "core",
         include_str!("fixtures/floatfold_bad.rs"),
     );
     assert_eq!(
-        lint_all(vec![apps, bad]),
+        lint_all(vec![gaming_fixture(), bad]),
         vec![
             ("unordered-float-reduction", 9, 15),
             ("unordered-float-reduction", 15, 15),
             ("unordered-float-reduction", 21, 37),
             ("unordered-float-reduction", 25, 57),
+            ("unordered-float-reduction", 36, 9),
         ]
     );
 }
@@ -147,7 +152,7 @@ fn unordered_float_reduction_silent_on_clean_counterpart() {
         "core",
         include_str!("fixtures/floatfold_ok.rs"),
     );
-    assert_eq!(lint_all(vec![ok]), vec![]);
+    assert_eq!(lint_all(vec![gaming_fixture(), ok]), vec![]);
 }
 
 #[test]

@@ -443,15 +443,9 @@ impl ServerHandle {
     }
 
     /// True once the server is stopping (signal, `shutdown` command,
-    /// fatal ingest error, or [`ServerHandle::request_stop`]).
+    /// fatal ingest error, or [`ServerHandle::shutdown`]).
     pub fn is_stopping(&self) -> bool {
         self.shared.stopping()
-    }
-
-    /// Ask the server to stop without blocking. Starts the drain
-    /// window; [`ServerHandle::shutdown`] enforces its deadline.
-    pub fn request_stop(&self) {
-        self.shared.begin_stop();
     }
 
     /// Stop (if not already stopping), drain for at most

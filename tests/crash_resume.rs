@@ -10,10 +10,15 @@
 
 use std::path::{Path, PathBuf};
 
+use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::{Campaign, CampaignConfig};
-use wheels_core::checkpoint::{frame_ends, CheckpointError, JOURNAL_FILE};
+use wheels_core::checkpoint::{frame_ends, CheckpointError, Journal, JOURNAL_FILE};
 use wheels_core::disrupt::FaultConfig;
-use wheels_core::records::Dataset;
+use wheels_core::records::{Dataset, ShardRecords};
+use wheels_experiments::world::{Scale, World};
+use wheels_ran::operator::Operator;
+use wheels_serve::protocol::Request;
+use wheels_serve::query;
 
 /// A tiny campaign with a real shard plan: 3 cycles split one per shard
 /// across 3 operators = 9 shard frames behind the header.
@@ -144,12 +149,9 @@ fn torn_header_is_refused_and_fresh_checkpoint_recovers() {
 
 #[test]
 fn view_from_journal_replays_to_identical_dataset() {
-    use wheels_core::analysis::view::DatasetView;
-
-    // A single-threaded checkpoint run appends frames in plan order, so
-    // replaying the journal through the incremental `ingest_shard`
-    // pipeline must reproduce the campaign bytes exactly (f64 byte
-    // totals accumulate in the same order).
+    // Replaying the journal through the incremental `ingest_shard`
+    // pipeline must reproduce the campaign bytes exactly, f64 byte
+    // totals included.
     let campaign = Campaign::standard(42);
     let c = cfg(FaultConfig::default(), Some(1));
     let baseline = json(&campaign.run(&c));
@@ -221,4 +223,93 @@ fn mismatched_fingerprints_are_refused_with_diagnostics() {
         .unwrap()
         .into_dataset();
     assert_eq!(json(&ds), baseline);
+}
+
+/// Every fold of one journal holds the same raw dataset, sample-table
+/// order and Table 1 byte totals included: the 4-thread run that wrote
+/// it, a 1-thread resume of the complete journal and an offline replay.
+/// Each exports the 1-thread run's bytes, and a replay of a 2-thread
+/// journal answers `table1` exactly like a replay of a 1-thread one.
+#[test]
+fn every_fold_of_a_journal_holds_the_writers_dataset() {
+    let campaign = Campaign::standard(42);
+    let faults = FaultConfig::demo();
+    let baseline = json(&campaign.run(&cfg(faults, Some(1))));
+    let fp = campaign.fingerprint(&cfg(faults, None));
+    let table1 = |dir: &Path| {
+        let (view, _) = DatasetView::from_journal(dir, &fp).unwrap();
+        query::respond(&World::from_view(Scale::Quick, 42, view), &Request::Table1)
+    };
+    let one_thread = tmpdir("folds_t1");
+    campaign
+        .run_checkpointed(&cfg(faults, Some(1)), &one_thread, false)
+        .unwrap();
+    let want_table1 = table1(&one_thread);
+    for rep in 0..3 {
+        let dir = tmpdir(&format!("folds_{rep}"));
+        let written = campaign
+            .run_checkpointed(&cfg(faults, Some(4)), &dir, false)
+            .unwrap();
+        let resumed = campaign
+            .run_checkpointed(&cfg(faults, Some(1)), &dir, true)
+            .unwrap();
+        let (replayed, st) = DatasetView::from_journal(&dir, &fp).unwrap();
+        assert_eq!(st.delivered, 9, "rep {rep}: frames replayed");
+        let raw = json(written.dataset());
+        assert_eq!(
+            json(resumed.dataset()),
+            raw,
+            "rep {rep}: resumed raw dataset"
+        );
+        assert_eq!(
+            json(replayed.dataset()),
+            raw,
+            "rep {rep}: replayed raw dataset"
+        );
+        for (what, view) in [
+            ("write", written),
+            ("resume", resumed),
+            ("replay", replayed),
+        ] {
+            assert_eq!(
+                json(&view.into_dataset()),
+                baseline,
+                "rep {rep}: {what} export"
+            );
+        }
+        let two_threads = tmpdir(&format!("folds_t2_{rep}"));
+        campaign
+            .run_checkpointed(&cfg(faults, Some(2)), &two_threads, false)
+            .unwrap();
+        assert_eq!(table1(&two_threads), want_table1, "rep {rep}: table1");
+    }
+}
+
+/// A checksummed frame that does not match the plan (a job past its
+/// end, or another operator's shard) is refused on resume by name.
+#[test]
+fn frames_that_do_not_match_the_plan_are_refused() {
+    let campaign = Campaign::standard(42);
+    let c = cfg(FaultConfig::default(), Some(2));
+    let [first, second, ..] = Operator::ALL;
+    for (job, operator, want) in [(99, first, "no shard"), (0, second, first.label())] {
+        let dir = tmpdir(&format!("off_plan_{job}"));
+        let mut journal = Journal::create(&dir, &campaign.fingerprint(&c)).unwrap();
+        let rec = ShardRecords {
+            job,
+            operator,
+            dataset: Dataset::default(),
+            cells: Vec::new(),
+        };
+        journal.append(job, &rec).unwrap();
+        match campaign.run_checkpointed(&c, &dir, true) {
+            Err(CheckpointError::Invalid(d)) => {
+                assert!(
+                    d.contains(&format!("shard {job}")) && d.contains(want),
+                    "{d}"
+                )
+            }
+            other => panic!("job {job}: expected Invalid, got {other:?}"),
+        }
+    }
 }

@@ -29,8 +29,8 @@ fn same_seed_identical_dataset() {
     let c = Campaign::standard(42);
     let a = c.run(&cfg(42));
     let b = c.run(&cfg(42));
-    // Shards merge in plan order and the dataset is normalized, so the
-    // whole serialized dataset must match — not just per-operator slices.
+    // Shards merge in any order into a normalized dataset, so the whole
+    // serialized dataset must match — not just per-operator slices.
     assert_datasets_identical(&a, &b, "same seed, same thread count");
 }
 
