@@ -570,9 +570,10 @@ impl DatasetView {
     /// consumers need them so), and Table 1 is recomputed over every
     /// shard so far, byte totals in job order.
     ///
-    /// Preconditions (both guaranteed by the simulator): each shard is
-    /// ingested at most once, and canonical keys never collide across
-    /// shards, so the result is independent of arrival order. A view
+    /// Preconditions (both guaranteed by the simulator, the first also
+    /// by every journal replay, which refuses a repeated shard): each
+    /// shard is ingested at most once, and canonical keys never collide
+    /// across shards, so the result is independent of arrival order. A view
     /// seeded from a finalized dataset keeps exact runtimes but its
     /// unique-cell counts cover only ingested shards (finalized
     /// datasets store counts, not the sets).
@@ -641,11 +642,13 @@ impl DatasetView {
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame
     /// through [`DatasetView::ingest_shard`], the fold the campaign
-    /// engine and `wheels-serve` use too. Strictly read-only
-    /// (`checkpoint::tail` stops at a torn tail without truncating it);
-    /// returns the view and the [`TailState`] resume cursor, so a live
-    /// follower can keep polling from `TailState::next_offset` via
-    /// `checkpoint::tail_from` without re-reading the replayed prefix.
+    /// engine and `wheels-serve` use too. `checkpoint::tail` decodes on
+    /// one worker per core and ingests here in file order; it is
+    /// strictly read-only (it stops at a torn tail without truncating
+    /// it) and refuses a repeated or off-plan shard. Returns the view
+    /// and the [`TailState`] cursor, so a live follower can keep polling
+    /// with `checkpoint::tail_from` without re-reading the replayed
+    /// prefix.
     pub fn from_journal(
         dir: &Path,
         fp: &Fingerprint,

@@ -34,7 +34,7 @@
 //! the segment boundary matches a session that had been driving all along;
 //! warm-up KPIs and handovers are discarded.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -55,7 +55,7 @@ use wheels_sim_core::time::{SimDuration, SimTime};
 use wheels_transport::servers::ServerFleet;
 
 use crate::analysis::view::DatasetView;
-use crate::checkpoint::{encode_shard_frame, CheckpointError, Fingerprint, FrameSpan, Journal};
+use crate::checkpoint::{encode_shard_frame, CheckpointError, Fingerprint, Journal};
 use crate::disrupt::{FaultConfig, FaultKind, FaultSchedule, RetryPolicy};
 use crate::measure::{self, VehicleCtx};
 use crate::records::{
@@ -249,6 +249,118 @@ struct ShardJob {
     segment: Option<Segment>,
 }
 
+/// The drive trace of the standard campaign for `seed`: the one place
+/// its stream is drawn, shared by [`Campaign::standard`] and by callers
+/// that need only the shard plan ([`plan_fingerprint`]).
+pub fn drive_trace(route: &Route, seed: u64) -> DriveTrace {
+    DrivePlan::default().generate(route, &mut SimRng::seed(seed).split("campaign/drive-plan"))
+}
+
+/// [`Campaign::fingerprint`] from the trace alone: the shard plan reads
+/// nothing else, so a caller that only verifies a journal's identity
+/// need not build the deployments.
+pub fn plan_fingerprint(trace: &DriveTrace, cfg: &CampaignConfig) -> Fingerprint {
+    Fingerprint {
+        seed: cfg.seed,
+        max_cycles: cfg.max_cycles,
+        include_apps: cfg.include_apps,
+        include_static: cfg.include_static,
+        cycle_stride_s: cfg.cycle_stride_s,
+        shard_cycles: cfg.shard_cycles,
+        faults: cfg.faults,
+        segments: segments(trace, cfg).len(),
+        jobs: plan(trace, cfg).len(),
+    }
+}
+
+/// Precompute every cycle start time — the same walk the runner used
+/// to take, minus the simulation: skip overnight gaps and static
+/// stops, advance by the (constant) cycle duration plus the stride.
+fn cycle_starts(trace: &DriveTrace, cfg: &CampaignConfig) -> Vec<SimTime> {
+    let samples = trace.samples();
+    let mut starts = Vec::new();
+    if samples.is_empty() {
+        return starts;
+    }
+    let step = cycle_duration(cfg.include_apps) + SimDuration::from_secs(cfg.cycle_stride_s);
+    let mut t = samples[0].t;
+    let trace_end = samples.last().expect("checked non-empty above").t;
+    while t < trace_end {
+        if let Some(max) = cfg.max_cycles {
+            if starts.len() >= max {
+                break;
+            }
+        }
+        match trace.sample_at(t) {
+            None => {
+                // Overnight gap: jump to the next active sample.
+                let idx = samples.partition_point(|s| s.t <= t);
+                if idx >= samples.len() {
+                    break;
+                }
+                t = samples[idx].t;
+                continue;
+            }
+            Some(s) if s.static_stop => {
+                t += SimDuration::from_secs(30);
+                continue;
+            }
+            Some(_) => {}
+        }
+        starts.push(t);
+        t += step;
+    }
+    starts
+}
+
+/// Partition the cycle schedule into shard segments: one per drive
+/// day (the overnight gaps are natural cut points — no session state
+/// survives them), sub-split to at most `shard_cycles` cycles each.
+/// The plan depends only on (trace, config), never on thread count.
+fn segments(trace: &DriveTrace, cfg: &CampaignConfig) -> Vec<Segment> {
+    let cap = cfg.shard_cycles.unwrap_or(usize::MAX).max(1);
+    let mut segs: Vec<Segment> = Vec::new();
+    let mut cur_day: Option<u8> = None;
+    for t in cycle_starts(trace, cfg) {
+        let day = match trace.sample_at(t) {
+            Some(s) => s.day,
+            None => continue,
+        };
+        let split =
+            cur_day != Some(day) || segs.last().map(|s| s.starts.len() >= cap).unwrap_or(true);
+        if split {
+            segs.push(Segment {
+                index: segs.len(),
+                starts: Vec::new(),
+            });
+            cur_day = Some(day);
+        }
+        segs.last_mut()
+            .expect("split pushed a segment on the first iteration")
+            .starts
+            .push(t);
+    }
+    segs
+}
+
+/// The full shard plan, in job order.
+fn plan(trace: &DriveTrace, cfg: &CampaignConfig) -> Vec<ShardJob> {
+    let segments = segments(trace, cfg);
+    let mut jobs = Vec::new();
+    for op in Operator::ALL {
+        if cfg.include_static {
+            jobs.push(ShardJob { op, segment: None });
+        }
+        for seg in &segments {
+            jobs.push(ShardJob {
+                op,
+                segment: Some(seg.clone()),
+            });
+        }
+    }
+    jobs
+}
+
 /// Table 1 accounting over an assembled dataset: per-operator
 /// unique-cell counts, runtimes, and the runtime-derived XCAL log
 /// volume accumulated in `ops` order on top of `log_base` (the summed
@@ -306,8 +418,7 @@ impl Campaign {
                     .map(|op| Deployment::generate(&route, op, &mut rng.split(op.label())))
                     .collect()
             });
-            let trace =
-                DrivePlan::default().generate(&route, &mut rng.split("campaign/drive-plan"));
+            let trace = drive_trace(&route, seed);
             let deployments = deployments
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
@@ -337,94 +448,6 @@ impl Campaign {
         }
     }
 
-    /// Precompute every cycle start time — the same walk the runner used
-    /// to take, minus the simulation: skip overnight gaps and static
-    /// stops, advance by the (constant) cycle duration plus the stride.
-    fn cycle_starts(&self, cfg: &CampaignConfig) -> Vec<SimTime> {
-        let samples = self.trace.samples();
-        let mut starts = Vec::new();
-        if samples.is_empty() {
-            return starts;
-        }
-        let step = cycle_duration(cfg.include_apps) + SimDuration::from_secs(cfg.cycle_stride_s);
-        let mut t = samples[0].t;
-        let trace_end = samples.last().expect("checked non-empty above").t;
-        while t < trace_end {
-            if let Some(max) = cfg.max_cycles {
-                if starts.len() >= max {
-                    break;
-                }
-            }
-            match self.trace.sample_at(t) {
-                None => {
-                    // Overnight gap: jump to the next active sample.
-                    let idx = samples.partition_point(|s| s.t <= t);
-                    if idx >= samples.len() {
-                        break;
-                    }
-                    t = samples[idx].t;
-                    continue;
-                }
-                Some(s) if s.static_stop => {
-                    t += SimDuration::from_secs(30);
-                    continue;
-                }
-                Some(_) => {}
-            }
-            starts.push(t);
-            t += step;
-        }
-        starts
-    }
-
-    /// Partition the cycle schedule into shard segments: one per drive
-    /// day (the overnight gaps are natural cut points — no session state
-    /// survives them), sub-split to at most `shard_cycles` cycles each.
-    /// The plan depends only on (trace, config), never on thread count.
-    fn segments(&self, cfg: &CampaignConfig) -> Vec<Segment> {
-        let cap = cfg.shard_cycles.unwrap_or(usize::MAX).max(1);
-        let mut segs: Vec<Segment> = Vec::new();
-        let mut cur_day: Option<u8> = None;
-        for t in self.cycle_starts(cfg) {
-            let day = match self.trace.sample_at(t) {
-                Some(s) => s.day,
-                None => continue,
-            };
-            let split =
-                cur_day != Some(day) || segs.last().map(|s| s.starts.len() >= cap).unwrap_or(true);
-            if split {
-                segs.push(Segment {
-                    index: segs.len(),
-                    starts: Vec::new(),
-                });
-                cur_day = Some(day);
-            }
-            segs.last_mut()
-                .expect("split pushed a segment on the first iteration")
-                .starts
-                .push(t);
-        }
-        segs
-    }
-
-    /// The full shard plan, in job order.
-    fn plan(&self, cfg: &CampaignConfig) -> Vec<ShardJob> {
-        let segments = self.segments(cfg);
-        let mut jobs = Vec::new();
-        for op in Operator::ALL {
-            if cfg.include_static {
-                jobs.push(ShardJob { op, segment: None });
-            }
-            for seg in &segments {
-                jobs.push(ShardJob {
-                    op,
-                    segment: Some(seg.clone()),
-                });
-            }
-        }
-        jobs
-    }
-
     /// Run the full campaign and export the consolidated dataset in
     /// canonical order: [`Campaign::run_view`], then
     /// [`DatasetView::into_dataset`]. Bit-identical at any thread count.
@@ -436,8 +459,9 @@ impl Campaign {
     /// ingest each result into one view as it completes. Bit-identical at
     /// any thread count, but for the raw sample-table order.
     pub fn run_view(&self, cfg: &CampaignConfig) -> DatasetView {
-        let jobs = self.plan(cfg);
-        self.run_jobs(&jobs, cfg, None, BTreeMap::new())
+        let jobs = plan(&self.trace, cfg);
+        let view = DatasetView::new(Dataset::default());
+        self.run_jobs(&jobs, cfg, None, view, &BTreeSet::new())
             .expect("a run without a journal has no journal to fail")
     }
 
@@ -447,29 +471,21 @@ impl Campaign {
     /// no effect on output. A journal may only be resumed by a run with
     /// an equal fingerprint.
     pub fn fingerprint(&self, cfg: &CampaignConfig) -> Fingerprint {
-        Fingerprint {
-            seed: cfg.seed,
-            max_cycles: cfg.max_cycles,
-            include_apps: cfg.include_apps,
-            include_static: cfg.include_static,
-            cycle_stride_s: cfg.cycle_stride_s,
-            shard_cycles: cfg.shard_cycles,
-            faults: cfg.faults,
-            segments: self.segments(cfg).len(),
-            jobs: self.plan(cfg).len(),
-        }
+        plan_fingerprint(&self.trace, cfg)
     }
 
     /// Run the campaign with crash-safe checkpointing: each completed
     /// shard is journalled to `dir` before it is ingested. With
-    /// `resume = false` a fresh journal replaces whatever was in `dir`;
-    /// with `resume = true` the existing journal is verified against this
-    /// run's [`Fingerprint`], its intact frames replay as already-done
-    /// shards (any torn tail from a crash is truncated away), and only
-    /// the missing shards are re-simulated. Either way every query and
-    /// the export are bit-identical to [`Campaign::run_view`] with the
-    /// same config, at any thread count, and the view ingests in the
-    /// journal's frame order.
+    /// `resume = false` a fresh journal replaces whatever was in `dir`.
+    /// With `resume = true` the existing journal is verified against
+    /// this run's [`Fingerprint`] and its intact frames replay into the
+    /// view through [`Journal::resume`], on `cfg.threads` workers, each
+    /// held to the plan's operator for its shard; any torn tail from a
+    /// crash is truncated away, and only the missing shards are
+    /// re-simulated. Either way every query and the export are
+    /// bit-identical to [`Campaign::run_view`] with the same config, at
+    /// any thread count, and the view ingests in the journal's frame
+    /// order.
     pub fn run_checkpointed(
         &self,
         cfg: &CampaignConfig,
@@ -477,13 +493,29 @@ impl Campaign {
         resume: bool,
     ) -> Result<DatasetView, CheckpointError> {
         let fp = self.fingerprint(cfg);
-        let jobs = self.plan(cfg);
-        let (journal, completed) = if resume {
-            Journal::resume_indexed(dir, &fp)?
+        let jobs = plan(&self.trace, cfg);
+        let mut view = DatasetView::new(Dataset::default());
+        let (journal, done) = if resume {
+            let (journal, cursor) = Journal::resume(dir, &fp, cfg.threads, |rec| {
+                // Each frame asserts its shard; hold it to the plan.
+                let want = jobs.get(rec.job).map(|job| job.op);
+                if want != Some(rec.operator) {
+                    return Err(CheckpointError::Invalid(format!(
+                        "journal frame for shard {} records {}, the {}-job plan expects {}",
+                        rec.job,
+                        rec.operator.label(),
+                        jobs.len(),
+                        want.map_or("no shard", Operator::label)
+                    )));
+                }
+                view.ingest_shard(rec);
+                Ok(())
+            })?;
+            (journal, cursor.jobs)
         } else {
-            (Journal::create(dir, &fp)?, BTreeMap::new())
+            (Journal::create(dir, &fp)?, BTreeSet::new())
         };
-        self.run_jobs(&jobs, cfg, Some(journal), completed)
+        self.run_jobs(&jobs, cfg, Some(journal), view, &done)
     }
 
     /// Run the campaign for one operator (sequentially, same shard plan —
@@ -492,7 +524,7 @@ impl Campaign {
     pub fn run_operator(&self, op: Operator, cfg: &CampaignConfig) -> Dataset {
         let mut out = Dataset::default();
         let mut cells = BTreeSet::new();
-        for (i, job) in self.plan(cfg).iter().enumerate() {
+        for (i, job) in plan(&self.trace, cfg).iter().enumerate() {
             if job.op != op {
                 continue;
             }
@@ -517,85 +549,56 @@ impl Campaign {
             .clamp(1, jobs.max(1))
     }
 
-    /// Execute jobs on a pool of `cfg.threads` workers (default: one per
-    /// core) pulling from a shared counter, each ingesting its shards into
-    /// one [`DatasetView`] as they complete.
+    /// Execute the jobs not `done` on a pool of `cfg.threads` workers
+    /// (default: one per core) pulling from a shared counter, each
+    /// ingesting its shards into `view` as they complete.
     ///
-    /// With a `journal`, a worker encodes its shard outside any lock, then
-    /// appends, syncs *and* ingests it under the one state lock, so the
-    /// view ingests in frame order and a kill loses at most the shards in
-    /// flight. The `replayed` frames (indexed by `--resume`) are decoded
-    /// and ingested one at a time, in file order, under that lock before
-    /// any fresh shard, while the workers simulate. The first journal
-    /// error stops each worker at its next ingest and is returned.
+    /// With a `journal`, a worker encodes its shard outside any lock,
+    /// then appends, syncs *and* ingests it under the one state lock, so
+    /// the view ingests in frame order and a kill loses at most the
+    /// shards in flight. The first journal error stops each worker at
+    /// its next ingest and is returned.
     fn run_jobs(
         &self,
         jobs: &[ShardJob],
         cfg: &CampaignConfig,
         journal: Option<Journal>,
-        replayed: BTreeMap<usize, FrameSpan>,
+        view: DatasetView,
+        done: &BTreeSet<usize>,
     ) -> Result<DatasetView, CheckpointError> {
         struct State {
             journal: Option<Journal>,
             view: DatasetView,
             failed: Option<CheckpointError>,
         }
-        let reader = journal.as_ref().map(Journal::reader);
+        let todo: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains(i)).collect();
+        let journaled = journal.is_some();
         let state = Mutex::new(State {
             journal,
-            view: DatasetView::new(Dataset::default()),
+            view,
             failed: None,
         });
-        let mut in_file_order: Vec<_> = replayed.iter().collect();
-        in_file_order.sort_by_key(|(_, span)| span.start);
-        let threads = Self::worker_threads(cfg, jobs.len());
-        let next_job = AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
+        let threads = Self::worker_threads(cfg, todo.len()).min(todo.len());
         std::thread::scope(|s| {
-            // Replayed frames go first: the workers block at their first
-            // ingest until this guard drops.
-            let mut st = state.lock().expect("campaign state mutex poisoned");
             for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next_job.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    if replayed.contains_key(&i) {
-                        continue;
-                    }
-                    let shard = self.run_shard(&jobs[i], i, cfg);
-                    let frame = reader.is_some().then(|| encode_shard_frame(&shard));
-                    let mut st = state.lock().expect("campaign state mutex poisoned");
-                    if st.failed.is_some() {
-                        break; // the journal is broken; stop burning work
-                    }
-                    if let (Some(frame), Some(j)) = (frame, st.journal.as_mut()) {
-                        if let Err(e) = frame.and_then(|f| j.write_frame(&f)) {
-                            st.failed = Some(e);
-                            break;
+                s.spawn(|| {
+                    while let Some(&i) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let shard = self.run_shard(&jobs[i], i, cfg);
+                        let frame = journaled.then(|| encode_shard_frame(&shard));
+                        let mut st = state.lock().expect("campaign state mutex poisoned");
+                        if st.failed.is_some() {
+                            break; // the journal is broken; stop burning work
                         }
+                        if let (Some(frame), Some(j)) = (frame, st.journal.as_mut()) {
+                            if let Err(e) = frame.and_then(|f| j.write_frame(&f)) {
+                                st.failed = Some(e);
+                                break;
+                            }
+                        }
+                        st.view.ingest_shard(shard);
                     }
-                    st.view.ingest_shard(shard);
                 });
-            }
-            let Some(reader) = &reader else { return };
-            let replay = in_file_order.into_iter().try_for_each(|(&i, &span)| {
-                // Each frame asserts its shard; hold it to the plan.
-                let rec = reader.read_frame(span)?;
-                let want = jobs.get(i).map(|job| job.op);
-                if want != Some(rec.operator) {
-                    return Err(CheckpointError::Invalid(format!(
-                        "journal frame for shard {i} records {}, the {}-job plan expects {}",
-                        rec.operator.label(),
-                        jobs.len(),
-                        want.map_or("no shard", Operator::label)
-                    )));
-                }
-                st.view.ingest_shard(rec);
-                Ok(())
-            });
-            if let Err(e) = replay {
-                st.failed = Some(e);
             }
         });
         let st = state.into_inner().expect("campaign state mutex poisoned");

@@ -44,6 +44,22 @@
 //! checksum can only vouch for bytes that were fully written, so
 //! anything beyond the first bad frame is unreliable by construction.
 //!
+//! # Replay
+//!
+//! Every fold of a journal — a resumed campaign ([`Journal::resume`]),
+//! [`tail`]/[`tail_from`] and through them `DatasetView::from_journal`
+//! and the `wheels-serve` follower — replays through one ordered walk.
+//! It reads each frame once, on the calling thread; workers check the
+//! frame checksum (once) and decode the payload, whose WCD1 sections
+//! carry their own checksums; the sink runs on the calling thread, in
+//! file order, with at most workers + 1 frames in flight. So a replay
+//! hashes each byte twice, not three times, and on every core. The walk
+//! delivers nothing from the first torn frame on, even when later frames
+//! verify, returns the first decode error in file order, and stops at
+//! the first sink error. It also refuses a frame for a shard the plan
+//! lacks (`job >= Fingerprint::jobs`) or one it already delivered, so
+//! no fold counts a shard twice.
+//!
 //! # Fingerprint rule
 //!
 //! Frames are only as trustworthy as the run that wrote them. The header
@@ -56,11 +72,12 @@
 //! is refused with a field-by-field diagnostic — a journal is never
 //! silently merged into a run it does not belong to.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Mutex};
 
 use serde::{Deserialize, Serialize, Value};
 use wheels_ran::cells::CellId;
@@ -229,11 +246,10 @@ pub fn encode_shard_frame(records: &ShardRecords) -> Result<Vec<u8>, CheckpointE
 
 /// Decode one shard-frame payload (the bytes inside the envelope, as
 /// written by [`encode_shard_frame`]) into its records. `pos` is the
-/// frame's journal offset, for the diagnostic only. Every replay path —
-/// [`tail_from`] and [`JournalReader::read_frame`] — decodes through
-/// here. Strict like WCD1 itself: the payload is checked section by
-/// section and must be consumed exactly, so a frame either decodes
-/// whole or is an error.
+/// frame's journal offset, for the diagnostic only. The replay walk
+/// and [`JournalReader::read_frame`] decode through here. Strict like
+/// WCD1 itself: the payload is checked section by section and must be
+/// consumed exactly, so a frame either decodes whole or is an error.
 pub fn decode_shard_frame(payload: &[u8], pos: usize) -> Result<ShardRecords, CheckpointError> {
     let bad = |what: String| {
         CheckpointError::Invalid(format!(
@@ -272,14 +288,42 @@ pub fn decode_shard_frame(payload: &[u8], pos: usize) -> Result<ShardRecords, Ch
 }
 
 /// A journal file read front to back, one frame at a time: the frame
-/// scan every reader shares. It holds one frame's payload and reads no
-/// further than the frame it is on.
+/// scan every reader shares. It reads no further than the frame it is
+/// on.
 struct Frames {
     file: File,
     /// File offset of the next unread frame.
     pos: usize,
-    /// Payload of the frame [`Frames::next`] last returned.
+}
+
+/// One frame as read from the journal, its checksum not yet checked.
+struct RawFrame {
+    /// Offset of the frame's length prefix.
+    start: usize,
+    /// The checksum its envelope claims.
+    sum: u64,
     payload: Vec<u8>,
+}
+
+/// What the walk makes of one shard frame: `None` if it fails its
+/// checksum (torn), else its decoded records or the decode error.
+type Opened = Option<Result<ShardRecords, CheckpointError>>;
+
+impl RawFrame {
+    /// Offset just past the payload.
+    fn end(&self) -> usize {
+        self.start + FRAME_HEADER + self.payload.len()
+    }
+
+    fn intact(&self) -> bool {
+        fnv1a64(&self.payload) == self.sum
+    }
+
+    /// Check the checksum, then decode the shard payload.
+    fn open(self) -> Opened {
+        self.intact()
+            .then(|| decode_shard_frame(&self.payload, self.start))
+    }
 }
 
 impl Frames {
@@ -295,7 +339,6 @@ impl Frames {
         Ok(Frames {
             file,
             pos: MAGIC.len(),
-            payload: Vec::new(),
         })
     }
 
@@ -308,14 +351,13 @@ impl Frames {
         Ok(Frames {
             file,
             pos: usize::try_from(pos).map_err(|_| too_long())?,
-            payload: Vec::new(),
         })
     }
 
-    /// Read the next frame into `payload` and return its start offset.
-    /// `None` at the end of the file and at a torn frame (cut short, or
-    /// failing its checksum); `pos` then stays at that frame's start.
-    fn next(&mut self) -> Result<Option<usize>, CheckpointError> {
+    /// Read the next frame whole, without checking its checksum. `None`
+    /// at the end of the file and at a frame cut short; a scan reads no
+    /// further after a `None`.
+    fn read(&mut self) -> Result<Option<RawFrame>, CheckpointError> {
         let mut head = [0u8; FRAME_HEADER];
         match self.file.read_exact(&mut head) {
             Ok(()) => {}
@@ -324,21 +366,31 @@ impl Frames {
         }
         let (len4, sum8) = head.split_at(4);
         let len = u64::from(u32::from_le_bytes(len4.try_into().expect("4-byte length")));
-        let stored = u64::from_le_bytes(sum8.try_into().expect("8-byte checksum"));
-        // Room for the claimed payload, capped by what the file still
-        // holds: one read fills it, and a corrupt length costs nothing.
+        let sum = u64::from_le_bytes(sum8.try_into().expect("8-byte checksum"));
+        // A frame longer than what the file still holds is cut short:
+        // stop before reading it, so a corrupt length costs nothing.
         let body = file_offset(self.pos + FRAME_HEADER)?;
-        let left = self.file.metadata()?.len().saturating_sub(body);
-        self.payload.clear();
-        self.payload
-            .reserve(usize::try_from(len.min(left)).map_err(|_| too_long())?);
-        (&mut self.file).take(len).read_to_end(&mut self.payload)?;
-        if file_offset(self.payload.len())? != len || fnv1a64(&self.payload) != stored {
+        if len > self.file.metadata()?.len().saturating_sub(body) {
+            return Ok(None);
+        }
+        let mut payload = Vec::with_capacity(usize::try_from(len).map_err(|_| too_long())?);
+        (&mut self.file).take(len).read_to_end(&mut payload)?;
+        if file_offset(payload.len())? != len {
             return Ok(None);
         }
         let start = self.pos;
-        self.pos += FRAME_HEADER + self.payload.len();
-        Ok(Some(start))
+        self.pos += FRAME_HEADER + payload.len();
+        Ok(Some(RawFrame {
+            start,
+            sum,
+            payload,
+        }))
+    }
+
+    /// The next frame, if it is intact: `None` at the end of the file
+    /// and at a torn frame (cut short, or failing its checksum).
+    fn next(&mut self) -> Result<Option<RawFrame>, CheckpointError> {
+        Ok(self.read()?.filter(RawFrame::intact))
     }
 }
 
@@ -353,8 +405,9 @@ fn file_offset(pos: usize) -> Result<u64, CheckpointError> {
 }
 
 /// Split the job index off a shard-frame payload's fixed prefix (its
-/// first 8 bytes) without decoding the records. This is what lets a
-/// resume build its frame index without materializing a single shard.
+/// first 8 bytes) without decoding the records. This is what lets
+/// [`Journal::resume_indexed`] index frames without materializing a
+/// single shard.
 fn frame_job(payload: &[u8], pos: usize) -> Result<(usize, &[u8]), CheckpointError> {
     payload
         .split_first_chunk::<8>()
@@ -386,7 +439,7 @@ fn check_magic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
 }
 
 /// Open `dir`'s journal, check its magic and verify its identity
-/// header against `fp`. Returns the journal path and the walk, left at
+/// header against `fp`. Returns the journal path and the scan, left at
 /// the first shard frame. Shared by the resume paths and the read-only
 /// [`tail`] replay.
 fn open_verified(dir: &Path, fp: &Fingerprint) -> Result<(PathBuf, Frames), CheckpointError> {
@@ -404,13 +457,13 @@ fn open_verified(dir: &Path, fp: &Fingerprint) -> Result<(PathBuf, Frames), Chec
     let mut frames = Frames::start(&path, file)?;
     // The header must be intact: a journal whose identity cannot be
     // verified cannot be trusted at all.
-    if frames.next()?.is_none() {
+    let Some(header) = frames.next()? else {
         return Err(CheckpointError::Invalid(format!(
             "{}: identity header is torn or missing — the journal cannot be verified",
             path.display()
         )));
-    }
-    let header_str = std::str::from_utf8(&frames.payload)
+    };
+    let header_str = std::str::from_utf8(&header.payload)
         .map_err(|_| CheckpointError::Invalid("identity header is not valid UTF-8".to_string()))?;
     let recorded: Fingerprint = serde_json::from_str(header_str)
         .map_err(|e| CheckpointError::Invalid(format!("unreadable identity header: {e}")))?;
@@ -420,73 +473,229 @@ fn open_verified(dir: &Path, fp: &Fingerprint) -> Result<(PathBuf, Frames), Chec
     Ok((path, frames))
 }
 
-/// Where a journal tail stopped: the resume cursor a live follower
-/// feeds back into [`tail_from`] on its next poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a journal replay stands: the cursor a live follower feeds
+/// back into [`tail_from`] on each poll. [`TailState::default`] has not
+/// attached yet: the next walk reads and verifies the identity header.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TailState {
     /// Byte offset of the first unconsumed frame — the end of the last
     /// intact frame delivered (or, equivalently, the start of the torn
-    /// tail if the walk stopped at one). Resuming here makes polling
-    /// incremental: nothing before this offset is ever re-read, and a
-    /// frame that was torn on one poll and completed by the writer
-    /// before the next is delivered exactly once.
+    /// tail if the walk stopped at one); 0 before the header is read.
+    /// Resuming here makes polling incremental: nothing before this
+    /// offset is ever re-read, and a frame that was torn on one poll
+    /// and completed by the writer before the next is delivered exactly
+    /// once.
     pub next_offset: u64,
-    /// Frames delivered to the sink by this walk.
-    pub delivered: usize,
+    /// The shards delivered so far, by job, over every walk from this
+    /// cursor: a later frame for one of them is refused.
+    pub jobs: BTreeSet<usize>,
 }
 
-/// Replay `dir`'s journal frame-by-frame into `sink`, in append order,
-/// holding at most one frame's bytes and one decoded frame in memory.
-/// The identity header is verified against `fp` exactly like a resume,
-/// but the walk is strictly **read-only**: a torn tail stops the replay
-/// (every intact frame before it is delivered) and is *not* truncated
-/// away. `DatasetView::from_journal` and the `wheels-serve` live
-/// follower read through it; a resumed campaign instead indexes the
-/// journal with [`Journal::resume_indexed`], truncating any torn tail,
-/// and replays the spans in the same file order. Returns the
-/// [`TailState`] cursor; follow-up polls continue from it via
-/// [`tail_from`].
+impl TailState {
+    /// Frames delivered so far.
+    pub fn delivered(&self) -> usize {
+        self.jobs.len()
+    }
+}
+
+/// Replay `dir`'s journal into `sink` through the ordered walk (see the
+/// module docs), on up to one worker per core. The identity header is
+/// verified against `fp` exactly like a resume, but the walk is
+/// strictly **read-only**: a torn tail stops the replay (every intact
+/// frame before it is delivered) and is *not* truncated away.
+/// `DatasetView::from_journal` reads through it; a resumed campaign
+/// walks the same way through [`Journal::resume`], which then truncates
+/// the torn tail. Returns the [`TailState`] cursor; follow-up polls
+/// continue from it via [`tail_from`].
 pub fn tail(
     dir: &Path,
     fp: &Fingerprint,
     sink: impl FnMut(usize, ShardRecords) -> Result<(), CheckpointError>,
 ) -> Result<TailState, CheckpointError> {
-    tail_from(dir, fp, None, sink)
+    let mut cursor = TailState::default();
+    tail_from(dir, fp, &mut cursor, sink)?;
+    Ok(cursor)
 }
 
-/// [`tail`] with a resume cursor: `resume_at = Some(offset)` continues
-/// a live follow from a prior [`TailState::next_offset`], reading only
-/// the bytes at and after the offset — no full-journal re-read per
-/// poll, and no header re-verification (the identity was pinned when
-/// the follower attached with `resume_at = None`). The offset contract
-/// makes the torn-tail race safe by construction: a poll that lands
-/// mid-append stops *at* the torn frame's start and returns that
-/// offset, so the next poll re-scans the now-completed frame and
-/// delivers it exactly once — never skipped, never double-ingested.
-/// Offsets must come from a prior tail of the same journal; an
-/// arbitrary offset is harmless (a frame checksum cannot hold at a
-/// misaligned position, so the walk just reports a torn tail) but
-/// useless.
+/// [`tail`] from a cursor, advanced in place past every frame the sink
+/// took — also when the walk then fails. A fresh cursor verifies the
+/// header first; an attached one reads only the bytes at and after
+/// its offset — no full-journal re-read per poll, and no header
+/// re-verification (the identity was pinned when the follower
+/// attached). The offset contract makes the torn-tail race safe by
+/// construction: a poll that lands mid-append stops *at* the torn
+/// frame's start, so the next poll re-scans the now-completed frame
+/// and delivers it exactly once — never skipped, never double-ingested.
+/// A frame whose shard the cursor already holds is refused, across
+/// polls too. A poll that finds one new frame decodes it on the
+/// calling thread and starts no worker. Offsets must come from a prior
+/// tail of the same journal; an arbitrary offset is harmless (a frame
+/// checksum cannot hold at a misaligned position, so the walk just
+/// reports a torn tail) but useless.
 pub fn tail_from(
     dir: &Path,
     fp: &Fingerprint,
-    resume_at: Option<u64>,
+    cursor: &mut TailState,
     mut sink: impl FnMut(usize, ShardRecords) -> Result<(), CheckpointError>,
-) -> Result<TailState, CheckpointError> {
-    let mut frames = match resume_at {
-        None => open_verified(dir, fp)?.1,
-        Some(off) => Frames::resume(&Journal::file_path(dir), off)?,
+) -> Result<(), CheckpointError> {
+    let mut frames = if cursor.next_offset == 0 {
+        let (_, frames) = open_verified(dir, fp)?;
+        cursor.next_offset = file_offset(frames.pos)?;
+        frames
+    } else {
+        Frames::resume(&Journal::file_path(dir), cursor.next_offset)?
     };
-    let mut delivered = 0usize;
-    while let Some(start) = frames.next()? {
-        let records = decode_shard_frame(&frames.payload, start)?;
-        sink(records.job, records)?;
-        delivered += 1;
+    walk(&mut frames, fp, cursor, None, &mut |rec| sink(rec.job, rec))
+}
+
+/// Refuse a shard frame at byte `pos` that the run's plan cannot hold:
+/// a job past the plan's end, or one already `taken` from this journal.
+fn admit(fp: &Fingerprint, job: usize, taken: bool, pos: usize) -> Result<(), CheckpointError> {
+    if job >= fp.jobs {
+        return Err(CheckpointError::Invalid(format!(
+            "journal frame at byte {pos} is for shard {job}, but the {}-job plan has no shard {job}",
+            fp.jobs
+        )));
     }
-    Ok(TailState {
-        next_offset: file_offset(frames.pos)?,
-        delivered,
-    })
+    if taken {
+        return Err(CheckpointError::Invalid(format!(
+            "journal frame at byte {pos} repeats shard {job}, which an earlier frame holds"
+        )));
+    }
+    Ok(())
+}
+
+/// The ordered replay walk (see the module docs): read the shard frames
+/// from `frames` on this thread, check and decode them on `threads`
+/// workers (`None`: one per core), and hand each to `sink` here, in
+/// file order, advancing `cursor` past it. Stops at the end of the file
+/// or the first torn frame; returns the first decode, plan or sink
+/// error in file order. With one frame to take, nothing is spawned.
+fn walk(
+    frames: &mut Frames,
+    fp: &Fingerprint,
+    cursor: &mut TailState,
+    threads: Option<usize>,
+    sink: &mut dyn FnMut(ShardRecords) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    // Take one opened frame; `false` at a torn one, which ends the walk.
+    let mut commit = |(start, end, opened): (usize, usize, Opened)| {
+        let Some(rec) = opened else {
+            return Ok(false);
+        };
+        let rec = rec?;
+        let job = rec.job;
+        admit(fp, job, cursor.jobs.contains(&job), start)?;
+        sink(rec)?;
+        cursor.jobs.insert(job);
+        cursor.next_offset = file_offset(end)?;
+        Ok(true)
+    };
+    let Some(first) = frames.read()? else {
+        return Ok(());
+    };
+    let Some(second) = frames.read()? else {
+        return commit((first.start, first.end(), first.open())).map(drop);
+    };
+    let workers = threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+        .max(1);
+    let (to_workers, queue) = mpsc::channel::<(RawFrame, mpsc::SyncSender<Opened>)>();
+    let queue = Mutex::new(queue);
+    let mut walked = Ok(());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let next = queue.lock().expect("walk queue lock poisoned").recv();
+                let Ok((raw, reply)) = next else {
+                    break; // the walk is over
+                };
+                // The walk may have stopped before this frame.
+                let _ = reply.send(raw.open());
+            });
+        }
+        let mut window = Window {
+            frames,
+            to_workers,
+            in_flight: VecDeque::new(),
+            more: true,
+        };
+        window.push(first);
+        window.push(second);
+        // One frame per worker, and one more waiting.
+        let mut filled = Ok(());
+        for _ in 1..workers {
+            filled = filled.and_then(|()| window.read_one());
+        }
+        walked = filled.and_then(|()| window.commit_all(&mut commit));
+    });
+    walked
+}
+
+/// The frames a parallel walk has read and handed to its workers but
+/// not committed yet, oldest first.
+struct Window<'f> {
+    frames: &'f mut Frames,
+    to_workers: mpsc::Sender<(RawFrame, mpsc::SyncSender<Opened>)>,
+    /// Each frame's start and end offsets, and where its worker sends
+    /// what it made of it.
+    in_flight: VecDeque<(usize, usize, mpsc::Receiver<Opened>)>,
+    /// False once a read found no whole frame: a scan reads no further.
+    more: bool,
+}
+
+impl Window<'_> {
+    fn push(&mut self, raw: RawFrame) {
+        let (reply, opened) = mpsc::sync_channel(1);
+        self.in_flight.push_back((raw.start, raw.end(), opened));
+        // The workers' queue outlives the walk, so this cannot fail.
+        let _ = self.to_workers.send((raw, reply));
+    }
+
+    /// Read the next frame into the window, unless the scan has ended.
+    fn read_one(&mut self) -> Result<(), CheckpointError> {
+        if self.more {
+            match self.frames.read()? {
+                Some(raw) => self.push(raw),
+                None => self.more = false,
+            }
+        }
+        Ok(())
+    }
+
+    /// Commit the frames in flight in file order, reading one more
+    /// after each commit so the window keeps its size, until the walk
+    /// runs out of frames or reaches a torn one. Dropping the window
+    /// stops the workers.
+    fn commit_all(
+        mut self,
+        commit: &mut dyn FnMut((usize, usize, Opened)) -> Result<bool, CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        while let Some((start, end, opened)) = self.in_flight.pop_front() {
+            let opened = opened.recv().map_err(|_| {
+                CheckpointError::Invalid(format!("the replay worker on byte {start} stopped"))
+            })?;
+            if !commit((start, end, opened))? {
+                break;
+            }
+            self.read_one()?;
+        }
+        Ok(())
+    }
+}
+
+/// Cut the journal at `path` back to its valid prefix, `valid_end`
+/// bytes, if a torn tail follows it, so a resumed run appends after the
+/// last intact frame.
+fn cut_torn_tail(path: &Path, valid_end: u64) -> Result<(), CheckpointError> {
+    let f = OpenOptions::new().write(true).open(path)?;
+    if valid_end < f.metadata()?.len() {
+        f.set_len(valid_end)?;
+        f.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
@@ -573,40 +782,61 @@ impl Journal {
         Ok(Journal { path })
     }
 
-    /// Recover the journal in `dir` for the run identified by `fp`
-    /// **without materializing any shard**: verify the identity header,
-    /// index every intact shard frame by its byte span, and truncate the
+    /// Recover the journal in `dir` for the run identified by `fp`:
+    /// verify the identity header, replay every intact shard frame into
+    /// `sink` through the ordered walk (see the module docs) on
+    /// `threads` workers (`None`: one per core), then truncate the
     /// torn/corrupt tail (everything from the first bad frame on) so
     /// subsequent appends extend a valid prefix. Returns the journal and
-    /// the completed frame spans keyed by plan-order job index; decode a
-    /// span on demand with [`JournalReader::read_frame`].
+    /// the cursor, whose `jobs` are the replayed shards. An error — a
+    /// decode, plan or sink error — leaves the file as it was.
+    pub fn resume(
+        dir: &Path,
+        fp: &Fingerprint,
+        threads: Option<usize>,
+        mut sink: impl FnMut(ShardRecords) -> Result<(), CheckpointError>,
+    ) -> Result<(Journal, TailState), CheckpointError> {
+        let (path, mut frames) = open_verified(dir, fp)?;
+        let mut cursor = TailState {
+            next_offset: file_offset(frames.pos)?,
+            ..TailState::default()
+        };
+        walk(&mut frames, fp, &mut cursor, threads, &mut sink)?;
+        cut_torn_tail(&path, cursor.next_offset)?;
+        Ok((Journal { path }, cursor))
+    }
+
+    /// [`Journal::resume`] without materializing any shard: verify the
+    /// identity header, index every intact shard frame by its byte
+    /// span, and truncate the torn tail. Returns the journal and the
+    /// spans keyed by plan-order job index; decode a span on demand with
+    /// [`JournalReader::read_frame`]. A job past the plan's end, or
+    /// repeated, is refused like in the walk. Only the perf ledger's
+    /// sweep (`perf/src/sweep.rs`) calls this now; a resume walks.
     pub fn resume_indexed(
         dir: &Path,
         fp: &Fingerprint,
     ) -> Result<(Journal, BTreeMap<usize, FrameSpan>), CheckpointError> {
         let (path, mut frames) = open_verified(dir, fp)?;
+        let mut valid_end = frames.pos;
         let mut completed = BTreeMap::new();
-        while let Some(start) = frames.next()? {
-            let (job, _) = frame_job(&frames.payload, start)?;
+        while let Some(raw) = frames.next()? {
+            let (job, _) = frame_job(&raw.payload, raw.start)?;
+            admit(fp, job, completed.contains_key(&job), raw.start)?;
             let span = FrameSpan {
-                start: file_offset(start)?,
-                end: file_offset(frames.pos)?,
+                start: file_offset(raw.start)?,
+                end: file_offset(raw.end())?,
             };
             completed.insert(job, span);
+            valid_end = raw.end();
         }
-        let valid_end = file_offset(frames.pos)?;
-        if valid_end < frames.file.metadata()?.len() {
-            // Torn tail: cut the journal back to its valid prefix so the
-            // resumed run appends after the last intact frame.
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(valid_end)?;
-            f.sync_all()?;
-        }
+        cut_torn_tail(&path, file_offset(valid_end)?)?;
         Ok((Journal { path }, completed))
     }
 
     /// A read-only handle on this journal's file, usable concurrently
     /// with appends (spans are only handed out for fully-synced bytes).
+    /// Only the perf ledger's sweep reads through it now.
     pub fn reader(&self) -> JournalReader {
         JournalReader {
             path: self.path.clone(),
@@ -647,8 +877,9 @@ impl Journal {
 }
 
 /// A cloneable read-only view of a journal file: decodes single frames
-/// by span, re-verifying the checksum on every read. A resumed campaign
-/// decodes its replayed shards through this, one at a time.
+/// by span, re-verifying the checksum on every read. Only the perf
+/// ledger's sweep (`perf/src/sweep.rs`) decodes through this now; every
+/// replay walks the journal instead.
 #[derive(Debug, Clone)]
 pub struct JournalReader {
     path: PathBuf,
@@ -657,10 +888,9 @@ pub struct JournalReader {
 impl JournalReader {
     /// Decode the shard frame at `span`, verifying its checksum.
     pub fn read_frame(&self, span: FrameSpan) -> Result<ShardRecords, CheckpointError> {
-        let mut frames = Frames::resume(&self.path, span.start)?;
-        match frames.next()? {
-            Some(start) if file_offset(frames.pos)? == span.end => {
-                decode_shard_frame(&frames.payload, start)
+        match Frames::resume(&self.path, span.start)?.next()? {
+            Some(raw) if file_offset(raw.end())? == span.end => {
+                decode_shard_frame(&raw.payload, raw.start)
             }
             _ => Err(CheckpointError::Invalid(format!(
                 "journal frame at bytes {}..{} failed re-verification — the file changed under a live run",
@@ -678,8 +908,8 @@ pub fn frame_ends(dir: &Path) -> Result<Vec<u64>, CheckpointError> {
     let path = Journal::file_path(dir);
     let mut frames = Frames::start(&path, File::open(&path)?)?;
     let mut ends = Vec::new();
-    while frames.next()?.is_some() {
-        ends.push(file_offset(frames.pos)?);
+    while let Some(raw) = frames.next()? {
+        ends.push(file_offset(raw.end())?);
     }
     Ok(ends)
 }
@@ -798,7 +1028,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(state.delivered, 2);
+        assert_eq!(state.delivered(), 2);
         assert_eq!(
             state.next_offset,
             u64::try_from(full.len()).unwrap(),
@@ -823,41 +1053,37 @@ mod tests {
         let mut j = Journal::create(&dir, &fp(1)).unwrap();
         j.append(0, &rec(0, Operator::Verizon)).unwrap();
         let mut seen = Vec::new();
-        let st0 = tail(&dir, &fp(1), |job, rec| {
-            seen.push((job, rec.operator));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!((st0.delivered, seen.len()), (1, 1));
+        let mut cursor = TailState::default();
+        let poll = |cursor: &mut TailState, seen: &mut Vec<_>| {
+            tail_from(&dir, &fp(1), cursor, |job, rec| {
+                seen.push((job, rec.operator));
+                Ok(())
+            })
+            .unwrap()
+        };
+        poll(&mut cursor, &mut seen);
+        assert_eq!((cursor.delivered(), seen.len()), (1, 1));
         let len0 = std::fs::metadata(Journal::file_path(&dir)).unwrap().len();
-        assert_eq!(st0.next_offset, len0);
+        assert_eq!(cursor.next_offset, len0);
 
         // The writer starts appending frame 1; a poll lands mid-frame.
         j.append(1, &rec(1, Operator::TMobile)).unwrap();
         let full = std::fs::read(Journal::file_path(&dir)).unwrap();
-        let cut = usize::try_from(st0.next_offset).unwrap() + FRAME_HEADER / 2;
+        let cut = usize::try_from(len0).unwrap() + FRAME_HEADER / 2;
         std::fs::write(Journal::file_path(&dir), &full[..cut]).unwrap();
-        let st1 = tail_from(&dir, &fp(1), Some(st0.next_offset), |job, rec| {
-            seen.push((job, rec.operator));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(st1.delivered, 0, "a torn frame must not be delivered");
+        poll(&mut cursor, &mut seen);
+        assert_eq!(cursor.delivered(), 1, "a torn frame must not be delivered");
         assert_eq!(
-            st1.next_offset, st0.next_offset,
+            cursor.next_offset, len0,
             "the cursor must stay at the torn frame's start"
         );
 
         // The writer finishes the append; the next poll picks the frame
         // up exactly once — neither skipped nor double-ingested.
         std::fs::write(Journal::file_path(&dir), &full).unwrap();
-        let st2 = tail_from(&dir, &fp(1), Some(st1.next_offset), |job, rec| {
-            seen.push((job, rec.operator));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(st2.delivered, 1);
-        assert_eq!(st2.next_offset, u64::try_from(full.len()).unwrap());
+        poll(&mut cursor, &mut seen);
+        assert_eq!(cursor.delivered(), 2);
+        assert_eq!(cursor.next_offset, u64::try_from(full.len()).unwrap());
 
         // Polls are incremental: with the cursor past the header, a new
         // frame is picked up even when the already-consumed prefix is
@@ -869,13 +1095,9 @@ mod tests {
             *b = 0xFF;
         }
         std::fs::write(Journal::file_path(&dir), &scribbled).unwrap();
-        let st3 = tail_from(&dir, &fp(1), Some(st2.next_offset), |job, rec| {
-            seen.push((job, rec.operator));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(st3.delivered, 1);
-        assert_eq!(st3.next_offset, u64::try_from(appended.len()).unwrap());
+        poll(&mut cursor, &mut seen);
+        assert_eq!(cursor.delivered(), 3);
+        assert_eq!(cursor.next_offset, u64::try_from(appended.len()).unwrap());
         assert_eq!(
             seen,
             vec![
@@ -885,6 +1107,63 @@ mod tests {
             ],
             "every frame exactly once, in append order"
         );
+    }
+
+    /// Expect an `Invalid` error naming `what`.
+    fn refused<T: fmt::Debug>(got: Result<T, CheckpointError>, what: &str) {
+        match got {
+            Err(CheckpointError::Invalid(d)) => assert!(d.contains(what), "{d}"),
+            other => panic!("expected Invalid naming {what:?}, got {other:?}"),
+        }
+    }
+
+    /// A journal holding shard 0, shard 1, then a third frame for `job`.
+    fn with_third_frame(name: &str, job: usize) -> PathBuf {
+        let dir = tmpdir(name);
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        j.append(1, &rec(1, Operator::TMobile)).unwrap();
+        j.append(job, &rec(job, Operator::Att)).unwrap();
+        dir
+    }
+
+    #[test]
+    fn resume_indexed_refuses_repeated_and_off_plan_shards() {
+        let dir = with_third_frame("ckpt_indexed_repeat", 0);
+        refused(Journal::resume_indexed(&dir, &fp(1)), "repeats shard 0");
+        let dir = with_third_frame("ckpt_indexed_off_plan", 6);
+        refused(Journal::resume_indexed(&dir, &fp(1)), "no shard 6");
+    }
+
+    #[test]
+    fn tail_refuses_repeated_and_off_plan_shards_after_the_frames_before() {
+        for (job, what) in [(1, "repeats shard 1"), (6, "no shard 6")] {
+            let dir = with_third_frame(&format!("ckpt_tail_refuse_{job}"), job);
+            let mut seen = Vec::new();
+            refused(
+                tail(&dir, &fp(1), |job, _| {
+                    seen.push(job);
+                    Ok(())
+                }),
+                what,
+            );
+            assert_eq!(seen, [0, 1], "the frames before the bad one were delivered");
+        }
+    }
+
+    #[test]
+    fn tail_from_refuses_a_shard_delivered_on_an_earlier_poll() {
+        let dir = tmpdir("ckpt_tail_repeat_polls");
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        let mut cursor = TailState::default();
+        tail_from(&dir, &fp(1), &mut cursor, |_, _| Ok(())).unwrap();
+        j.append(0, &rec(0, Operator::Verizon)).unwrap();
+        refused(
+            tail_from(&dir, &fp(1), &mut cursor, |_, _| Ok(())),
+            "repeats shard 0",
+        );
+        assert_eq!(cursor.delivered(), 1);
     }
 
     #[test]

@@ -15,10 +15,15 @@
 //! truncation of a real journal, and bit flips in each frame's length
 //! and checksum words. Each call stops cleanly or returns `Err`, under
 //! the same allocation bound, even when a length points past the end.
+//!
+//! The tails decode on worker threads, so the counting allocator keeps
+//! one process-wide maximum, and every test here holds [`serial`] so no
+//! other test allocates while one measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 use wheels_apps::arcav::OffloadStats;
@@ -26,6 +31,7 @@ use wheels_apps::gaming::GamingStats;
 use wheels_apps::video::{ChunkRecord, VideoStats};
 use wheels_core::checkpoint::{
     decode_shard_frame, encode_shard_frame, frame_ends, tail, tail_from, Fingerprint, Journal,
+    TailState,
 };
 use wheels_core::column::wcd;
 use wheels_core::disrupt::{FaultConfig, FaultKind};
@@ -41,20 +47,34 @@ use wheels_ran::session::{HandoverEvent, HandoverKind};
 use wheels_sim_core::time::{SimDuration, SimTime, Timezone};
 use wheels_transport::servers::ServerKind;
 
-/// Records the largest single allocation request made on the current
-/// thread, so a decode's worst allocation can be bounded by its input.
+/// Records the largest single allocation request made on any thread,
+/// so a decode's worst allocation can be bounded by its input.
 struct Tracking;
 
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+}
+
+/// Held by every test in this file for its whole body, so the
+/// process-wide [`LARGEST`] sees only the measured call's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `call` and return its result with the largest single allocation
+/// any thread made during it.
+fn peak<T>(call: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.store(0, Ordering::Relaxed);
+    let out = call();
+    (out, LARGEST.load(Ordering::Relaxed))
 }
 
 // SAFETY: every call forwards unchanged to the system allocator; the
-// only addition is a thread-local maximum, which never allocates.
+// only addition is an atomic maximum, which never allocates.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -96,12 +116,8 @@ const ENVELOPE: usize = 12;
 /// unchecked header field.
 fn decode_bounded(bytes: &[u8]) -> (bool, bool) {
     let limit = 8 * bytes.len() + 4096;
-    LARGEST.with(|l| l.set(0));
-    let frame_ok = decode_shard_frame(bytes, 0).is_ok();
-    let frame_peak = LARGEST.with(Cell::get);
-    LARGEST.with(|l| l.set(0));
-    let wcd_ok = wcd::decode(bytes).is_ok();
-    let wcd_peak = LARGEST.with(Cell::get);
+    let (frame_ok, frame_peak) = peak(|| decode_shard_frame(bytes, 0).is_ok());
+    let (wcd_ok, wcd_peak) = peak(|| wcd::decode(bytes).is_ok());
     assert!(
         frame_peak <= limit && wcd_peak <= limit,
         "{}-byte input allocated {frame_peak} (frame) / {wcd_peak} (wcd) bytes at once",
@@ -330,6 +346,8 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
+/// The identity of every test journal here. Its plan has room for the
+/// most frames a test appends (32): a replay refuses a shard past it.
 fn fingerprint() -> Fingerprint {
     Fingerprint {
         seed: 7,
@@ -340,7 +358,7 @@ fn fingerprint() -> Fingerprint {
         shard_cycles: Some(1),
         faults: FaultConfig::default(),
         segments: 1,
-        jobs: 3,
+        jobs: 32,
     }
 }
 
@@ -365,6 +383,7 @@ fn cases() -> Vec<ShardRecords> {
 
 #[test]
 fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
+    let _serial = serial();
     let dir = tmpdir("roundtrip");
     let fp = fingerprint();
     let mut journal = Journal::create(&dir, &fp).expect("create journal");
@@ -385,7 +404,7 @@ fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
         Ok(())
     })
     .expect("tail replays");
-    assert_eq!(state.delivered, cases.len());
+    assert_eq!(state.delivered(), cases.len());
     for (i, ((job, got), want)) in tailed.iter().zip(&cases).enumerate() {
         assert_eq!(*job, i, "tail delivers in append order");
         assert_same(got, want, &format!("tail of job {job}"));
@@ -398,6 +417,7 @@ fn shard_frames_roundtrip_bit_for_bit_through_read_frame_and_tail() {
 /// file first would take.
 #[test]
 fn tail_holds_one_frame_at_a_time() {
+    let _serial = serial();
     let dir = tmpdir("tail_one_frame");
     let fp = fingerprint();
     let mut journal = Journal::create(&dir, &fp).expect("create journal");
@@ -415,10 +435,9 @@ fn tail_holds_one_frame_at_a_time() {
     let file_len = std::fs::metadata(Journal::file_path(&dir))
         .expect("journal exists")
         .len();
-    LARGEST.with(|l| l.set(0));
-    let state = tail(&dir, &fp, |_, _| Ok(())).expect("tail replays");
-    let peak = u64::try_from(LARGEST.with(Cell::get)).expect("fits");
-    assert_eq!(state.delivered, frames);
+    let (state, peak) = peak(|| tail(&dir, &fp, |_, _| Ok(())).expect("tail replays"));
+    let peak = u64::try_from(peak).expect("fits");
+    assert_eq!(state.delivered(), frames);
     assert!(
         4 * peak < file_len,
         "tail of a {file_len}-byte journal allocated {peak} bytes at once"
@@ -459,6 +478,7 @@ fn real_payload(rows: usize) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
 /// moves any byte of a journal fails here.
 #[test]
 fn shard_frame_bytes_are_pinned() {
+    let _serial = serial();
     assert_eq!(
         fnv1a64(&real_frame(3)),
         0xdf02_5e1d_aedf_018b,
@@ -541,6 +561,7 @@ type Mutation<'a> = Box<dyn Fn(&mut u32, &mut Vec<Section>) + 'a>;
 /// allocation bound, through both decoders.
 #[test]
 fn resealed_structural_mutations_are_errors() {
+    let _serial = serial();
     let (payload, _) = real_payload(3);
     let (count, sections) = sections_of(&payload[IMAGE..]);
     assert_eq!(
@@ -645,6 +666,7 @@ fn resealed_structural_mutations_are_errors() {
 
 #[test]
 fn every_truncation_and_every_column_bit_flip_is_an_error() {
+    let _serial = serial();
     let (payload, columns) = real_payload(3);
     let image = &payload[IMAGE..];
     assert!(decode_bounded(&payload).0, "the intact payload decodes");
@@ -697,9 +719,7 @@ fn scan_bounded(dir: &Path, fp: &Fingerprint, bytes: &[u8], resume_at: u64) -> S
     std::fs::write(Journal::file_path(dir), bytes).expect("write journal");
     let limit = 8 * bytes.len() + 4096;
     let bounded = |what: &str, call: &mut dyn FnMut()| {
-        LARGEST.with(|l| l.set(0));
-        call();
-        let peak = LARGEST.with(Cell::get);
+        let ((), peak) = peak(call);
         assert!(
             peak <= limit,
             "{what} on a {}-byte journal allocated {peak} bytes at once",
@@ -710,12 +730,17 @@ fn scan_bounded(dir: &Path, fp: &Fingerprint, bytes: &[u8], resume_at: u64) -> S
     bounded("frame_ends", &mut || ends = frame_ends(dir).ok());
     let mut delivered = None;
     bounded("tail_from", &mut || {
-        delivered = tail_from(dir, fp, None, |_, _| Ok(()))
+        let mut cursor = TailState::default();
+        delivered = tail_from(dir, fp, &mut cursor, |_, _| Ok(()))
             .ok()
-            .map(|s| s.delivered);
+            .map(|()| cursor.delivered());
     });
     bounded("resumed tail_from", &mut || {
-        let _ = tail_from(dir, fp, Some(resume_at), |_, _| Ok(()));
+        let mut cursor = TailState {
+            next_offset: resume_at,
+            ..TailState::default()
+        };
+        let _ = tail_from(dir, fp, &mut cursor, |_, _| Ok(()));
     });
     ScanOutcome { ends, delivered }
 }
@@ -757,6 +782,7 @@ fn real_journal(dir: &Path, fp: &Fingerprint) -> (Vec<u8>, [usize; 3]) {
 
 #[test]
 fn every_journal_truncation_stops_at_the_last_whole_frame() {
+    let _serial = serial();
     let dir = tmpdir("scan_truncation");
     let fp = fingerprint();
     let (bytes, starts) = real_journal(&dir, &fp);
@@ -779,6 +805,7 @@ fn every_journal_truncation_stops_at_the_last_whole_frame() {
 
 #[test]
 fn envelope_bit_flips_stop_the_scan_at_the_flipped_frame() {
+    let _serial = serial();
     let dir = tmpdir("scan_flips");
     let fp = fingerprint();
     let (bytes, starts) = real_journal(&dir, &fp);
@@ -813,6 +840,7 @@ proptest! {
         sealed in any::<bool>(),
         resume_at in 0u64..1_000,
     ) {
+        let _serial = serial();
         let dir = tmpdir("scan_arbitrary");
         let fp = fingerprint();
         drop(Journal::create(&dir, &fp).expect("create journal"));
@@ -838,6 +866,7 @@ proptest! {
     /// allocate beyond the input.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
+        let _serial = serial();
         decode_bounded(&bytes);
         let mut framed = vec![0u8; 13];
         framed[8] = 2; // operator code: AT&T
@@ -852,6 +881,7 @@ proptest! {
     /// always `Err`.
     #[test]
     fn single_bit_flips_are_contained(rows in 0usize..6, at in any::<u64>(), bit in 0u32..8) {
+        let _serial = serial();
         let (mut payload, columns) = real_payload(rows);
         let len = u64::try_from(payload.len()).expect("fits");
         let byte = usize::try_from(at % len).expect("fits");

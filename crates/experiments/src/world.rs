@@ -19,10 +19,11 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::campaign::{Campaign, CampaignConfig};
+use wheels_core::campaign::{self, Campaign, CampaignConfig};
 use wheels_core::checkpoint::{CheckpointError, Fingerprint};
 use wheels_core::disrupt::FaultConfig;
 use wheels_core::records::{Dataset, ShardRecords};
+use wheels_geo::route::Route;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,10 +157,14 @@ impl World {
     /// The checkpoint-journal identity of a `(scale, seed, faults)` run —
     /// what `wheels-serve` verifies before tailing a journal. The thread
     /// count is deliberately outside the identity, exactly as in the
-    /// checkpoint layer.
+    /// checkpoint layer. Builds only the route and the drive trace, the
+    /// shard plan's inputs, not the deployments.
     pub fn fingerprint_for(scale: Scale, seed: u64, faults: FaultConfig) -> Fingerprint {
-        let (campaign, cfg) = Self::campaign_for(scale, seed, Tuning::default(), faults);
-        campaign.fingerprint(&cfg)
+        let trace = campaign::drive_trace(&Route::standard(), seed);
+        campaign::plan_fingerprint(
+            &trace,
+            &Self::config_for(scale, seed, Tuning::default(), faults),
+        )
     }
 
     /// The campaign + config every builder shares.
@@ -169,14 +174,19 @@ impl World {
         tuning: Tuning,
         faults: FaultConfig,
     ) -> (Campaign, CampaignConfig) {
-        let campaign = Campaign::standard(seed);
+        let cfg = Self::config_for(scale, seed, tuning, faults);
+        (Campaign::standard(seed), cfg)
+    }
+
+    /// The campaign config of a `(scale, seed, faults)` run.
+    fn config_for(scale: Scale, seed: u64, tuning: Tuning, faults: FaultConfig) -> CampaignConfig {
         let mut cfg = scale.config();
         cfg.seed = seed;
         cfg.faults = faults;
         if tuning.threads.is_some() {
             cfg.threads = tuning.threads;
         }
-        (campaign, cfg)
+        cfg
     }
 
     /// The consolidated dataset as the view holds it: runs, handovers,
@@ -212,6 +222,23 @@ mod tests {
     use super::*;
     use wheels_radio::tech::Direction;
     use wheels_sim_core::time::Timezone;
+
+    /// The trace-only identity is the campaign's own at every scale.
+    #[test]
+    fn fingerprint_for_equals_the_campaigns_fingerprint() {
+        for seed in [7, 2022, 90_210] {
+            let campaign = Campaign::standard(seed);
+            for scale in [Scale::Quick, Scale::Standard, Scale::Full] {
+                let mut cfg = scale.config();
+                cfg.seed = seed;
+                assert_eq!(
+                    World::fingerprint_for(scale, seed, FaultConfig::default()),
+                    campaign.fingerprint(&cfg),
+                    "{scale:?}, seed {seed}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn quick_world_spans_all_timezones() {

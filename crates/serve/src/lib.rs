@@ -4,8 +4,8 @@
 //! *continuously queryable*, not a one-shot report. This crate promotes
 //! the incremental [`DatasetView`] pipeline into a long-running TCP
 //! service: one ingest thread tails a campaign checkpoint journal
-//! (resumable byte offsets via `checkpoint::tail_from` — no
-//! full-journal re-read per poll), splicing each new shard frame into a
+//! (a resumable cursor via `checkpoint::tail_from` — no full-journal
+//! re-read per poll), splicing each new shard frame into a
 //! shared [`World`] behind an `RwLock`, while a small worker pool
 //! answers line-delimited JSON queries — figure results, per-partition
 //! quantiles and CDF samples, Table-1 accounting, and a live `status`

@@ -3,11 +3,13 @@
 //! Concurrency model (one writer, many readers):
 //!
 //! - The **ingest thread** polls the checkpoint journal with
-//!   `checkpoint::tail_from`, carrying the resume offset between polls
-//!   so each poll reads only bytes it has never seen. Each delivered
-//!   frame is spliced into the shared [`World`] under the write lock —
-//!   one shard per critical section, so readers interleave between
-//!   shards of a large catch-up.
+//!   `checkpoint::tail_from`, carrying its cursor between polls so each
+//!   poll reads only bytes it has never seen and a shard delivered on
+//!   one poll is refused on a later one. The catch-up decodes frames on
+//!   one worker per core; a poll with one new frame decodes it on the
+//!   ingest thread. Each delivered frame is spliced into the shared
+//!   [`World`] under the write lock — one shard per critical section,
+//!   so readers interleave between shards of a large catch-up.
 //! - **Workers** pull accepted connections from a shared channel and
 //!   answer requests under the read lock. Connections get read/write
 //!   timeouts, so a stalled client can neither pin a worker forever nor
@@ -30,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use wheels_core::checkpoint::{self, CheckpointError, Fingerprint, Journal};
+use wheels_core::checkpoint::{self, CheckpointError, Fingerprint, Journal, TailState};
 use wheels_experiments::world::World;
 
 use crate::metrics::Metrics;
@@ -239,9 +241,9 @@ fn sleep_unless_stopped(shared: &Shared, total: Duration) {
 
 fn ingest_loop(shared: &Shared, journal: &JournalSpec) {
     let poll = Duration::from_millis(shared.opts.poll_ms.max(1));
-    let mut resume: Option<u64> = None;
+    let mut cursor = TailState::default();
     while !shared.stopping() {
-        if resume.is_none() && !Journal::file_path(&journal.dir).exists() {
+        if cursor.next_offset == 0 && !Journal::file_path(&journal.dir).exists() {
             // No journal yet: the campaign writer has not created it.
             // `Journal::create` lands atomically, so existence is safe
             // to poll without racing a partial header.
@@ -249,25 +251,23 @@ fn ingest_loop(shared: &Shared, journal: &JournalSpec) {
             continue;
         }
         let woke = Instant::now();
-        let result = checkpoint::tail_from(&journal.dir, &journal.fingerprint, resume, |_, rec| {
-            let splice = Instant::now();
-            {
-                let mut world = shared.world.write().expect("world lock poisoned");
-                world.ingest_shard(rec);
-            }
-            shared.metrics.ingest_us.record(us(splice.elapsed()));
-            shared.metrics.ingest_lag_us.record(us(woke.elapsed()));
-            shared.shards.fetch_add(1, Ordering::AcqRel);
-            Ok(())
-        });
+        let result =
+            checkpoint::tail_from(&journal.dir, &journal.fingerprint, &mut cursor, |_, rec| {
+                let splice = Instant::now();
+                {
+                    let mut world = shared.world.write().expect("world lock poisoned");
+                    world.ingest_shard(rec);
+                }
+                shared.metrics.ingest_us.record(us(splice.elapsed()));
+                shared.metrics.ingest_lag_us.record(us(woke.elapsed()));
+                shared.shards.fetch_add(1, Ordering::AcqRel);
+                Ok(())
+            });
         match result {
-            Ok(state) => {
-                resume = Some(state.next_offset);
-                shared.offset.store(state.next_offset, Ordering::Release);
-            }
+            Ok(()) => shared.offset.store(cursor.next_offset, Ordering::Release),
             Err(CheckpointError::Io(_)) => {
-                // Transient (e.g. the file vanished mid-poll): keep the
-                // cursor and retry on the next tick.
+                // Transient (e.g. the file vanished mid-poll): the cursor
+                // holds what was delivered; retry on the next tick.
             }
             Err(e) => {
                 *shared.fatal.lock().expect("fatal flag lock poisoned") =

@@ -96,7 +96,7 @@ fn live_tail_matches_offline_replay_across_threads_and_faults() {
             );
 
             let (view, state) = DatasetView::from_journal(&dir, &fp).expect("offline replay");
-            assert_eq!(state.delivered, fp.jobs, "{name}");
+            assert_eq!(state.delivered(), fp.jobs, "{name}");
             let offline = World::from_view(Scale::Quick, 42, view);
 
             let served = util::tcp_session(handle.addr(), SCRIPT);

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::Campaign;
-use wheels_core::checkpoint::Journal;
+use wheels_core::checkpoint::{self, Journal};
 use wheels_core::records::Dataset;
 use wheels_experiments::world::{Scale, World};
 use wheels_serve::protocol::parse_request;
@@ -139,4 +139,69 @@ fn connections_beyond_the_inflight_cap_are_shed_with_busy() {
         responses[0]
     );
     handle.shutdown().expect("clean shutdown");
+}
+
+/// A shard frame that repeats one the server ingested on an earlier
+/// poll is a fatal ingest error naming the shard, not a second copy of
+/// its samples.
+#[test]
+fn a_shard_repeated_on_a_later_poll_is_refused() {
+    let dir = util::tmpdir("repeat");
+    let campaign = Campaign::standard(2022);
+    let mut cfg = Scale::Quick.config();
+    cfg.seed = 2022;
+    cfg.max_cycles = Some(1);
+    cfg.threads = Some(1);
+    campaign
+        .run_checkpointed(&cfg, &dir, false)
+        .expect("tiny checkpoint campaign");
+    let fp = campaign.fingerprint(&cfg);
+    let bytes = std::fs::read(Journal::file_path(&dir)).unwrap();
+    let ends: Vec<usize> = checkpoint::frame_ends(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|e| usize::try_from(e).unwrap())
+        .collect();
+    let mut first = None;
+    checkpoint::tail(&dir, &fp, |job, _| {
+        first.get_or_insert(job);
+        Ok(())
+    })
+    .unwrap();
+    let first = first.expect("the journal holds a shard frame");
+    // Serve the header and the first shard frame only.
+    std::fs::write(Journal::file_path(&dir), &bytes[..ends[1]]).unwrap();
+
+    let base = World::from_view(Scale::Quick, 2022, DatasetView::new(Dataset::default()));
+    let handle = server::start(
+        base,
+        JournalSpec {
+            dir: dir.clone(),
+            fingerprint: fp,
+        },
+        "127.0.0.1:0",
+        ServeOptions {
+            workers: 1,
+            poll_ms: 5,
+            ..ServeOptions::default()
+        },
+    )
+    .expect("server starts");
+    let attached = u64::try_from(ends[1]).unwrap();
+    util::wait_for_shards(&handle, 1, attached, Duration::from_secs(60));
+
+    // The writer appends the same frame again.
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(Journal::file_path(&dir))
+        .unwrap();
+    std::io::Write::write_all(&mut journal, &bytes[ends[0]..ends[1]]).unwrap();
+    let t0 = std::time::Instant::now();
+    while !handle.is_stopping() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "repeat not refused");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(handle.shards_ingested(), 1, "the repeat was ingested");
+    let err = handle.shutdown().expect_err("a repeated shard is fatal");
+    assert!(err.contains(&format!("repeats shard {first}")), "{err}");
 }

@@ -340,7 +340,7 @@ fn campaign_metrics(
             .and_then(|ends| ends.first().copied())
             .ok_or("the final journal has no header")?,
     };
-    let appended = end.delivered.saturating_sub(replayed) as u64;
+    let appended = end.delivered().saturating_sub(replayed) as u64;
     let fields = [
         ("shards_completed", appended),
         ("shards_replayed", replayed as u64),

@@ -36,7 +36,7 @@ pub const VERIFY_SCRIPT: &[&str] = &[
 pub fn replay_prefix(dir: &Path, fp: &Fingerprint) -> Result<(DatasetView, usize, u64), String> {
     let (view, state) = DatasetView::from_journal(dir, fp)
         .map_err(|e| format!("journal prefix failed to replay: {e}"))?;
-    Ok((view, state.delivered, state.next_offset))
+    Ok((view, state.delivered(), state.next_offset))
 }
 
 /// Block until the live tailer's resume cursor reaches `target` bytes
