@@ -68,6 +68,8 @@ pub struct World {
     view: DatasetView,
     /// The scale it was built at.
     pub scale: Scale,
+    /// The seed it was built with.
+    seed: u64,
 }
 
 impl World {
@@ -97,6 +99,7 @@ impl World {
             campaign,
             view,
             scale,
+            seed,
         }
     }
 
@@ -120,6 +123,7 @@ impl World {
             campaign,
             view,
             scale,
+            seed,
         })
     }
 
@@ -132,6 +136,7 @@ impl World {
             campaign: Campaign::standard(seed),
             view: DatasetView::new(dataset),
             scale,
+            seed,
         }
     }
 
@@ -144,6 +149,7 @@ impl World {
             campaign: Campaign::standard(seed),
             view,
             scale,
+            seed,
         }
     }
 
@@ -154,16 +160,26 @@ impl World {
         self.view.ingest_shard(records);
     }
 
-    /// The checkpoint-journal identity of a `(scale, seed, faults)` run —
-    /// what `wheels-serve` verifies before tailing a journal. The thread
-    /// count is deliberately outside the identity, exactly as in the
-    /// checkpoint layer. Builds only the route and the drive trace, the
-    /// shard plan's inputs, not the deployments.
+    /// The checkpoint-journal identity of a `(scale, seed, faults)` run.
+    /// The thread count is deliberately outside the identity, exactly as
+    /// in the checkpoint layer. Builds only the route and the drive trace,
+    /// the shard plan's inputs, not the deployments; a caller that already
+    /// holds the world (`wheels-serve`) uses [`World::fingerprint`], which
+    /// draws no second trace.
     pub fn fingerprint_for(scale: Scale, seed: u64, faults: FaultConfig) -> Fingerprint {
         let trace = campaign::drive_trace(&Route::standard(), seed);
         campaign::plan_fingerprint(
             &trace,
             &Self::config_for(scale, seed, Tuning::default(), faults),
+        )
+    }
+
+    /// [`World::fingerprint_for`] this world's scale and seed, read from
+    /// the trace its campaign already holds.
+    pub fn fingerprint(&self, faults: FaultConfig) -> Fingerprint {
+        campaign::plan_fingerprint(
+            &self.campaign.trace,
+            &Self::config_for(self.scale, self.seed, Tuning::default(), faults),
         )
     }
 
@@ -236,6 +252,24 @@ mod tests {
                     campaign.fingerprint(&cfg),
                     "{scale:?}, seed {seed}"
                 );
+            }
+        }
+    }
+
+    /// A world's own fingerprint is the trace-only one of its scale and
+    /// seed, so `wheels-serve` may read it from the world it serves.
+    #[test]
+    fn a_worlds_fingerprint_is_fingerprint_for_its_scale_and_seed() {
+        for seed in [7, 2022] {
+            for scale in [Scale::Quick, Scale::Standard] {
+                let world = World::from_view(scale, seed, DatasetView::new(Dataset::default()));
+                for faults in [FaultConfig::default(), FaultConfig::demo()] {
+                    assert_eq!(
+                        world.fingerprint(faults),
+                        World::fingerprint_for(scale, seed, faults),
+                        "{scale:?}, seed {seed}, {faults:?}"
+                    );
+                }
             }
         }
     }

@@ -167,6 +167,9 @@ const CITY_ZONE_KM: f64 = 9.0;
 const CITY_SUBURBAN_KM: f64 = 28.0;
 /// Half-width of the suburban pocket around an intermediate town.
 const TOWN_SUBURBAN_KM: f64 = 7.0;
+/// How far from `odo` [`Route::zone_at`] looks for waypoints: the widest
+/// band plus a margin far larger than any rounding in the window bounds.
+const ZONE_REACH_KM: f64 = CITY_ZONE_KM + CITY_SUBURBAN_KM + 1.0;
 
 /// The calibrated route: waypoints plus cumulative road odometer.
 ///
@@ -282,10 +285,19 @@ impl Route {
     pub fn zone_at(&self, odo: Distance) -> ZoneClass {
         // Nearest-waypoint distances decide the zone. Major cities project a
         // city core plus a suburban ring; intermediate towns project a small
-        // suburban pocket.
+        // suburban pocket. A waypoint farther than the widest band passes no
+        // test below, so only those within `ZONE_REACH_KM` are visited; the
+        // tests themselves are unchanged, so a boundary sample cannot flip.
+        let km = odo.as_km();
+        let reach = Distance::from_km(ZONE_REACH_KM);
+        let lo = self.odometer.partition_point(|d| *d + reach < odo);
+        let near = self.waypoints[lo..]
+            .iter()
+            .zip(&self.odometer[lo..])
+            .take_while(|(_, d)| **d <= odo + reach);
         let mut best = ZoneClass::Highway;
-        for (i, w) in self.waypoints.iter().enumerate() {
-            let d_km = (self.odometer[i].as_km() - odo.as_km()).abs();
+        for (w, odo_w) in near {
+            let d_km = (odo_w.as_km() - km).abs();
             if w.major_city {
                 if d_km <= CITY_ZONE_KM {
                     return ZoneClass::City;

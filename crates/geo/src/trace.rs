@@ -76,6 +76,7 @@ impl DrivePlan {
         let mut odo = Distance::ZERO;
         let mut speed_rng = rng.split("geo/speed");
         let mut model = SpeedModel::new(self.targets, route.zone_at(odo), &mut speed_rng);
+        let cities = route.major_cities();
         let mut visited_cities: Vec<usize> = Vec::new();
 
         for day in 0..self.days {
@@ -95,25 +96,26 @@ impl DrivePlan {
             };
 
             while odo < quota && (t < day_end || day + 1 == self.days) {
+                // `pos.timezone()` is exactly `route.timezone_at(odo)`,
+                // without interpolating the position a second time.
+                let pos = route.position_at(odo);
+                let tz = pos.timezone();
+                let zone = route.zone_at(odo);
+
                 // Static stopover on first entry into a major city core.
-                if let Some(ci) = route
-                    .major_cities()
-                    .into_iter()
-                    .find(|(i, d)| {
-                        !visited_cities.contains(i) && (d.as_km() - odo.as_km()).abs() < 2.0
-                    })
-                    .map(|(i, _)| i)
-                {
+                if let Some(&(ci, _)) = cities.iter().find(|(i, d)| {
+                    !visited_cities.contains(i) && (d.as_km() - odo.as_km()).abs() < 2.0
+                }) {
                     visited_cities.push(ci);
                     let stop_secs = self.city_stop.as_millis() / 1000;
                     for _ in 0..stop_secs {
                         samples.push(TraceSample {
                             t,
                             odo,
-                            pos: route.position_at(odo),
+                            pos,
                             speed: Speed::ZERO,
-                            zone: route.zone_at(odo),
-                            tz: route.timezone_at(odo),
+                            zone,
+                            tz,
                             day,
                             static_stop: true,
                         });
@@ -121,15 +123,14 @@ impl DrivePlan {
                     }
                 }
 
-                let zone = route.zone_at(odo);
                 let speed = model.step_1s(zone, &mut speed_rng);
                 samples.push(TraceSample {
                     t,
                     odo,
-                    pos: route.position_at(odo),
+                    pos,
                     speed,
                     zone,
-                    tz: route.timezone_at(odo),
+                    tz,
                     day,
                     static_stop: false,
                 });

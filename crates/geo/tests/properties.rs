@@ -86,3 +86,74 @@ proptest! {
         }
     }
 }
+
+/// The zone rule as a scan of every waypoint: the oracle for
+/// [`Route::zone_at`], which visits only the waypoints within reach. The
+/// band half-widths are the route module's (city core 9 km, suburban
+/// ring 28 km beyond it, town pocket 7 km).
+fn zone_by_full_scan(r: &Route, odo: Distance) -> ZoneClass {
+    let mut best = ZoneClass::Highway;
+    for (i, w) in r.waypoints().iter().enumerate() {
+        let d_km = (r.waypoint_odometer(i).as_km() - odo.as_km()).abs();
+        if w.major_city {
+            if d_km <= 9.0 {
+                return ZoneClass::City;
+            }
+            if d_km <= 9.0 + 28.0 {
+                best = ZoneClass::Suburban;
+            }
+        } else if d_km <= 7.0 {
+            best = ZoneClass::Suburban;
+        }
+    }
+    best
+}
+
+fn assert_zone_matches_full_scan(r: &Route, odo: Distance) {
+    assert_eq!(
+        r.zone_at(odo),
+        zone_by_full_scan(r, odo),
+        "at {} m ({:#x})",
+        odo.as_m(),
+        odo.as_m().to_bits()
+    );
+}
+
+#[test]
+fn windowed_zone_equals_full_scan_every_10_m() {
+    let r = route();
+    let steps = (r.total().as_m() / 10.0).ceil() as u64;
+    for k in 0..=steps {
+        assert_zone_matches_full_scan(r, Distance::from_m(k as f64 * 10.0));
+    }
+}
+
+#[test]
+fn windowed_zone_equals_full_scan_at_every_band_edge() {
+    // The town pocket, city core and suburban ring edges around every
+    // waypoint, the f64 values either side of each, and past both ends.
+    let r = route();
+    let mut probes = vec![0.0, r.total().as_km() + 0.001, r.total().as_km() + 100.0];
+    for i in 0..r.waypoints().len() {
+        let at = r.waypoint_odometer(i).as_km();
+        for off in [0.0, 7.0, 9.0, 37.0] {
+            probes.push(at - off);
+            probes.push(at + off);
+        }
+    }
+    for km in probes {
+        let bits = Distance::from_km(km).as_m().to_bits();
+        for bits in [bits.saturating_sub(1), bits, bits + 1] {
+            assert_zone_matches_full_scan(r, Distance::from_m(f64::from_bits(bits)));
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn windowed_zone_equals_full_scan_anywhere(km in -50.0f64..5800.0) {
+        let r = route();
+        let odo = Distance::from_km(km);
+        prop_assert_eq!(r.zone_at(odo), zone_by_full_scan(r, odo));
+    }
+}

@@ -109,6 +109,17 @@ impl Deployment {
         let mut next_id = 0u32;
         let total_km = route.total().as_km();
 
+        // The `(zone, timezone)` of every walk step, looked up once for all
+        // five technology walks. Each walk re-accumulates `odo_km` exactly
+        // as this loop does, so step `k` sits at the same odometer in both.
+        let mut steps = Vec::new();
+        let mut odo_km = 0.0;
+        while odo_km < total_km {
+            let odo = Distance::from_km(odo_km);
+            steps.push((route.zone_at(odo), route.timezone_at(odo)));
+            odo_km += WALK_STEP_KM;
+        }
+
         for tech in Technology::ALL {
             let mut trng = rng.split(&format!("deploy/{}/{}", operator.label(), tech.label()));
             let radius_km = tech.cell_radius().as_km();
@@ -119,10 +130,7 @@ impl Deployment {
             let mut covered = false;
             let mut run_left_km = 0.0;
             let mut next_cell_km = 0.0;
-            while odo_km < total_km {
-                let odo = Distance::from_km(odo_km);
-                let zone = route.zone_at(odo);
-                let tz = route.timezone_at(odo);
+            for &(zone, tz) in &steps {
                 // Each ON run's radio footprint extends ~1.25 radii past
                 // both ends, so the ON fraction is deflated to keep the
                 // *measured* coverage at the strategy target.

@@ -54,12 +54,12 @@ fn main() {
     });
     install_signal_handlers();
 
-    let fingerprint = World::fingerprint_for(opts.scale, opts.seed, cli::fault_mix(opts.faults));
     // Start from an empty view: the ingest thread replays the journal
     // (if present) and keeps tailing — one code path for catch-up and
     // live follow, which is what keeps served answers byte-identical
     // to an offline replay of the same prefix.
     let base = World::from_view(opts.scale, opts.seed, DatasetView::new(Dataset::default()));
+    let fingerprint = base.fingerprint(cli::fault_mix(opts.faults));
     let journal = JournalSpec {
         dir: std::path::PathBuf::from(&opts.journal),
         fingerprint,
